@@ -377,7 +377,8 @@ def _peel_arrows(e: S.SExpr):
 
 def elab_data(decl: S.DData, sc: Scope) -> IndDesc:
     # re-declaring an existing datatype is allowed only when the result
-    # is structurally identical (the table insert enforces that)
+    # is structurally identical, hence the same interned node (elab_file
+    # enforces that)
     # parameter context
     psc = Scope(sc.bases, sc.posts, sc.constructors, sc.defs)
     for p in decl.params:
@@ -521,8 +522,11 @@ def elab_file(decls: list[S.Decl]) -> Elaborated:
                                    f"definition {name} does not have its "
                                    f"declared type", span)
                     sc.defs[name] = (m, t)
-                case S.DData(_, _, _, _):
+                case S.DData(_, _, _, _, span):
                     d = elab_data(decl, sc)
+                    if DESC_TABLE.get(d.name, d) is not d:
+                        raise _err("Redefinition", f"datatype {d.name} is "
+                                   f"already defined differently", span)
                     register(d)
                     out.datas.append(d.name)
                     for i, c in enumerate(d.cons):

@@ -11,16 +11,14 @@ sums, branching trees, propositional equality) are registered here.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .syntax import (
-    POS, NEG, Context, TmEntry, TyEntry, Telescope, Inst,
+    POS, NEG, Context, TmEntry, TyEntry, Telescope, TelAd, Inst,
     Type, TyVarRef, Ind, Term, Var, Con, Adapter, Post,
     Sub, STm, STy, Trans, KTm, KAd,
     RecDesc, ConDesc, IndDesc, DESC_TABLE, desc, install_desc,
     extend_tel, shift, shift_tel, id_sub, vinst,
 )
-from .normalize import KernelError, apply, apply_tel, pi_tel
+from .normalize import KernelError, apply, apply_tel, pi_tel, replayed_cache
 from .transform import (
     push_tel, cast_inst, trans_source, trans_target,
 )
@@ -56,16 +54,15 @@ def tie_sub(d: IndDesc) -> Sub:
     return Sub(base.comps + (STy(family, k),))
 
 
-@lru_cache(maxsize=None)
-def _con_data_tied(name: str, ci: int) -> Telescope:
-    d = desc(name)
+@replayed_cache(maxsize=None)
+def _con_data_tied(d: IndDesc, ci: int) -> Telescope:
     return apply_tel(con_data(d, ci), tie_sub(d))
 
 
 def con_data_tied(d: IndDesc, ci: int) -> Telescope:
     """Constructor argument telescope over the parameter context, with
     recursive occurrences referring to the datatype itself."""
-    return _con_data_tied(d.name, ci)
+    return _con_data_tied(d, ci)
 
 
 def constr_type(name: str, ci: int) -> tuple[Context, Type]:
@@ -115,10 +112,17 @@ def cast_con(tm: Con, tr: Trans) -> Term:
     src_idx = tuple(c.tm for c in src_spine.comps[npar:])
     if src_idx != result_indices(tm):
         raise KernelError("inductive cast index mismatch")
-    alpha = push_tel(con_data_tied(d, tm.tag), mu, d.params_ctx)
-    args = cast_inst(tm.args, alpha)
-    params = trans_target(d.params_ctx, mu)
-    return Con(tm.desc, tm.tag, params, args)
+    alpha, params = _con_adapter(d, tm.tag, mu)
+    return Con(tm.desc, tm.tag, params, cast_inst(tm.args, alpha))
+
+
+@replayed_cache(maxsize=1024)
+def _con_adapter(d: IndDesc, ci: int, mu: Trans) -> tuple[TelAd, Sub]:
+    """Argument telescope adapter of constructor ``ci`` under the
+    parameter transformation ``mu``, and the target parameters.  Every
+    cell of a cast list shares ``mu``, so this is computed once per cast."""
+    return (push_tel(con_data_tied(d, ci), mu, d.params_ctx),
+            trans_target(d.params_ctx, mu))
 
 
 def ind_adapter(name: str, mu: Trans, src_indices: Inst) -> Adapter:

@@ -17,6 +17,7 @@ its equation, is in ``docs/rewrite-rules.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, wraps
 
 from .syntax import (
     POS, NEG, Context, TmEntry, TyEntry, Telescope, Inst, TelAd,
@@ -100,6 +101,50 @@ class at:
 
     def __exit__(self, *exc):
         _trace_path.pop()
+
+
+def _replay(rules) -> None:
+    if _trace_sink is not None:
+        path = "/".join(_trace_path) or "."
+        for rule in rules:
+            _trace_sink(rule, path)
+
+
+def replayed_cache(maxsize: int | None):
+    """``lru_cache`` for a kernel computation that reports rewrite steps.
+
+    The computation runs with a sink that records the rule names it
+    emits; every call, hit or miss, replays them to the current sink.  A
+    trace and its rule counts are therefore those of the uncached program,
+    whatever ran earlier in the process.  Cached computations never enter
+    an ``at`` marker, so the replayed notes share the caller's path.  The
+    sink is swapped here directly, not through ``set_trace``, so that a
+    wrapper around ``set_trace`` never sees the recording sink."""
+    def decorate(fn):
+        @lru_cache(maxsize=maxsize)
+        def recorded(*args):
+            global _trace_sink
+            rules: list[str] = []
+            outer = _trace_sink
+            _trace_sink = lambda rule, _path: rules.append(rule)
+            try:
+                out = fn(*args)
+            except BaseException:
+                # a failed computation is not cached: report its steps now
+                _trace_sink = outer
+                _replay(rules)
+                raise
+            _trace_sink = outer
+            return out, tuple(rules)
+
+        @wraps(fn)
+        def cached(*args):
+            out, rules = recorded(*args)
+            _replay(rules)
+            return out
+        cached.cache_info = recorded.cache_info
+        return cached
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +696,7 @@ def assert_normal(x) -> None:
 
 def conv_ty(ctx: Context, a: Type, b: Type) -> bool:
     """Definitional equality of two well-formed types over ``ctx``."""
-    if a == b:
+    if a is b:
         return True
     match (a, b):
         case (Base(x), Base(y)):
@@ -706,7 +751,7 @@ def tm_entry_type(ctx: Context, index: int) -> Type:
 
 def conv_tm(ctx: Context, ty: Type, x: Term, y: Term) -> bool:
     """Type-directed term conversion with eta at Pi and Sigma."""
-    if x == y:
+    if x is y:
         return True
     match ty:
         case Pi(dom, cod):
@@ -776,7 +821,7 @@ def conv_neutral(ctx: Context, x: Term, y: Term):
 def conv_sub(ctx: Context, tgt: Context, s1: Sub, s2: Sub) -> bool:
     if len(s1.comps) != len(tgt) or len(s2.comps) != len(tgt):
         raise KernelError("substitution spine length mismatch")
-    if s1 == s2:
+    if s1 is s2:
         return True
     for k, entry in enumerate(tgt):
         c1, c2 = s1.comps[k], s2.comps[k]
@@ -814,7 +859,7 @@ def conv_ad(ctx: Context, f: Adapter, g: Adapter):
     functor laws for the derived actions hold definitionally; postulate
     links are never fused.  Returns True/None rather than a bool so it can
     be used in neutral position."""
-    if f == g:
+    if f is g:
         return True
     from . import transform
     pf = transform.fuse_chain(ctx, parts_of(f))
@@ -834,7 +879,7 @@ def conv_ad(ctx: Context, f: Adapter, g: Adapter):
 
 
 def _conv_atomic(ctx: Context, a: Adapter, b: Adapter) -> bool:
-    if a == b:
+    if a is b:
         return True
     if is_id_ad(a) and is_id_ad(b):
         return conv_ty(ctx, ad_src(a), ad_src(b))
@@ -866,7 +911,7 @@ def _conv_atomic(ctx: Context, a: Adapter, b: Adapter) -> bool:
 def conv_trans(ctx: Context, tgt: Context, t1: Trans, t2: Trans) -> bool:
     if len(t1.comps) != len(tgt) or len(t2.comps) != len(tgt):
         raise KernelError("transformation spine length mismatch")
-    if t1 == t2:
+    if t1 is t2:
         return True
     from . import transform
     for k, entry in enumerate(tgt):

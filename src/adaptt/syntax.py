@@ -18,13 +18,83 @@ Representation choices that the rest of the kernel relies on:
   the spine itself.  Operations that need the target context take it as
   an argument (it is always known: either the ambient context or the
   parameter context of a registered datatype).
+* Nodes are hash-consed.  Constructing a node returns the one live node
+  with the same class and fields, however it was built, so ``==`` and
+  ``hash`` are identity: O(1) and free of recursion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Union
+
+
+# ---------------------------------------------------------------------------
+# Hash-consing
+# ---------------------------------------------------------------------------
+
+
+class _Entry(weakref.ref):
+    """Weak reference to an interned node that carries the node's table
+    key, so the callback fired when the node dies can drop the entry."""
+
+    __slots__ = ("key",)
+
+    def __new__(cls, node, key):
+        self = super().__new__(cls, node, _drop)
+        self.key = key
+        return self
+
+    def __init__(self, node, key):
+        super().__init__(node, _drop)
+
+
+#: The intern table, shared by every node class: ``(cls, *fields)`` to a
+#: weak reference to the one live node with those fields.  It is
+#: process-wide because identity equality needs one canonical node per
+#: value, and the stock datatype descriptions outlive any single file.
+INTERNED: dict[tuple, _Entry] = {}
+
+
+def _drop(entry: _Entry, table=INTERNED) -> None:
+    # a node rebuilt after its predecessor died but before this callback
+    # ran owns the key now; leave its entry alone.  The table is bound at
+    # definition time because module globals are gone at interpreter exit.
+    if table.get(entry.key) is entry:
+        del table[entry.key]
+
+
+_NEW_TEMPLATE = """\
+def __new__(cls, {params}):
+    key = (cls, {params})
+    entry = lookup(key)
+    if entry is not None:
+        node = entry()
+        if node is not None:
+            return node
+    node = new(cls)
+{sets}
+    table[key] = Entry(node, key)
+    return node
+"""
+
+
+def interned(cls):
+    """Class decorator for syntax nodes: a frozen dataclass whose
+    constructor returns the canonical node for its fields.  Equality and
+    hashing are inherited from ``object``, hence identity."""
+    cls = dataclass(frozen=True, eq=False, init=False)(cls)
+    names = [f.name for f in fields(cls)]
+    src = _NEW_TEMPLATE.format(
+        params=", ".join(names),
+        sets="\n".join(f"    set(node, {n!r}, {n})" for n in names))
+    env = {"lookup": INTERNED.get, "table": INTERNED, "Entry": _Entry,
+           "new": object.__new__, "set": object.__setattr__}
+    exec(src, env)
+    cls.__new__ = staticmethod(env["__new__"])
+    return cls
 
 
 class Dir(Enum):
@@ -50,14 +120,14 @@ NEG = Dir.NEG
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@interned
 class Base:
     """Postulated ground type; closed, so substitution leaves it alone."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@interned
 class TyVarRef:
     """Occurrence of a type variable, applied to an instantiation.
 
@@ -69,7 +139,7 @@ class TyVarRef:
     inst: Inst
 
 
-@dataclass(frozen=True)
+@interned
 class Pi:
     """Dependent function type.  ``dom`` lives in the dual of the ambient
     context; ``cod`` lives under a negative binder for the argument."""
@@ -78,7 +148,7 @@ class Pi:
     cod: Type
 
 
-@dataclass(frozen=True)
+@interned
 class Sig:
     """Dependent pair type; both components covariant."""
 
@@ -86,7 +156,7 @@ class Sig:
     snd: Type
 
 
-@dataclass(frozen=True)
+@interned
 class Ind:
     """A registered inductive type at concrete parameters and indices.
 
@@ -102,12 +172,12 @@ class Ind:
 Type = Union[Base, TyVarRef, Pi, Sig, Ind]
 
 
-@dataclass(frozen=True)
+@interned
 class Var:
     index: int
 
 
-@dataclass(frozen=True)
+@interned
 class Lam:
     """Annotated abstraction; the bound variable is contravariant."""
 
@@ -115,13 +185,13 @@ class Lam:
     body: Term
 
 
-@dataclass(frozen=True)
+@interned
 class App:
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
+@interned
 class Pair:
     """Annotated pair; ``ty`` is the Sigma type it inhabits."""
 
@@ -130,17 +200,17 @@ class Pair:
     snd: Term
 
 
-@dataclass(frozen=True)
+@interned
 class Fst:
     pair: Term
 
 
-@dataclass(frozen=True)
+@interned
 class Snd:
     pair: Term
 
 
-@dataclass(frozen=True)
+@interned
 class Cast:
     """Action of an adapter on a term.  Normal forms never carry an
     identity or a composite adapter here; the normalizer splits those."""
@@ -149,7 +219,7 @@ class Cast:
     ad: Adapter
 
 
-@dataclass(frozen=True)
+@interned
 class Con:
     """Constructor of a registered inductive, fully applied."""
 
@@ -162,14 +232,14 @@ class Con:
 Term = Union[Var, Lam, App, Pair, Fst, Snd, Cast, Con]
 
 
-@dataclass(frozen=True)
+@interned
 class AdId:
     """Identity adapter at a type."""
 
     ty: Type
 
 
-@dataclass(frozen=True)
+@interned
 class Chain:
     """Free composition of atomic adapters, outermost (applied last) at
     the end.  Never nested, never contains identities."""
@@ -177,7 +247,7 @@ class Chain:
     parts: tuple[Adapter, ...]
 
 
-@dataclass(frozen=True)
+@interned
 class Post:
     """Postulated ground adapter between closed types."""
 
@@ -186,7 +256,7 @@ class Post:
     tgt_ty: Type
 
 
-@dataclass(frozen=True)
+@interned
 class PiAd:
     """Structural adapter between function types.
 
@@ -203,7 +273,7 @@ class PiAd:
     tgt_ty: Pi
 
 
-@dataclass(frozen=True)
+@interned
 class SigAd:
     """Structural adapter between pair types; both components forward."""
 
@@ -213,7 +283,7 @@ class SigAd:
     tgt_ty: Sig
 
 
-@dataclass(frozen=True)
+@interned
 class IndAd:
     """Functorial adapter of an inductive: a transformation between two
     spines into the datatype's parameters-plus-indices context."""
@@ -230,14 +300,14 @@ Adapter = Union[AdId, Chain, Post, PiAd, SigAd, IndAd]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@interned
 class STm:
     """Substitution component for a term entry."""
 
     tm: Term
 
 
-@dataclass(frozen=True)
+@interned
 class STy:
     """Substitution component for a type-variable entry: a type over the
     source context extended by the entry's (substituted) telescope.
@@ -250,7 +320,7 @@ class STy:
 SubComp = Union[STm, STy]
 
 
-@dataclass(frozen=True)
+@interned
 class Sub:
     comps: tuple[SubComp, ...]
 
@@ -258,7 +328,7 @@ class Sub:
         return len(self.comps)
 
 
-@dataclass(frozen=True)
+@interned
 class KTm:
     """Transformation component for a term entry: the free-side term
     (source side for positive entries, target side for negative ones);
@@ -267,7 +337,7 @@ class KTm:
     tm: Term
 
 
-@dataclass(frozen=True)
+@interned
 class KAd:
     """Transformation component for a type-variable entry.
 
@@ -284,7 +354,7 @@ class KAd:
 TransComp = Union[KTm, KAd]
 
 
-@dataclass(frozen=True)
+@interned
 class Trans:
     comps: tuple[TransComp, ...]
 
@@ -302,7 +372,7 @@ TelAd = tuple[Adapter, ...]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@interned
 class TmEntry:
     """Term variable entry; ``ty`` lives over the dir-dual of the prefix."""
 
@@ -310,7 +380,7 @@ class TmEntry:
     ty: Type
 
 
-@dataclass(frozen=True)
+@interned
 class TyEntry:
     """Type variable entry; ``tel`` lives over the tel_dir-dual prefix."""
 
@@ -532,7 +602,7 @@ def is_id_sub(ctx: Context, sub: Sub) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@interned
 class RecDesc:
     """Recursive constructor argument: a contravariant arity telescope
     (the branching shape) and the indices of the recursive occurrence."""
@@ -541,7 +611,7 @@ class RecDesc:
     rind: Inst
 
 
-@dataclass(frozen=True)
+@interned
 class ConDesc:
     """Constructor signature: non-recursive arguments, recursive argument
     descriptions, and the result indices (over params + nrec)."""
@@ -552,7 +622,7 @@ class ConDesc:
     ind: Inst
 
 
-@dataclass(frozen=True)
+@interned
 class IndDesc:
     name: str
     params_ctx: Context

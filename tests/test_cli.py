@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import contextlib
+import subprocess
+import sys
 
 import adaptt  # noqa: F401  (registers the stock datatypes)
 from adaptt import cli
@@ -91,3 +94,55 @@ def test_trace_flag_emits_rule_lines():
     assert code == 0
     assert any(line.startswith("RULE ") and " AT " in line
                for line in out.splitlines())
+
+
+_TRACE_TWICE = """
+import contextlib, io, json, sys
+from adaptt import cli
+outs = []
+for path in sys.argv[1:]:
+    for _ in range(2):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["--trace", "check", path])
+        outs.append([code, buf.getvalue()])
+print(json.dumps(outs))
+"""
+
+
+def test_trace_does_not_depend_on_process_history():
+    # a fresh interpreter, so the first run of each file sees cold caches;
+    # cached kernel computations replay their rule notes, so the second
+    # run prints the same trace
+    paths = [f"corpus/{name}.adt"
+             for name in ("casts", "prelude", "tree", "broken")]
+    src = os.path.dirname(os.path.dirname(adaptt.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _TRACE_TWICE, *paths],
+                          capture_output=True, text=True, env=env, check=True)
+    outs = json.loads(proc.stdout)
+    for k, path in enumerate(paths):
+        first, second = outs[2 * k], outs[2 * k + 1]
+        assert first == second, path
+        assert first == list(run(["--trace", "check", path])), path
+
+
+def test_redefining_a_stock_datatype_is_a_diagnostic(tmp_path):
+    p = tmp_path / "list.adt"
+    p.write_text("data List (X : Ty+) {\n  nil : List X\n}\n")
+    code, out = run(["check", str(p)])
+    assert code == 1
+    assert out == (f"ERROR Redefinition {p}:1:1 datatype List is already "
+                   f"defined differently\n")
+
+
+def test_redefining_a_datatype_from_an_earlier_file_is_a_diagnostic(tmp_path):
+    first = tmp_path / "first.adt"
+    first.write_text("data Box (X : Ty+) {\n  box : (x : X) -> Box X\n}\n")
+    second = tmp_path / "second.adt"
+    second.write_text("base A ;\n\ndata Box (X : Ty+) {\n  empty : Box X\n}\n")
+    assert run(["check", str(first)])[0] == 0
+    code, out = run(["check", str(second)])
+    assert code == 1
+    assert out == (f"ERROR Redefinition {second}:3:1 datatype Box is already "
+                   f"defined differently\n")

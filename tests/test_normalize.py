@@ -11,7 +11,7 @@ from adaptt.syntax import (
 from adaptt.normalize import (
     apply, apply_tel, compose_sub, compose_ad, cast, app, fst_, snd_,
     pi_tel, nf, whnf, conv, conv_ty, conv_tm, conv_ad, assert_normal,
-    NormalForm, KernelError, open_tm_block,
+    NormalForm, KernelError, open_tm_block, note, replayed_cache, set_trace,
 )
 from helpers import A, B, C, f_AB, g_BC, h_CD, list_of, nil, cons, list_ad, q_DC
 
@@ -277,3 +277,35 @@ def test_substitution_functoriality_randomized():
         # and through a genuinely non-identity spine into the type's
         # own context: a[sigma o wk] == a[sigma][wk]
         assert apply(a, compose_sub(sigma, wk)) == apply(apply(a, sigma), wk)
+
+
+# -- cached computations and the trace ----------------------------------------
+
+
+def test_replayed_cache_reports_steps_on_hits_and_failures():
+    runs = []
+
+    @replayed_cache(maxsize=None)
+    def step(x):
+        runs.append(x)
+        note("BETA")
+        if x < 0:
+            raise KernelError("negative")
+        note("CAST_ID")
+        return x
+
+    seen = []
+    set_trace(lambda rule, path: seen.append(rule))
+    try:
+        assert step(1) == 1 and step(1) == 1
+        assert runs == [1]
+        assert seen == ["BETA", "CAST_ID"] * 2
+        seen.clear()
+        for _ in range(2):
+            with pytest.raises(KernelError):
+                step(-1)
+        assert runs == [1, -1, -1]
+        assert seen == ["BETA"] * 2
+    finally:
+        set_trace(None)
+    assert step.cache_info().hits == 1
