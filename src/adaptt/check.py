@@ -93,7 +93,7 @@ def check_inst(ctx: Context, inst: Inst, tel: Telescope) -> None:
               f"instantiation has {len(inst)} components, telescope wants {len(tel)}")
     for k, t in enumerate(inst):
         want = open_tm_block(tel[k], inst[:k])
-        got = check_tm(ctx, t)
+        got = infer_tm(ctx, t)
         _demand_conv_ty(ctx, got, want, "instantiation component")
 
 
@@ -134,10 +134,6 @@ def check_ty(ctx: Context, ty: Type) -> None:
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
-
-
-def check_tm(ctx: Context, t: Term) -> Type:
-    return infer_tm(ctx, t)
 
 
 def infer_tm(ctx: Context, t: Term) -> Type:
@@ -194,9 +190,8 @@ def infer_tm(ctx: Context, t: Term) -> Type:
             if not 0 <= tag < len(d.cons):
                 _fail("UnboundVariable", f"no constructor {tag} in {name}")
             check_sub(ctx, params, d.params_ctx)
-            from .inductive import con_data_tied, result_indices
-            tel = apply_tel(con_data_tied(d, tag), params)
-            check_inst(ctx, args, tel)
+            from .inductive import con_args_tel, result_indices
+            check_inst(ctx, args, con_args_tel(d, tag, params))
             return Ind(name, params, result_indices(t))
         case _:
             _fail("IllFormed", f"not a term: {t!r}")

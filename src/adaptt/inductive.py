@@ -65,6 +65,14 @@ def con_data_tied(d: IndDesc, ci: int) -> Telescope:
     return _con_data_tied(d, ci)
 
 
+@replayed_cache(maxsize=1024)
+def con_args_tel(d: IndDesc, ci: int, params: Sub) -> Telescope:
+    """Argument telescope of constructor ``ci`` at the parameters
+    ``params``.  Every cell of a list has the same parameters, so a check
+    or conversion of the list instantiates the telescope once."""
+    return apply_tel(con_data_tied(d, ci), params)
+
+
 def constr_type(name: str, ci: int) -> tuple[Context, Type]:
     """Context and result type of a constructor in its universal form."""
     d = desc(name)
@@ -90,6 +98,8 @@ def result_indices(tm: Con) -> Inst:
     non-recursive arguments."""
     d = desc(tm.desc)
     c = d.cons[tm.tag]
+    if not c.ind:
+        return ()
     argn = tm.args[:len(c.nrec)]
     spine = Sub(tm.params.comps + tuple(STm(t) for t in argn))
     return tuple(apply(t, spine) for t in c.ind)

@@ -9,6 +9,13 @@ constructors over an arbitrary tree; on kernel-built values it is the
 identity.  Eta is not expanded by ``nf``: it is handled type-directed in
 ``conv``.
 
+``shift`` and ``open_tm_block`` return a subterm untouched when its
+cached free-variable bounds (``syntax.fv_bounds``) lie below the range
+they act on.  That is exact because kernel values are normal: rebuilding
+a closed normal subterm fires no rule and yields the same node.  Raw
+non-normal input to ``open_tm_block`` is outside its contract.  ``apply``
+walks every subterm, since it reports ``SUB_PUSH`` at each binder.
+
 Every rewrite step is an instance of exactly one oriented equation and
 reports its rule name to the trace sink; the registry of names, each with
 its equation, is in ``docs/rewrite-rules.md``.
@@ -20,12 +27,12 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 
 from .syntax import (
-    POS, NEG, Context, TmEntry, TyEntry, Telescope, Inst, TelAd,
+    POS, NEG, Context, TmEntry, TyEntry, Telescope, Inst,
     Type, Base, TyVarRef, Pi, Sig, Ind,
     Term, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     Adapter, AdId, Chain, Post, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd,
-    dual_ctx, extend_tm, shift, tm_entry_position,
+    dual_ctx, extend_tm, fv_bounds, shift, tm_entry_position,
     ty_entry_position, desc,
 )
 
@@ -174,17 +181,17 @@ def _open_all(xs, terms, k, d):
 
 
 def _open(x, terms, k, d):
+    if fv_bounds(x)[0] <= d:
+        # no free term variable reaches the block: on a normal value the
+        # rebuild below would return this very node
+        return x
     match x:
         case Var(i):
-            if i < d:
-                return x
             m = i - d
             if m < k:
                 note("SUB_VAR")
                 return shift(terms[k - 1 - m], d, 0)
             return Var(i - k)
-        case Base(_) | Post(_, _, _):
-            return x
         case TyVarRef(j, inst):
             return TyVarRef(j, _open_all(inst, terms, k, d))
         case Pi(dom, cod):
@@ -324,15 +331,6 @@ def apply_tel(tel: Telescope, sub: Sub) -> Telescope:
     """Substitute a telescope; entry k sees k extra bound term variables."""
     tms, tys = _split_spine(sub)
     return tuple(_ap(t, tms, tys, k) for k, t in enumerate(tel))
-
-
-def apply_inst(inst: Inst, sub: Sub) -> Inst:
-    return tuple(apply(t, sub) for t in inst)
-
-
-def apply_telad(ads: TelAd, sub: Sub) -> TelAd:
-    tms, tys = _split_spine(sub)
-    return tuple(_ap(a, tms, tys, k) for k, a in enumerate(ads))
 
 
 def compose_sub(tau: Sub, sigma: Sub) -> Sub:
@@ -776,8 +774,7 @@ def conv_tm(ctx: Context, ty: Type, x: Term, y: Term) -> bool:
             if not conv_sub(ctx, dd.params_ctx, p1, p2):
                 return False
             from . import inductive
-            tel = apply_tel(inductive.con_data_tied(dd, t1), p1)
-            return conv_inst(ctx, tel, a1, a2)
+            return conv_inst(ctx, inductive.con_args_tel(dd, t1, p1), a1, a2)
         case _:
             return conv_neutral(ctx, x, y) is not None
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, fields
+from functools import cached_property
 from enum import Enum
 from typing import Union
 
@@ -94,6 +95,7 @@ def interned(cls):
            "new": object.__new__, "set": object.__setattr__}
     exec(src, env)
     cls.__new__ = staticmethod(env["__new__"])
+    cls._fv = None      # free-variable bounds, filled in by ``fv_bounds``
     return cls
 
 
@@ -416,10 +418,6 @@ def extend_tel(ctx: Context, d: Dir, tel: Telescope) -> Context:
     return ctx + tuple(TmEntry(d, ty) for ty in tel)
 
 
-def extend_ty(ctx: Context, d: Dir, tel_dir: Dir, tel: Telescope) -> Context:
-    return ctx + (TyEntry(d, tel_dir, tel),)
-
-
 def tm_count(ctx: Context) -> int:
     return sum(1 for e in ctx if isinstance(e, TmEntry))
 
@@ -456,6 +454,71 @@ def vinst(tel: Telescope) -> Inst:
 
 
 # ---------------------------------------------------------------------------
+# Free-variable bounds
+# ---------------------------------------------------------------------------
+
+
+def fv_bounds(x) -> tuple[int, int]:
+    """``(term bound, type bound)`` of a syntax value: one more than its
+    largest free index in each namespace, 0 when there is none.  A node
+    computes its pair once and keeps it; a bare tuple is read as a
+    telescope, as ``shift`` reads it.  The binder offsets are those of
+    ``_shift``, so a value whose bounds lie at or below the cutoffs of a
+    traversal has no free variable that the traversal would touch."""
+    try:
+        fv = x._fv
+    except AttributeError:
+        if not isinstance(x, tuple):
+            raise TypeError(f"not a syntax value: {x!r}") from None
+        return _join((0, 0), enumerate(x))
+    if fv is None:
+        fv = _join(*_scopes(x))
+        x.__dict__["_fv"] = fv
+    return fv
+
+
+def _join(own, scoped) -> tuple[int, int]:
+    tm, ty = own
+    for k, child in scoped:
+        c_tm, c_ty = fv_bounds(child)
+        tm = max(tm, c_tm - k)
+        ty = max(ty, c_ty)
+    return tm, ty
+
+
+def _scopes(x):
+    """A node's own free indices as ``(term bound, type bound)``, and its
+    syntax children, each paired with the term binders it sits under."""
+    match x:
+        case Var(i):
+            return (i + 1, 0), ()
+        case Base(_) | Post(_, _, _):
+            return (0, 0), ()
+        case TyVarRef(j, inst):
+            return (0, j + 1), [(0, t) for t in inst]
+        case Pi(a, b) | Sig(a, b) | Lam(a, b):
+            return (0, 0), ((0, a), (1, b))
+        case App(a, b) | Cast(a, b):
+            return (0, 0), ((0, a), (0, b))
+        case Pair(ty, a, b):
+            return (0, 0), ((0, ty), (0, a), (0, b))
+        case Fst(p) | Snd(p) | AdId(p) | IndAd(_, p) | STm(p) | KTm(p):
+            return (0, 0), ((0, p),)
+        case Ind(_, params, inst) | Con(_, _, params, inst):
+            return (0, 0), [(0, params)] + [(0, t) for t in inst]
+        case Chain(xs) | Sub(xs) | Trans(xs):
+            return (0, 0), [(0, c) for c in xs]
+        case PiAd(da, ca, s, t) | SigAd(da, ca, s, t):
+            return (0, 0), ((0, da), (1, ca), (0, s), (0, t))
+        case STy(ty, arity):
+            return (0, 0), ((arity, ty),)
+        case KAd(ad, forced, arity):
+            return (0, 0), ((arity, ad), (arity, forced))
+        case _:
+            raise TypeError(f"not a syntax value: {x!r}")
+
+
+# ---------------------------------------------------------------------------
 # Weakening (namespace-split index shifting)
 # ---------------------------------------------------------------------------
 
@@ -474,11 +537,17 @@ def _shift_all(xs, d_tm, d_ty, c_tm, c_ty):
 
 
 def _shift(x, d_tm, d_ty, c_tm, c_ty):
+    if type(x) is tuple:
+        # telescope: successive entries see one more bound term var
+        return tuple(_shift(t, d_tm, d_ty, c_tm + k, c_ty)
+                     for k, t in enumerate(x))
+    b_tm, b_ty = fv_bounds(x)
+    if b_tm <= c_tm and b_ty <= c_ty:
+        # nothing free at or above the cutoffs: the shift is the identity
+        return x
     match x:
         case Var(i):
-            return Var(i + d_tm) if i >= c_tm else x
-        case Base(_):
-            return x
+            return Var(i + d_tm)
         case TyVarRef(j, inst):
             j2 = j + d_ty if j >= c_ty else j
             return TyVarRef(j2, _shift_all(inst, d_tm, d_ty, c_tm, c_ty))
@@ -515,8 +584,6 @@ def _shift(x, d_tm, d_ty, c_tm, c_ty):
             return AdId(_shift(ty, d_tm, d_ty, c_tm, c_ty))
         case Chain(parts):
             return Chain(_shift_all(parts, d_tm, d_ty, c_tm, c_ty))
-        case Post(_, _, _):
-            return x
         case PiAd(da, ca, s, t):
             return PiAd(_shift(da, d_tm, d_ty, c_tm, c_ty),
                         _shift(ca, d_tm, d_ty, c_tm + 1, c_ty),
@@ -542,10 +609,6 @@ def _shift(x, d_tm, d_ty, c_tm, c_ty):
         case KAd(ad, forced, arity):
             return KAd(_shift(ad, d_tm, d_ty, c_tm + arity, c_ty),
                        _shift(forced, d_tm, d_ty, c_tm + arity, c_ty), arity)
-        case tuple():
-            # telescope: successive entries see one more bound term var
-            return tuple(_shift(t, d_tm, d_ty, c_tm + k, c_ty)
-                         for k, t in enumerate(x))
         case _:
             raise TypeError(f"cannot shift {x!r}")
 
@@ -553,16 +616,6 @@ def _shift(x, d_tm, d_ty, c_tm, c_ty):
 def shift_tel(tel: Telescope, d_tm: int, d_ty: int,
               c_tm: int = 0, c_ty: int = 0) -> Telescope:
     return tuple(shift(t, d_tm, d_ty, c_tm + k, c_ty) for k, t in enumerate(tel))
-
-
-def shift_telad(ads: TelAd, d_tm: int, d_ty: int,
-                c_tm: int = 0, c_ty: int = 0) -> TelAd:
-    return tuple(shift(a, d_tm, d_ty, c_tm + k, c_ty) for k, a in enumerate(ads))
-
-
-def shift_inst(inst: Inst, d_tm: int, d_ty: int,
-               c_tm: int = 0, c_ty: int = 0) -> Inst:
-    return tuple(shift(t, d_tm, d_ty, c_tm, c_ty) for t in inst)
 
 
 # ---------------------------------------------------------------------------
@@ -583,18 +636,6 @@ def id_sub(ctx: Context) -> Sub:
             ty_left -= 1
             comps.append(STy(TyVarRef(ty_left, vinst(e.tel)), len(e.tel)))
     return Sub(tuple(comps))
-
-
-def weaken_sub(ctx: Context, dropped: Context) -> Sub:
-    """Spine of the weakening from ``ctx + dropped`` back to ``ctx``."""
-    d_tm = tm_count(dropped)
-    d_ty = ty_count(dropped)
-    base = id_sub(ctx)
-    return Sub(tuple(shift(c, d_tm, d_ty) for c in base.comps))
-
-
-def is_id_sub(ctx: Context, sub: Sub) -> bool:
-    return sub == id_sub(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +670,7 @@ class IndDesc:
     index_tel: Telescope
     cons: tuple[ConDesc, ...]
 
-    @property
+    @cached_property
     def full_ctx(self) -> Context:
         """Parameter context extended by the index telescope."""
         return extend_tel(self.params_ctx, POS, self.index_tel)

@@ -202,3 +202,11 @@ def test_identity_cast_on_constructor():
 def test_result_indices():
     t = Con("Vec", 1, Sub((STy(A, 0),)), (Var(2), Var(1), Var(0)))
     assert result_indices(t) == (nat_succ(Var(1)),)
+    # no declared indices: nothing to instantiate
+    assert result_indices(cons(A, Var(1), Var(0))) == ()
+
+
+def test_full_ctx_is_built_once():
+    d = desc("Vec")
+    assert d.full_ctx is d.full_ctx
+    assert d.full_ctx == d.params_ctx + (TmEntry(POS, nat()),)

@@ -309,3 +309,20 @@ def test_replayed_cache_reports_steps_on_hits_and_failures():
     finally:
         set_trace(None)
     assert step.cache_info().hits == 1
+
+    # the constructor telescope memo, on a hit and on its first call
+    from adaptt.inductive import con_args_tel
+    from adaptt.syntax import desc
+    d, params = desc("List"), Sub((STy(Base("replay-probe"), 0),))
+    seen.clear()
+    set_trace(lambda rule, path: seen.append(rule))
+    try:
+        first = con_args_tel(d, 1, params)
+        steps = list(seen)
+        hits = con_args_tel.cache_info().hits
+        assert con_args_tel(d, 1, params) is first
+    finally:
+        set_trace(None)
+    assert con_args_tel.cache_info().hits == hits + 1
+    assert "SUB_TYVAR" in steps
+    assert seen == steps * 2
