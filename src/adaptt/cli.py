@@ -22,9 +22,17 @@ ORACLE_FAILURE = 3
 USAGE = 4
 
 
+def _read(path: str) -> str:
+    """Text of an input file; undecodable bytes raise ``OSError`` too."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise OSError(None, f"not UTF-8 at byte {e.start}", path) from None
+
+
 def _load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return surface.parse(fh.read())
+    return surface.parse(_read(path))
 
 
 def _trace_on(args) -> bool:
@@ -124,14 +132,16 @@ def cmd_model(args) -> int:
     try:
         decls = _load(args.file)
         out = elaborate.elab_file(decls)
-        with open(args.bindings, "r", encoding="utf-8") as fh:
-            binding = setmodel.ModelBinding.from_json(fh.read())
+        binding = setmodel.ModelBinding.from_json(_read(args.bindings))
     except ParseError as e:
         print(f"ERROR Parse {args.file}:{e.line}:{e.col} {e.message}")
         return PARSE_ERROR
     except CheckError as e:
         print(e.diag.render(args.file))
         return TYPE_ERROR
+    except setmodel.ModelError as e:
+        print(f"ERROR Bindings {args.bindings} {e}")
+        return USAGE
     ev = setmodel.Evaluator(binding)
     bad = 0
     skipped = 0
@@ -219,6 +229,9 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.cmd](args)
     except FileNotFoundError as e:
         print(f"ERROR NoSuchFile {e.filename}")
+        return USAGE
+    except OSError as e:
+        print(f"ERROR Unreadable {e.filename} {e.strerror}")
         return USAGE
 
 

@@ -17,6 +17,7 @@ from .normalize import (
     compose_ad, conv_ty, ad_src, ad_tgt, cast as mk_cast,
     app as mk_app, fst_ as mk_fst, snd_ as mk_snd, KernelError,
 )
+from .pretty import _occurs
 from .syntax import (
     POS, NEG, Context, TmEntry, TyEntry, Telescope,
     Base, TyVarRef, Pi, Sig, Ind, Var, Lam, Pair, Con,
@@ -307,7 +308,7 @@ def _elab_pi_sig_ad(kind: str, comps, span, sc: Scope, want_src, pol=POS):
             src = want_src
         else:
             cod_src = ad_src(second)
-            if _uses_block(cod_src):
+            if _occurs(cod_src, 0):
                 raise _err("Syntax",
                            "cannot infer the source of this function adapter; "
                            "cast position provides it", span)
@@ -320,16 +321,11 @@ def _elab_pi_sig_ad(kind: str, comps, span, sc: Scope, want_src, pol=POS):
     if want_src is not None and not conv_ty(sc.ctx, src, want_src):
         raise _err("ClassifierMismatch", "pair adapter source mismatch", span)
     snd_tgt = ad_tgt(second)
-    if _uses_block(snd_tgt):
+    if _occurs(snd_tgt, 0):
         raise _err("Syntax",
                    "cannot infer the target of this pair adapter", span)
     tgt = Sig(ad_tgt(first), snd_tgt)
     return SigAd(first, second, src, tgt)
-
-
-def _uses_block(ty) -> bool:
-    from .pretty import _occurs
-    return _occurs(ty, 0)
 
 
 # ---------------------------------------------------------------------------

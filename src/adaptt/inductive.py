@@ -16,7 +16,7 @@ from .syntax import (
     Type, TyVarRef, Ind, Term, Var, Con, Adapter, Post,
     Sub, STm, STy, Trans, KTm, KAd,
     RecDesc, ConDesc, IndDesc, DESC_TABLE, desc, install_desc,
-    extend_tel, shift, shift_tel, id_sub, vinst,
+    extend_tel, shift, id_sub, vinst,
 )
 from .normalize import KernelError, apply, apply_tel, pi_tel, replayed_cache
 from .transform import (
@@ -29,7 +29,7 @@ def elab_rec_data(d: IndDesc, r: RecDesc) -> Type:
     extended by the fresh type variable and the non-recursive block:
     an iterated Pi over the (contravariant) arity, ending in the fresh
     variable at the recursive indices."""
-    arit = shift_tel(r.arit, 0, 1)
+    arit = shift(r.arit, 0, 1)
     rind = tuple(shift(t, 0, 1) for t in r.rind)
     return pi_tel(arit, TyVarRef(0, rind))
 
@@ -38,7 +38,7 @@ def con_data(d: IndDesc, ci: int) -> Telescope:
     """Argument telescope of constructor ``ci`` over the parameter
     context extended by the fresh type variable."""
     c = d.cons[ci]
-    tel: list[Type] = list(shift_tel(c.nrec, 0, 1))
+    tel: list[Type] = list(shift(c.nrec, 0, 1))
     for k, r in enumerate(c.rec):
         tel.append(shift(elab_rec_data(d, r), k, 0))
     return tuple(tel)

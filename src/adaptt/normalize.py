@@ -32,8 +32,8 @@ from .syntax import (
     Term, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     Adapter, AdId, Chain, Post, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd,
-    dual_ctx, extend_tm, fv_bounds, shift, tm_entry_position,
-    ty_entry_position, desc,
+    dual_ctx, extend_tm, fv_bounds, map_scoped, scoped, shift,
+    tm_entry_position, ty_entry_position, desc,
 )
 
 
@@ -176,182 +176,73 @@ def open_tm_block(x, terms: Inst):
     return _open(x, terms, k, 0)
 
 
-def _open_all(xs, terms, k, d):
-    return tuple(_open(x, terms, k, d) for x in xs)
-
-
 def _open(x, terms, k, d):
     if fv_bounds(x)[0] <= d:
         # no free term variable reaches the block: on a normal value the
         # rebuild below would return this very node
         return x
-    match x:
-        case Var(i):
-            m = i - d
-            if m < k:
-                note("SUB_VAR")
-                return shift(terms[k - 1 - m], d, 0)
-            return Var(i - k)
-        case TyVarRef(j, inst):
-            return TyVarRef(j, _open_all(inst, terms, k, d))
-        case Pi(dom, cod):
-            return Pi(_open(dom, terms, k, d), _open(cod, terms, k, d + 1))
-        case Sig(fst, snd):
-            return Sig(_open(fst, terms, k, d), _open(snd, terms, k, d + 1))
-        case Ind(dn, params, indices):
-            return Ind(dn, _open(params, terms, k, d), _open_all(indices, terms, k, d))
-        case Lam(dom, body):
-            return Lam(_open(dom, terms, k, d), _open(body, terms, k, d + 1))
-        case App(fn, arg):
-            return app(_open(fn, terms, k, d), _open(arg, terms, k, d))
-        case Pair(ty, a, b):
-            return Pair(_open(ty, terms, k, d), _open(a, terms, k, d), _open(b, terms, k, d))
-        case Fst(p):
-            return fst_(_open(p, terms, k, d))
-        case Snd(p):
-            return snd_(_open(p, terms, k, d))
-        case Cast(tm, ad):
-            return cast(_open(tm, terms, k, d), _open(ad, terms, k, d))
-        case Con(dn, tag, params, args):
-            return Con(dn, tag, _open(params, terms, k, d), _open_all(args, terms, k, d))
-        case AdId(ty):
-            return AdId(_open(ty, terms, k, d))
-        case Chain(parts):
-            return compose_parts(_open_all(parts, terms, k, d))
-        case PiAd(da, ca, s, t):
-            return PiAd(_open(da, terms, k, d), _open(ca, terms, k, d + 1),
-                        _open(s, terms, k, d), _open(t, terms, k, d))
-        case SigAd(fa, sa, s, t):
-            return SigAd(_open(fa, terms, k, d), _open(sa, terms, k, d + 1),
-                         _open(s, terms, k, d), _open(t, terms, k, d))
-        case IndAd(dn, trans):
-            return IndAd(dn, _open(trans, terms, k, d))
-        case Sub(comps):
-            return Sub(_open_all(comps, terms, k, d))
-        case STm(tm):
-            return STm(_open(tm, terms, k, d))
-        case STy(ty, ar):
-            return STy(_open(ty, terms, k, d + ar), ar)
-        case Trans(comps):
-            return Trans(_open_all(comps, terms, k, d))
-        case KTm(tm):
-            return KTm(_open(tm, terms, k, d))
-        case KAd(ad, forced, ar):
-            return KAd(_open(ad, terms, k, d + ar), _open(forced, terms, k, d + ar), ar)
-        case _:
-            raise KernelError(f"cannot open {x!r}")
+    if type(x) is Var:
+        m = x.index - d
+        if m < k:
+            note("SUB_VAR")
+            return shift(terms[k - 1 - m], d, 0)
+        return Var(x.index - k)
+    return map_scoped(x, _open, (terms, k), d, SMART)
 
 
 def apply(x, sub: Sub):
     """Push a substitution spine through any syntax value, resolving
     variables against the spine and computing any redexes this creates."""
-    tms, tys = _split_spine(sub)
-    return _ap(x, tms, tys, 0)
-
-
-def _ap_all(xs, tms, tys, d):
-    return tuple(_ap(x, tms, tys, d) for x in xs)
+    return _ap(x, *_split_spine(sub), 0)
 
 
 def _ap(x, tms, tys, d):
-    match x:
-        case Var(i):
-            if i < d:
-                return x
-            try:
-                t = tms[i - d]
-            except IndexError:
-                raise KernelError(f"substitution has no component for term var {i}")
-            note("SUB_VAR")
-            return shift(t, d, 0)
-        case Base(_) | Post(_, _, _):
+    cls = type(x)
+    if cls is Var:
+        i = x.index
+        if i < d:
             return x
-        case TyVarRef(j, inst):
-            inst2 = _ap_all(inst, tms, tys, d)
-            try:
-                arity, body = tys[j]
-            except IndexError:
-                raise KernelError(f"substitution has no component for type var {j}")
-            if arity != len(inst2):
-                raise KernelError("instantiation length does not match telescope")
-            note("SUB_TYVAR")
-            return open_tm_block(shift(body, d, 0, c_tm=arity), inst2)
-        case Pi(dom, cod):
-            note("SUB_PUSH")
-            return Pi(_ap(dom, tms, tys, d), _ap(cod, tms, tys, d + 1))
-        case Sig(fst, snd):
-            note("SUB_PUSH")
-            return Sig(_ap(fst, tms, tys, d), _ap(snd, tms, tys, d + 1))
-        case Ind(dn, params, indices):
-            return Ind(dn, _ap(params, tms, tys, d), _ap_all(indices, tms, tys, d))
-        case Lam(dom, body):
-            note("SUB_PUSH")
-            return Lam(_ap(dom, tms, tys, d), _ap(body, tms, tys, d + 1))
-        case App(fn, arg):
-            return app(_ap(fn, tms, tys, d), _ap(arg, tms, tys, d))
-        case Pair(ty, a, b):
-            return Pair(_ap(ty, tms, tys, d), _ap(a, tms, tys, d), _ap(b, tms, tys, d))
-        case Fst(p):
-            return fst_(_ap(p, tms, tys, d))
-        case Snd(p):
-            return snd_(_ap(p, tms, tys, d))
-        case Cast(tm, ad):
-            return cast(_ap(tm, tms, tys, d), _ap(ad, tms, tys, d))
-        case Con(dn, tag, params, args):
-            return Con(dn, tag, _ap(params, tms, tys, d), _ap_all(args, tms, tys, d))
-        case AdId(ty):
-            return AdId(_ap(ty, tms, tys, d))
-        case Chain(parts):
-            return compose_parts(_ap_all(parts, tms, tys, d))
-        case PiAd(da, ca, s, t):
-            return PiAd(_ap(da, tms, tys, d), _ap(ca, tms, tys, d + 1),
-                        _ap(s, tms, tys, d), _ap(t, tms, tys, d))
-        case SigAd(fa, sa, s, t):
-            return SigAd(_ap(fa, tms, tys, d), _ap(sa, tms, tys, d + 1),
-                         _ap(s, tms, tys, d), _ap(t, tms, tys, d))
-        case IndAd(dn, trans):
-            return IndAd(dn, _ap(trans, tms, tys, d))
-        case Sub(comps):
-            return Sub(_ap_all(comps, tms, tys, d))
-        case STm(tm):
-            return STm(_ap(tm, tms, tys, d))
-        case STy(ty, ar):
-            return STy(_ap(ty, tms, tys, d + ar), ar)
-        case Trans(comps):
-            return Trans(_ap_all(comps, tms, tys, d))
-        case KTm(tm):
-            return KTm(_ap(tm, tms, tys, d))
-        case KAd(ad, forced, ar):
-            return KAd(_ap(ad, tms, tys, d + ar), _ap(forced, tms, tys, d + ar), ar)
-        case _:
-            raise KernelError(f"cannot substitute into {x!r}")
+        try:
+            t = tms[i - d]
+        except IndexError:
+            raise KernelError(f"substitution has no component for term var {i}")
+        note("SUB_VAR")
+        return shift(t, d, 0)
+    if cls is TyVarRef:
+        inst = tuple([_ap(t, tms, tys, d) for t in x.inst])
+        j = x.index
+        try:
+            arity, body = tys[j]
+        except IndexError:
+            raise KernelError(f"substitution has no component for type var {j}")
+        if arity != len(inst):
+            raise KernelError("instantiation length does not match telescope")
+        note("SUB_TYVAR")
+        return open_tm_block(shift(body, d, 0, c_tm=arity), inst)
+    if cls is Pi or cls is Sig or cls is Lam:
+        note("SUB_PUSH")
+    return map_scoped(x, _ap, (tms, tys), d, SMART)
 
 
 def apply_tel(tel: Telescope, sub: Sub) -> Telescope:
     """Substitute a telescope; entry k sees k extra bound term variables."""
-    tms, tys = _split_spine(sub)
-    return tuple(_ap(t, tms, tys, k) for k, t in enumerate(tel))
-
-
-def compose_sub(tau: Sub, sigma: Sub) -> Sub:
-    """Composite spine ``tau . sigma`` (apply sigma to tau's components)."""
-    return apply(tau, sigma)
+    return _ap(tel, *_split_spine(sub), 0)
 
 
 def lift_sub_block(sub: Sub, k: int) -> Sub:
     """Lift a spine over k new positive term binders: (s o ^) > vinst."""
     if k == 0:
         return sub
-    comps = tuple(shift(c, k, 0) for c in sub.comps)
-    return Sub(comps + tuple(STm(Var(k - 1 - m)) for m in range(k)))
+    return Sub(shift(sub, k, 0).comps
+               + tuple(STm(Var(k - 1 - m)) for m in range(k)))
 
 
 def lift_trans_block(tr: Trans, k: int) -> Trans:
     """Lift a transformation over k new term binders: (m o ^) > 0tm..."""
     if k == 0:
         return tr
-    comps = tuple(shift(c, k, 0) for c in tr.comps)
-    return Trans(comps + tuple(KTm(Var(k - 1 - m)) for m in range(k)))
+    return Trans(shift(tr, k, 0).comps
+                 + tuple(KTm(Var(k - 1 - m)) for m in range(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +357,11 @@ def pi_tel(tel: Telescope, body: Type) -> Type:
     return Pi(tel[0], pi_tel(tel[1:], body))
 
 
+#: The smart constructor of each node class that has one: every rewriting
+#: walk rebuilds through these, so that what it builds is again normal.
+SMART = {App: app, Fst: fst_, Snd: snd_, Cast: cast, Chain: compose_parts}
+
+
 # ---------------------------------------------------------------------------
 # Adapter endpoints
 # ---------------------------------------------------------------------------
@@ -567,124 +463,37 @@ def nf(x):
     return NormalForm(_nf(x))
 
 
-def _nf_all(xs):
-    return tuple(_nf(x) for x in xs)
+#: Trace path segment entered while normalizing a node of each class.
+_SEGMENT = {Lam: "body", App: "app", Cast: "cast"}
 
 
-def _nf(x):
-    match x:
-        case Var(_) | Base(_) | Post(_, _, _):
-            return x
-        case TyVarRef(j, inst):
-            return TyVarRef(j, _nf_all(inst))
-        case Pi(dom, cod):
-            with at("dom"):
-                d2 = _nf(dom)
-            with at("cod"):
-                return Pi(d2, _nf(cod))
-        case Sig(fst, snd):
-            return Sig(_nf(fst), _nf(snd))
-        case Ind(dn, params, indices):
-            return Ind(dn, _nf(params), _nf_all(indices))
-        case Lam(dom, body):
-            with at("body"):
-                return Lam(_nf(dom), _nf(body))
-        case App(fn, arg):
-            with at("app"):
-                return app(_nf(fn), _nf(arg))
-        case Pair(ty, a, b):
-            return Pair(_nf(ty), _nf(a), _nf(b))
-        case Fst(p):
-            return fst_(_nf(p))
-        case Snd(p):
-            return snd_(_nf(p))
-        case Cast(tm, ad):
-            with at("cast"):
-                return cast(_nf(tm), _nf(ad))
-        case Con(dn, tag, params, args):
-            return Con(dn, tag, _nf(params), _nf_all(args))
-        case AdId(ty):
-            return AdId(_nf(ty))
-        case Chain(parts):
-            return compose_parts(_nf_all(parts))
-        case PiAd(da, ca, s, t):
-            return PiAd(_nf(da), _nf(ca), _nf(s), _nf(t))
-        case SigAd(fa, sa, s, t):
-            return SigAd(_nf(fa), _nf(sa), _nf(s), _nf(t))
-        case IndAd(dn, trans):
-            return IndAd(dn, _nf(trans))
-        case Sub(comps):
-            return Sub(_nf_all(comps))
-        case STm(tm):
-            return STm(_nf(tm))
-        case STy(ty, ar):
-            return STy(_nf(ty), ar)
-        case Trans(comps):
-            return Trans(_nf_all(comps))
-        case KTm(tm):
-            return KTm(_nf(tm))
-        case KAd(ad, forced, ar):
-            return KAd(_nf(ad), _nf(forced), ar)
-        case tuple():
-            return _nf_all(x)
-        case _:
-            raise KernelError(f"cannot normalize {x!r}")
+def _nf(x, _depth=0):
+    cls = type(x)
+    if cls is Pi:
+        with at("dom"):
+            dom = _nf(x.dom)
+        with at("cod"):
+            return Pi(dom, _nf(x.cod))
+    seg = _SEGMENT.get(cls)
+    if seg is None:
+        return map_scoped(x, _nf, (), 0, SMART)
+    with at(seg):
+        return map_scoped(x, _nf, (), 0, SMART)
 
 
 def assert_normal(x) -> None:
     """Tree scan for the normal-form invariants: no identity or composite
     adapter under a cast, no nested or identity-carrying chains."""
-    match x:
-        case Cast(tm, ad):
-            if isinstance(ad, (AdId, Chain)):
-                raise AssertionError("cast carries a non-atomic adapter")
-            assert_normal(tm)
-            assert_normal(ad)
-        case Chain(parts):
-            if len(parts) < 2:
-                raise AssertionError("underfull chain")
-            for p in parts:
-                if isinstance(p, (AdId, Chain)):
-                    raise AssertionError("chain contains id or nested chain")
-                assert_normal(p)
-        case Pi(a, b) | Sig(a, b) | App(a, b) | Lam(a, b):
-            assert_normal(a)
-            assert_normal(b)
-        case TyVarRef(_, inst):
-            for t in inst:
-                assert_normal(t)
-        case Ind(_, params, indices) | Con(_, _, params, indices):
-            assert_normal(params)
-            for t in indices:
-                assert_normal(t)
-        case Pair(ty, a, b):
-            assert_normal(ty)
-            assert_normal(a)
-            assert_normal(b)
-        case Fst(p) | Snd(p) | AdId(p):
-            assert_normal(p)
-        case PiAd(da, ca, s, t) | SigAd(da, ca, s, t):
-            assert_normal(da)
-            assert_normal(ca)
-            assert_normal(s)
-            assert_normal(t)
-        case IndAd(_, trans):
-            assert_normal(trans)
-        case Sub(comps) | Trans(comps):
-            for c in comps:
-                assert_normal(c)
-        case STm(t) | KTm(t):
-            assert_normal(t)
-        case STy(ty, _):
-            assert_normal(ty)
-        case KAd(ad, forced, _):
-            assert_normal(ad)
-            assert_normal(forced)
-        case tuple():
-            for t in x:
-                assert_normal(t)
-        case _:
-            pass
+    cls = type(x)
+    if cls is Cast and isinstance(x.ad, (AdId, Chain)):
+        raise AssertionError("cast carries a non-atomic adapter")
+    if cls is Chain:
+        if len(x.parts) < 2:
+            raise AssertionError("underfull chain")
+        if any(isinstance(p, (AdId, Chain)) for p in x.parts):
+            raise AssertionError("chain contains id or nested chain")
+    for _, child in scoped(x):
+        assert_normal(child)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from .syntax import (
     Base, TyVarRef, Pi, Sig, Ind, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
-    AdId, Chain, Post, PiAd, SigAd, IndAd, Sub, STm, STy, Trans, KTm, KAd,
-    Context, TmEntry, TyEntry, desc,
+    AdId, Chain, Post, PiAd, SigAd, IndAd, STm, KTm,
+    Context, TmEntry, TyEntry, desc, scoped,
 )
 
 LOW, COMP, APP, ATOM = 0, 1, 2, 3
@@ -85,44 +85,9 @@ def _wrap(s: str, have: int, want: int) -> str:
 
 
 def _occurs(x, idx: int, d: int = 0) -> bool:
-    match x:
-        case Var(i):
-            return i == idx + d
-        case Base(_) | Post(_, _, _):
-            return False
-        case TyVarRef(_, inst):
-            return any(_occurs(t, idx, d) for t in inst)
-        case Pi(a, b) | Sig(a, b) | Lam(a, b):
-            return _occurs(a, idx, d) or _occurs(b, idx, d + 1)
-        case App(a, b):
-            return _occurs(a, idx, d) or _occurs(b, idx, d)
-        case Pair(ty, a, b):
-            return _occurs(ty, idx, d) or _occurs(a, idx, d) or _occurs(b, idx, d)
-        case Fst(p) | Snd(p) | AdId(p):
-            return _occurs(p, idx, d)
-        case Cast(a, b):
-            return _occurs(a, idx, d) or _occurs(b, idx, d)
-        case Ind(_, params, inst) | Con(_, _, params, inst):
-            return _occurs(params, idx, d) or any(_occurs(t, idx, d) for t in inst)
-        case Chain(parts):
-            return any(_occurs(p, idx, d) for p in parts)
-        case PiAd(da, ca, s, t) | SigAd(da, ca, s, t):
-            return (_occurs(da, idx, d) or _occurs(ca, idx, d + 1)
-                    or _occurs(s, idx, d) or _occurs(t, idx, d))
-        case IndAd(_, tr):
-            return _occurs(tr, idx, d)
-        case Sub(comps) | Trans(comps):
-            return any(_occurs(c, idx, d) for c in comps)
-        case STm(t) | KTm(t):
-            return _occurs(t, idx, d)
-        case STy(ty, ar):
-            return _occurs(ty, idx, d + ar)
-        case KAd(ad, forced, ar):
-            return _occurs(ad, idx, d + ar) or _occurs(forced, idx, d + ar)
-        case tuple():
-            return any(_occurs(t, idx, d + k) for k, t in enumerate(x))
-        case _:
-            return False
+    if type(x) is Var:
+        return x.index == idx + d
+    return any(_occurs(c, idx, d + k) for k, c in scoped(x))
 
 
 def render(x, env: Env, level: int = LOW) -> str:

@@ -142,10 +142,18 @@ class ModelBinding:
 
     @staticmethod
     def from_json(text: str) -> "ModelBinding":
-        raw = json.loads(text)
-        types = {k: tuple(v) for k, v in raw.get("types", {}).items()}
-        adapters = {k: dict(v) for k, v in raw.get("adapters", {}).items()}
-        return ModelBinding(types, adapters)
+        """Read a binding; malformed JSON or a wrongly shaped binding is a
+        ``ModelError``."""
+        try:
+            raw = json.loads(text)
+        except ValueError as e:
+            raise ModelError(f"not JSON: {e}") from None
+        if not _well_shaped(raw):
+            raise ModelError('expected {"types": {name: [label, ...]}, '
+                             '"adapters": {name: {"S->T": {label: label}}}}')
+        return ModelBinding(
+            {k: tuple(v) for k, v in raw.get("types", {}).items()},
+            raw.get("adapters", {}))
 
     def base(self, name: str) -> SFin:
         if name not in self.types:
@@ -172,6 +180,29 @@ class ModelBinding:
         def fn(v):
             return VBase(tname, table[v.label])
         return fn
+
+
+def _well_shaped(raw) -> bool:
+    # loops, not generators: the oracle reads a binding for every pair it
+    # checks.  Of the JSON values only an object has ``get`` and ``values``.
+    try:
+        for labels in raw.get("types", {}).values():
+            if type(labels) is not list or not _strings(labels):
+                return False
+        for tables in raw.get("adapters", {}).values():
+            for table in tables.values():
+                if not _strings(table.values()):
+                    return False
+    except AttributeError:
+        return False
+    return True
+
+
+def _strings(xs) -> bool:
+    for x in xs:
+        if type(x) is not str:
+            return False
+    return True
 
 
 # -- semantic transformations -------------------------------------------------

@@ -21,6 +21,11 @@ Representation choices that the rest of the kernel relies on:
 * Nodes are hash-consed.  Constructing a node returns the one live node
   with the same class and fields, however it was built, so ``==`` and
   ``hash`` are identity: O(1) and free of recursion.
+* Binder offsets are written once, in the table ``SHAPE``: which fields
+  of each node class are syntax, and under how many term binders each
+  sits.  A bare tuple is a telescope, its entry k under k binders.  Every
+  traversal but the set-model oracle's, which stays independent, is a few
+  leaf cases over ``scoped`` or ``map_scoped``.
 """
 
 from __future__ import annotations
@@ -454,6 +459,92 @@ def vinst(tel: Telescope) -> Inst:
 
 
 # ---------------------------------------------------------------------------
+# The binder table
+# ---------------------------------------------------------------------------
+
+
+#: Field kinds besides ``None`` (not syntax) and an int k (a child under k
+#: more term binders): a tuple of children, and a child under ``arity``.
+SEQ = "seq"
+ARITY = "arity"
+
+#: Each syntax node class's fields in order, with their kinds: the one
+#: place binder offsets are written.  A postulate's types are closed.
+SHAPE: dict[type, tuple[tuple[str, object], ...]] = {
+    Base: (("name", None),),
+    TyVarRef: (("index", None), ("inst", SEQ)),
+    Pi: (("dom", 0), ("cod", 1)),
+    Sig: (("fst", 0), ("snd", 1)),
+    Ind: (("desc", None), ("params", 0), ("indices", SEQ)),
+    Var: (("index", None),),
+    Lam: (("dom", 0), ("body", 1)),
+    App: (("fn", 0), ("arg", 0)),
+    Pair: (("ty", 0), ("fst", 0), ("snd", 0)),
+    Fst: (("pair", 0),),
+    Snd: (("pair", 0),),
+    Cast: (("tm", 0), ("ad", 0)),
+    Con: (("desc", None), ("tag", None), ("params", 0), ("args", SEQ)),
+    AdId: (("ty", 0),),
+    Chain: (("parts", SEQ),),
+    Post: (("name", None), ("src_ty", None), ("tgt_ty", None)),
+    PiAd: (("dom_ad", 0), ("cod_ad", 1), ("src_ty", 0), ("tgt_ty", 0)),
+    SigAd: (("fst_ad", 0), ("snd_ad", 1), ("src_ty", 0), ("tgt_ty", 0)),
+    IndAd: (("desc", None), ("trans", 0)),
+    STm: (("tm", 0),),
+    STy: (("ty", ARITY), ("arity", None)),
+    Sub: (("comps", SEQ),),
+    KTm: (("tm", 0),),
+    KAd: (("ad", ARITY), ("forced_ty", ARITY), ("arity", None)),
+    Trans: (("comps", SEQ),),
+}
+
+
+def _row(x):
+    try:
+        return SHAPE[type(x)]
+    except KeyError:
+        raise TypeError(f"not a syntax value: {x!r}") from None
+
+
+def scoped(x):
+    """Yield the syntax children of ``x``, each as ``(extra_binders,
+    child)``.  A bare tuple is read as a telescope: entry k sits under k
+    binders."""
+    if type(x) is tuple:
+        yield from enumerate(x)
+        return
+    for name, k in _row(x):
+        if k is not None:
+            v = getattr(x, name)
+            if k is SEQ:
+                for c in v:
+                    yield 0, c
+            else:
+                yield (x.arity if k is ARITY else k), v
+
+
+def map_scoped(x, fn, args, depth, build):
+    """Rebuild ``x`` with each syntax child replaced by ``fn(child, *args,
+    depth + k)``, k being the binders the child sits under, and every other
+    field kept.  ``build`` maps a node class to the constructor to rebuild
+    it with (a smart constructor, say); a class it lacks uses its own.  A
+    bare tuple is read as a telescope, as in ``scoped``."""
+    if type(x) is tuple:
+        return tuple([fn(t, *args, depth + k) for k, t in enumerate(x)])
+    out = []
+    for name, k in _row(x):
+        v = getattr(x, name)
+        if k is None:
+            out.append(v)
+        elif k is SEQ:
+            out.append(tuple([fn(c, *args, depth) for c in v]))
+        else:
+            out.append(fn(v, *args, depth + (x.arity if k is ARITY else k)))
+    cls = type(x)
+    return build.get(cls, cls)(*out)
+
+
+# ---------------------------------------------------------------------------
 # Free-variable bounds
 # ---------------------------------------------------------------------------
 
@@ -462,60 +553,25 @@ def fv_bounds(x) -> tuple[int, int]:
     """``(term bound, type bound)`` of a syntax value: one more than its
     largest free index in each namespace, 0 when there is none.  A node
     computes its pair once and keeps it; a bare tuple is read as a
-    telescope, as ``shift`` reads it.  The binder offsets are those of
-    ``_shift``, so a value whose bounds lie at or below the cutoffs of a
-    traversal has no free variable that the traversal would touch."""
+    telescope.  The binder offsets are those of ``SHAPE``, so a value whose
+    bounds lie at or below the cutoffs of a traversal has no free variable
+    that the traversal would touch."""
     try:
         fv = x._fv
     except AttributeError:
-        if not isinstance(x, tuple):
-            raise TypeError(f"not a syntax value: {x!r}") from None
-        return _join((0, 0), enumerate(x))
-    if fv is None:
-        fv = _join(*_scopes(x))
-        x.__dict__["_fv"] = fv
-    return fv
-
-
-def _join(own, scoped) -> tuple[int, int]:
-    tm, ty = own
-    for k, child in scoped:
+        fv = None       # a bare tuple: computed on every call
+    if fv is not None:
+        return fv
+    cls = type(x)
+    tm = x.index + 1 if cls is Var else 0
+    ty = x.index + 1 if cls is TyVarRef else 0
+    for k, child in scoped(x):
         c_tm, c_ty = fv_bounds(child)
         tm = max(tm, c_tm - k)
         ty = max(ty, c_ty)
+    if cls is not tuple:
+        x.__dict__["_fv"] = (tm, ty)
     return tm, ty
-
-
-def _scopes(x):
-    """A node's own free indices as ``(term bound, type bound)``, and its
-    syntax children, each paired with the term binders it sits under."""
-    match x:
-        case Var(i):
-            return (i + 1, 0), ()
-        case Base(_) | Post(_, _, _):
-            return (0, 0), ()
-        case TyVarRef(j, inst):
-            return (0, j + 1), [(0, t) for t in inst]
-        case Pi(a, b) | Sig(a, b) | Lam(a, b):
-            return (0, 0), ((0, a), (1, b))
-        case App(a, b) | Cast(a, b):
-            return (0, 0), ((0, a), (0, b))
-        case Pair(ty, a, b):
-            return (0, 0), ((0, ty), (0, a), (0, b))
-        case Fst(p) | Snd(p) | AdId(p) | IndAd(_, p) | STm(p) | KTm(p):
-            return (0, 0), ((0, p),)
-        case Ind(_, params, inst) | Con(_, _, params, inst):
-            return (0, 0), [(0, params)] + [(0, t) for t in inst]
-        case Chain(xs) | Sub(xs) | Trans(xs):
-            return (0, 0), [(0, c) for c in xs]
-        case PiAd(da, ca, s, t) | SigAd(da, ca, s, t):
-            return (0, 0), ((0, da), (1, ca), (0, s), (0, t))
-        case STy(ty, arity):
-            return (0, 0), ((arity, ty),)
-        case KAd(ad, forced, arity):
-            return (0, 0), ((arity, ad), (arity, forced))
-        case _:
-            raise TypeError(f"not a syntax value: {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -526,96 +582,28 @@ def _scopes(x):
 def shift(x, d_tm: int, d_ty: int, c_tm: int = 0, c_ty: int = 0):
     """Shift free indices of any syntax value: term indices at or above
     ``c_tm`` move by ``d_tm``, type-variable indices at or above ``c_ty``
-    by ``d_ty``.  Total on every sort that can occur inside another."""
+    by ``d_ty``.  Total on every sort that can occur inside another; a
+    bare tuple is shifted as a telescope."""
     if d_tm == 0 and d_ty == 0:
         return x
-    return _shift(x, d_tm, d_ty, c_tm, c_ty)
+    return _shift(x, d_tm, d_ty, c_ty, c_tm)
 
 
-def _shift_all(xs, d_tm, d_ty, c_tm, c_ty):
-    return tuple(_shift(x, d_tm, d_ty, c_tm, c_ty) for x in xs)
-
-
-def _shift(x, d_tm, d_ty, c_tm, c_ty):
-    if type(x) is tuple:
-        # telescope: successive entries see one more bound term var
-        return tuple(_shift(t, d_tm, d_ty, c_tm + k, c_ty)
-                     for k, t in enumerate(x))
-    b_tm, b_ty = fv_bounds(x)
-    if b_tm <= c_tm and b_ty <= c_ty:
-        # nothing free at or above the cutoffs: the shift is the identity
-        return x
-    match x:
-        case Var(i):
-            return Var(i + d_tm)
-        case TyVarRef(j, inst):
-            j2 = j + d_ty if j >= c_ty else j
-            return TyVarRef(j2, _shift_all(inst, d_tm, d_ty, c_tm, c_ty))
-        case Pi(dom, cod):
-            return Pi(_shift(dom, d_tm, d_ty, c_tm, c_ty),
-                      _shift(cod, d_tm, d_ty, c_tm + 1, c_ty))
-        case Sig(fst, snd):
-            return Sig(_shift(fst, d_tm, d_ty, c_tm, c_ty),
-                       _shift(snd, d_tm, d_ty, c_tm + 1, c_ty))
-        case Ind(desc, params, indices):
-            return Ind(desc, _shift(params, d_tm, d_ty, c_tm, c_ty),
-                       _shift_all(indices, d_tm, d_ty, c_tm, c_ty))
-        case Lam(dom, body):
-            return Lam(_shift(dom, d_tm, d_ty, c_tm, c_ty),
-                       _shift(body, d_tm, d_ty, c_tm + 1, c_ty))
-        case App(fn, arg):
-            return App(_shift(fn, d_tm, d_ty, c_tm, c_ty),
-                       _shift(arg, d_tm, d_ty, c_tm, c_ty))
-        case Pair(ty, fst, snd):
-            return Pair(_shift(ty, d_tm, d_ty, c_tm, c_ty),
-                        _shift(fst, d_tm, d_ty, c_tm, c_ty),
-                        _shift(snd, d_tm, d_ty, c_tm, c_ty))
-        case Fst(p):
-            return Fst(_shift(p, d_tm, d_ty, c_tm, c_ty))
-        case Snd(p):
-            return Snd(_shift(p, d_tm, d_ty, c_tm, c_ty))
-        case Cast(tm, ad):
-            return Cast(_shift(tm, d_tm, d_ty, c_tm, c_ty),
-                        _shift(ad, d_tm, d_ty, c_tm, c_ty))
-        case Con(desc, tag, params, args):
-            return Con(desc, tag, _shift(params, d_tm, d_ty, c_tm, c_ty),
-                       _shift_all(args, d_tm, d_ty, c_tm, c_ty))
-        case AdId(ty):
-            return AdId(_shift(ty, d_tm, d_ty, c_tm, c_ty))
-        case Chain(parts):
-            return Chain(_shift_all(parts, d_tm, d_ty, c_tm, c_ty))
-        case PiAd(da, ca, s, t):
-            return PiAd(_shift(da, d_tm, d_ty, c_tm, c_ty),
-                        _shift(ca, d_tm, d_ty, c_tm + 1, c_ty),
-                        _shift(s, d_tm, d_ty, c_tm, c_ty),
-                        _shift(t, d_tm, d_ty, c_tm, c_ty))
-        case SigAd(fa, sa, s, t):
-            return SigAd(_shift(fa, d_tm, d_ty, c_tm, c_ty),
-                         _shift(sa, d_tm, d_ty, c_tm + 1, c_ty),
-                         _shift(s, d_tm, d_ty, c_tm, c_ty),
-                         _shift(t, d_tm, d_ty, c_tm, c_ty))
-        case IndAd(desc, trans):
-            return IndAd(desc, _shift(trans, d_tm, d_ty, c_tm, c_ty))
-        case Sub(comps):
-            return Sub(_shift_all(comps, d_tm, d_ty, c_tm, c_ty))
-        case STm(tm):
-            return STm(_shift(tm, d_tm, d_ty, c_tm, c_ty))
-        case STy(ty, arity):
-            return STy(_shift(ty, d_tm, d_ty, c_tm + arity, c_ty), arity)
-        case Trans(comps):
-            return Trans(_shift_all(comps, d_tm, d_ty, c_tm, c_ty))
-        case KTm(tm):
-            return KTm(_shift(tm, d_tm, d_ty, c_tm, c_ty))
-        case KAd(ad, forced, arity):
-            return KAd(_shift(ad, d_tm, d_ty, c_tm + arity, c_ty),
-                       _shift(forced, d_tm, d_ty, c_tm + arity, c_ty), arity)
-        case _:
-            raise TypeError(f"cannot shift {x!r}")
-
-
-def shift_tel(tel: Telescope, d_tm: int, d_ty: int,
-              c_tm: int = 0, c_ty: int = 0) -> Telescope:
-    return tuple(shift(t, d_tm, d_ty, c_tm + k, c_ty) for k, t in enumerate(tel))
+def _shift(x, d_tm, d_ty, c_ty, c_tm):
+    cls = type(x)
+    if cls is not tuple:    # a telescope has no cached bounds to test
+        b_tm, b_ty = fv_bounds(x)
+        if b_tm <= c_tm and b_ty <= c_ty:
+            # nothing free at or above the cutoffs: the shift is the identity
+            return x
+        if cls is Var:
+            return Var(x.index + d_tm)
+        if cls is TyVarRef:
+            j = x.index
+            return TyVarRef(j + d_ty if j >= c_ty else j,
+                            tuple([_shift(t, d_tm, d_ty, c_ty, c_tm)
+                                   for t in x.inst]))
+    return map_scoped(x, _shift, (d_tm, d_ty, c_ty), c_tm, {})
 
 
 # ---------------------------------------------------------------------------

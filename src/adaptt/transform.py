@@ -26,16 +26,16 @@ from __future__ import annotations
 
 from .syntax import (
     POS, NEG, Context, TmEntry, TyEntry, Telescope, TelAd, Inst,
-    Type, Base, TyVarRef, Pi, Sig, Ind,
-    Term, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
-    Adapter, AdId, Chain, Post, PiAd, SigAd, IndAd,
+    Type, Base, TyVarRef, Pi, Sig, Ind, Term, Var,
+    Adapter, AdId, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd,
-    dual_ctx, extend_tm, extend_tel, shift, desc, ty_entry_position,
+    dual_ctx, extend_tm, extend_tel, map_scoped, shift, desc,
+    ty_entry_position,
 )
 from .normalize import (
-    KernelError, apply, apply_tel, lift_sub_block,
-    lift_trans_block, open_tm_block, cast, app, fst_, snd_, compose_ad,
-    compose_parts, ad_src, ad_tgt, is_id_ad, trans_is_identity, note,
+    KernelError, SMART, apply, apply_tel, lift_sub_block, lift_trans_block,
+    open_tm_block, cast, compose_ad, ad_src, ad_tgt, is_id_ad,
+    trans_is_identity, note,
 )
 
 
@@ -227,65 +227,13 @@ def cast_block_vars(x, ads: TelAd, k: int):
 
 
 def _cbv(x, ads, k, dd):
-    match x:
-        case Var(i):
-            m = i - dd
-            if 0 <= m < k:
-                p = k - 1 - m
-                return cast(x, shift(ads[p], dd + k - p, 0))
-            return x
-        case Base(_) | Post(_, _, _):
-            return x
-        case TyVarRef(j, inst):
-            return TyVarRef(j, tuple(_cbv(t, ads, k, dd) for t in inst))
-        case Pi(dom, cod):
-            return Pi(_cbv(dom, ads, k, dd), _cbv(cod, ads, k, dd + 1))
-        case Sig(fst, snd):
-            return Sig(_cbv(fst, ads, k, dd), _cbv(snd, ads, k, dd + 1))
-        case Ind(dn, params, indices):
-            return Ind(dn, _cbv(params, ads, k, dd),
-                       tuple(_cbv(t, ads, k, dd) for t in indices))
-        case Lam(dom, body):
-            return Lam(_cbv(dom, ads, k, dd), _cbv(body, ads, k, dd + 1))
-        case App(fn, arg):
-            return app(_cbv(fn, ads, k, dd), _cbv(arg, ads, k, dd))
-        case Pair(ty, a, b):
-            return Pair(_cbv(ty, ads, k, dd), _cbv(a, ads, k, dd), _cbv(b, ads, k, dd))
-        case Fst(p):
-            return fst_(_cbv(p, ads, k, dd))
-        case Snd(p):
-            return snd_(_cbv(p, ads, k, dd))
-        case Cast(tm, ad):
-            return cast(_cbv(tm, ads, k, dd), _cbv(ad, ads, k, dd))
-        case Con(dn, tag, params, args):
-            return Con(dn, tag, _cbv(params, ads, k, dd),
-                       tuple(_cbv(t, ads, k, dd) for t in args))
-        case AdId(ty):
-            return AdId(_cbv(ty, ads, k, dd))
-        case Chain(parts):
-            return compose_parts(tuple(_cbv(p, ads, k, dd) for p in parts))
-        case PiAd(da, ca, s, t):
-            return PiAd(_cbv(da, ads, k, dd), _cbv(ca, ads, k, dd + 1),
-                        _cbv(s, ads, k, dd), _cbv(t, ads, k, dd))
-        case SigAd(fa, sa, s, t):
-            return SigAd(_cbv(fa, ads, k, dd), _cbv(sa, ads, k, dd + 1),
-                         _cbv(s, ads, k, dd), _cbv(t, ads, k, dd))
-        case IndAd(dn, trans):
-            return IndAd(dn, _cbv(trans, ads, k, dd))
-        case Sub(comps):
-            return Sub(tuple(_cbv(c, ads, k, dd) for c in comps))
-        case STm(tm):
-            return STm(_cbv(tm, ads, k, dd))
-        case STy(ty, ar):
-            return STy(_cbv(ty, ads, k, dd + ar), ar)
-        case Trans(comps):
-            return Trans(tuple(_cbv(c, ads, k, dd) for c in comps))
-        case KTm(tm):
-            return KTm(_cbv(tm, ads, k, dd))
-        case KAd(ad, forced, ar):
-            return KAd(_cbv(ad, ads, k, dd + ar), _cbv(forced, ads, k, dd + ar), ar)
-        case _:
-            raise KernelError(f"cannot adjust {x!r}")
+    if type(x) is Var:
+        m = x.index - dd
+        if 0 <= m < k:
+            p = k - 1 - m
+            return cast(x, shift(ads[p], dd + k - p, 0))
+        return x
+    return map_scoped(x, _cbv, (ads, k), dd, SMART)
 
 
 def _mid_telad(entry: TyEntry, tgt_prefix: Context, pre: Trans) -> TelAd:

@@ -15,6 +15,7 @@ Criteria (all property- or oracle-based):
      declarations elaborating to the registered signatures
 """
 
+import pathlib
 import time
 
 import adaptt  # noqa: F401  (registers the stock datatypes)
@@ -396,7 +397,7 @@ def test_criterion_surface_roundtrip():
     from adaptt.inductive import builtin_descs
     checked = 0
     for path in ("corpus/prelude.adt", "corpus/casts.adt", "corpus/tree.adt"):
-        out = E.elab_file(S.parse(open(path).read()))
+        out = E.elab_file(S.parse(pathlib.Path(path).read_text(encoding="utf-8")))
         for ctx, names, lhs, rhs, ty, span in out.asserts:
             sc = E.Scope(out.scope.bases, out.scope.posts,
                          out.scope.constructors, out.scope.defs,

@@ -7,6 +7,8 @@ import contextlib
 import subprocess
 import sys
 
+import pytest
+
 import adaptt  # noqa: F401  (registers the stock datatypes)
 from adaptt import cli
 
@@ -51,6 +53,33 @@ def test_usage_error_exit_4():
     assert code == 4
     code, _ = run(["check", "no-such-file.adt"])
     assert code == 4
+
+
+#: bindings files that are not JSON or not shaped like a binding
+_BAD_BINDINGS = {"malformed-json": '{"types": ', "list": "[]",
+                 "labels-not-a-list": '{"types": {"A": 3}}'}
+
+
+@pytest.mark.parametrize("label", ["non-utf8", "directory", *_BAD_BINDINGS])
+def test_unreadable_input_is_a_usage_diagnostic(label, tmp_path):
+    if label == "non-utf8":
+        path = tmp_path / "latin.adt"
+        path.write_bytes("base \u00c5 ;\n".encode("latin-1"))
+        argv, kind = ["check", str(path)], "Unreadable"
+    elif label == "directory":
+        argv, kind = ["check", str(tmp_path)], "Unreadable"
+    else:
+        path = tmp_path / "bindings.json"
+        path.write_text(_BAD_BINDINGS[label])
+        argv = ["model", "corpus/casts.adt", "--bindings", str(path)]
+        kind = "Bindings"
+    src = os.path.dirname(os.path.dirname(adaptt.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "adaptt.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert proc.stdout.startswith(f"ERROR {kind} {argv[-1]} ")
 
 
 def test_norm_evaluates_in_scope():

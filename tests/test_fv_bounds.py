@@ -1,14 +1,20 @@
-"""Free-variable bounds: every node knows one more than its largest free
-index in each namespace, with the binder offsets of ``shift``, and
-``shift`` and ``open_tm_block`` hand back closed subterms untouched."""
+"""The binder table and what reads it: every node knows one more than its
+largest free index in each namespace, ``shift`` and ``open_tm_block`` hand
+back closed subterms untouched, and the occurrence check of the printer
+agrees with the oracle's own traversal."""
+
+import dataclasses
 
 from hypothesis import example, given, strategies as st
 
+from adaptt import syntax
 from adaptt.normalize import open_tm_block, set_trace
+from adaptt.pretty import _occurs
 from adaptt.setmodel import free_tm_vars
 from adaptt.syntax import (
     TyVarRef, Pi, Sig, Ind, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     AdId, Chain, Post, PiAd, SigAd, IndAd, Sub, STm, STy, Trans, KTm, KAd,
+    RecDesc, ConDesc, IndDesc, TmEntry, TyEntry, SHAPE, ARITY, SEQ,
     fv_bounds, shift,
 )
 from helpers import A, B, cons, list_of, nil
@@ -54,6 +60,18 @@ nodes = st.recursive(leaves, _nodes, max_leaves=12)
 values = st.one_of(nodes, st.lists(nodes, max_size=4).map(tuple))
 
 
+def test_shape_lists_every_syntax_node_field_in_order():
+    interned = {c for c in vars(syntax).values()
+                if isinstance(c, type) and "_fv" in vars(c)}
+    signature_and_context = {RecDesc, ConDesc, IndDesc, TmEntry, TyEntry}
+    assert set(SHAPE) == interned - signature_and_context
+    for cls, row in SHAPE.items():
+        assert [name for name, _ in row] == \
+            [f.name for f in dataclasses.fields(cls)], cls
+        for name, kind in row:
+            assert kind in (None, SEQ, ARITY) or kind in (0, 1), (cls, name)
+
+
 @given(values)
 # one pinned case per binder offset: Pi/Sig/Lam bodies and PiAd/SigAd
 # codomains add 1, STy/KAd their arity, telescope entry k adds k
@@ -66,6 +84,16 @@ values = st.one_of(nodes, st.lists(nodes, max_size=4).map(tuple))
 def test_term_bound_is_one_past_the_largest_free_index(x):
     free = free_tm_vars(x)
     assert fv_bounds(x)[0] == (max(free) + 1 if free else 0)
+
+
+@given(values)
+@example(Pi(A, Var(1)))
+@example(KAd(AdId(Var(0)), Var(3), 1))
+@example((A, Var(0), Var(3)))
+def test_occurs_agrees_with_the_oracle(x):
+    free = free_tm_vars(x)
+    for i in range(fv_bounds(x)[0] + 1):
+        assert _occurs(x, i) == (i in free)
 
 
 @given(nodes)

@@ -9,7 +9,7 @@ from adaptt.syntax import (
     Sub, STm, STy, id_sub, shift,
 )
 from adaptt.normalize import (
-    apply, apply_tel, compose_sub, compose_ad, cast, app, fst_, snd_,
+    apply, apply_tel, compose_ad, cast, app, fst_, snd_,
     pi_tel, nf, whnf, conv, conv_ty, conv_tm, conv_ad, assert_normal,
     NormalForm, KernelError, open_tm_block, note, replayed_cache, set_trace,
 )
@@ -56,16 +56,16 @@ def test_family_instantiation_uses_argument():
 def test_compose_sub_identity_law():
     ctx = ctx_ab()
     sigma = Sub((STm(Var(1)), STm(Var(0))))
-    assert compose_sub(id_sub(ctx), sigma) == sigma
-    assert compose_sub(sigma, id_sub(ctx)) == sigma
+    assert apply(id_sub(ctx), sigma) == sigma
+    assert apply(sigma, id_sub(ctx)) == sigma
 
 
 def test_compose_sub_associativity():
     s1 = Sub((STm(Var(0)),))
     s2 = Sub((STm(Var(1)),))
     s3 = Sub((STm(Var(0)), STm(Var(1))))
-    lhs = compose_sub(compose_sub(s1, s2), s3)
-    rhs = compose_sub(s1, compose_sub(s2, s3))
+    lhs = apply(apply(s1, s2), s3)
+    rhs = apply(s1, apply(s2, s3))
     assert lhs == rhs
 
 
@@ -273,10 +273,10 @@ def test_substitution_functoriality_randomized():
         for x in (apply(a, sigma), t):
             assert apply(x, id_sub(AMBIENT)) == x
             assert apply(apply(x, id_sub(AMBIENT)), wk) == \
-                apply(x, compose_sub(id_sub(AMBIENT), wk)) == apply(x, wk)
+                apply(x, apply(id_sub(AMBIENT), wk)) == apply(x, wk)
         # and through a genuinely non-identity spine into the type's
         # own context: a[sigma o wk] == a[sigma][wk]
-        assert apply(a, compose_sub(sigma, wk)) == apply(apply(a, sigma), wk)
+        assert apply(a, apply(sigma, wk)) == apply(apply(a, sigma), wk)
 
 
 # -- cached computations and the trace ----------------------------------------

@@ -1,5 +1,7 @@
 """Surface language: parsing, elaboration, positivity, round-trips."""
 
+import pathlib
+
 import pytest
 
 import adaptt  # noqa: F401  (registers the stock datatypes)
@@ -41,7 +43,7 @@ def test_parse_error_has_expected_set():
 
 
 def test_elaboration_matches_stock_signatures():
-    out = elab(open("corpus/prelude.adt").read())
+    out = elab(pathlib.Path("corpus/prelude.adt").read_text(encoding="utf-8"))
     stock = {d.name: d for d in builtin_descs()}
     assert set(out.datas) == set(stock)
     for name, d in stock.items():
@@ -128,7 +130,7 @@ def test_conflicting_data_redeclaration_rejected():
 
 
 def roundtrip_exprs(path: str):
-    out = elab(open(path).read())
+    out = elab(pathlib.Path(path).read_text(encoding="utf-8"))
     for ctx, names, lhs, rhs, ty, span in out.asserts:
         sc = _scope_at(out, ctx, names)
         for side in (lhs, rhs):
