@@ -17,14 +17,16 @@ from .syntax import (
     Term, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     Adapter, AdId, Chain, Post, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd, IndDesc,
-    dual_ctx, extend_tm, extend_tel, shift, id_sub, desc,
-    tm_entry_position, ty_entry_position,
+    dual_ctx, extend_tm, extend_tel, shift, id_sub, desc, entry_position,
 )
 from .normalize import (
     apply, apply_tel, open_tm_block, cast, conv_ty,
     tm_entry_type, _entry_tel_here,
 )
-from .transform import push_tel, trans_source, trans_target
+from .transform import (
+    comp_ctx, free_is_ad_source, free_is_source, _mid_telad,
+    trans_source, trans_target,
+)
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ def check_ty(ctx: Context, ty: Type) -> None:
             pass
         case TyVarRef(j, inst):
             try:
-                pos = ty_entry_position(ctx, j)
+                pos = entry_position(ctx, TyEntry, j)
             except IndexError:
                 _fail("UnboundVariable", f"type variable {j} is not in scope")
             entry = ctx[pos]
@@ -140,7 +142,7 @@ def infer_tm(ctx: Context, t: Term) -> Type:
     match t:
         case Var(i):
             try:
-                pos = tm_entry_position(ctx, i)
+                pos = entry_position(ctx, TmEntry, i)
             except IndexError:
                 _fail("UnboundVariable", f"term variable {i} is not in scope")
             if ctx[pos].dir is not POS:
@@ -313,10 +315,7 @@ def check_sub(ctx: Context, sub: Sub, tgt: Context) -> None:
                 _fail("ArityMismatch", "type entry needs a type component")
             if c.arity != len(entry.tel):
                 _fail("ArityMismatch", "type component arity mismatch")
-            tel = apply_tel(entry.tel, pre)
-            inner = extend_tel(dual_ctx(ctx, entry.tel_dir), entry.tel_dir, tel)
-            inner = dual_ctx(inner, entry.tel_dir)
-            check_ty(dual_ctx(inner, entry.dir), c.ty)
+            check_ty(comp_ctx(ctx, entry, apply_tel(entry.tel, pre)), c.ty)
 
 
 def check_trans(ctx: Context, tr: Trans, tgt: Context) -> None:
@@ -330,8 +329,7 @@ def check_trans(ctx: Context, tr: Trans, tgt: Context) -> None:
         if isinstance(entry, TmEntry):
             if not isinstance(c, KTm):
                 _fail("ArityMismatch", "term entry needs a term component")
-            side = sigma if entry.dir is POS else tau
-            want = apply(entry.ty, side)
+            want = apply(entry.ty, sigma if free_is_source(entry) else tau)
             got = infer_tm(dual_ctx(ctx, entry.dir), c.tm)
             _demand_conv_ty(dual_ctx(ctx, entry.dir), got, want,
                             "transformation component")
@@ -345,40 +343,17 @@ def check_trans(ctx: Context, tr: Trans, tgt: Context) -> None:
 
 def _check_trans_ty_comp(ctx: Context, entry: TyEntry, c: KAd,
                          prefix: Context, pre: Trans, sigma: Sub, tau: Sub):
-    """Check one adapter component against the direction table; the
-    component context and the adjusted endpoint depend on (dir, tel_dir)."""
-    alpha = push_tel(entry.tel, pre, dual_ctx(prefix, entry.tel_dir))
-    if entry.tel_dir is POS:
-        tel_src = apply_tel(entry.tel, sigma)
-        tel_tgt = apply_tel(entry.tel, tau)
-        comp_ctx = extend_tel(ctx, POS, tel_src)
-        s, t = check_ad(comp_ctx if entry.dir is POS else dual_ctx(comp_ctx),
-                        c.ad)
-        adj = _block_adjust_sub(ctx, tel_src, alpha)
-        if entry.dir is POS:
-            # ad : A => B[adjust], stored other = B over the tau block
-            want_t = apply(c.forced_ty, adj)
-            _demand_conv_ty(comp_ctx, t, want_t, "adapter component target")
-        else:
-            # ad : B[adjust] => A with B the target-side component
-            want_s = apply(c.forced_ty, adj)
-            _demand_conv_ty(dual_ctx(comp_ctx), s, want_s,
-                            "adapter component source")
-    else:
-        # contravariant dependency telescope: component over the
-        # target-side block, adjustment on the other endpoint
-        tel_tgt = apply_tel(entry.tel, tau)
-        comp_ctx = extend_tel(ctx, NEG, tel_tgt)
-        s, t = check_ad(comp_ctx if entry.dir is POS else dual_ctx(comp_ctx),
-                        c.ad)
-        adj = _block_adjust_sub(ctx, tel_tgt, alpha)
-        if entry.dir is POS:
-            want_s = apply(c.forced_ty, adj)
-            _demand_conv_ty(comp_ctx, s, want_s, "adapter component source")
-        else:
-            want_t = apply(c.forced_ty, adj)
-            _demand_conv_ty(dual_ctx(comp_ctx), t, want_t,
-                            "adapter component target")
+    """Check one adapter component against the direction table: it lives
+    over the free side's telescope block, and its forced end is the stored
+    other endpoint adjusted along the telescope adapter."""
+    alpha = _mid_telad(entry, prefix, pre)
+    tel_here = apply_tel(entry.tel, sigma if free_is_source(entry) else tau)
+    here = comp_ctx(ctx, entry, tel_here)
+    s, t = check_ad(here, c.ad)
+    adj = _block_adjust_sub(ctx, tel_here, alpha)
+    got, end = (t, "target") if free_is_ad_source(entry) else (s, "source")
+    _demand_conv_ty(here, got, apply(c.forced_ty, adj),
+                    f"adapter component {end}")
 
 
 # ---------------------------------------------------------------------------

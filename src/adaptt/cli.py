@@ -49,15 +49,8 @@ def _with_trace(args, fn):
 
 
 def cmd_check(args) -> int:
-    try:
-        decls = _load(args.file)
-        out = _with_trace(args, lambda: elaborate.elab_file(decls))
-    except ParseError as e:
-        print(f"ERROR Parse {args.file}:{e.line}:{e.col} {e.message}")
-        return PARSE_ERROR
-    except CheckError as e:
-        print(e.diag.render(args.file))
-        return TYPE_ERROR
+    decls = _load(args.file)
+    out = _with_trace(args, lambda: elaborate.elab_file(decls))
     failures = 0
     for ctx, names, lhs, rhs, ty, span in out.asserts:
         if normalize.conv_tm(ctx, ty, lhs, rhs):
@@ -75,18 +68,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    try:
-        decls = _load(args.file)
-        out = elaborate.elab_file(decls)
-        sc = out.scope
-        tm, ty = _with_trace(
-            args, lambda: elaborate.elab_expr_in(sc, args.expr))
-    except ParseError as e:
-        print(f"ERROR Parse {args.file}:{e.line}:{e.col} {e.message}")
-        return PARSE_ERROR
-    except CheckError as e:
-        print(e.diag.render(args.file))
-        return TYPE_ERROR
+    sc = elaborate.elab_file(_load(args.file)).scope
+    tm, ty = _with_trace(args, lambda: elaborate.elab_expr_in(sc, args.expr))
     names = list(sc.names)
     print(pretty.tm_string(sc.ctx, normalize.nf(tm).value, names))
     print(f": {pretty.ty_string(sc.ctx, ty, names)}")
@@ -96,15 +79,8 @@ def cmd_norm(args) -> int:
 def cmd_derive(args) -> int:
     from .inductive import derive_rule_doc
     try:
-        decls = _load(args.file)
-        elaborate.elab_file(decls)
+        elaborate.elab_file(_load(args.file))
         doc = derive_rule_doc(args.name)
-    except ParseError as e:
-        print(f"ERROR Parse {args.file}:{e.line}:{e.col} {e.message}")
-        return PARSE_ERROR
-    except CheckError as e:
-        print(e.diag.render(args.file))
-        return TYPE_ERROR
     except KeyError as e:
         print(f"ERROR UnknownDatatype {e}")
         return USAGE
@@ -130,15 +106,8 @@ def cmd_derive(args) -> int:
 
 def cmd_model(args) -> int:
     try:
-        decls = _load(args.file)
-        out = elaborate.elab_file(decls)
+        out = elaborate.elab_file(_load(args.file))
         binding = setmodel.ModelBinding.from_json(_read(args.bindings))
-    except ParseError as e:
-        print(f"ERROR Parse {args.file}:{e.line}:{e.col} {e.message}")
-        return PARSE_ERROR
-    except CheckError as e:
-        print(e.diag.render(args.file))
-        return TYPE_ERROR
     except setmodel.ModelError as e:
         print(f"ERROR Bindings {args.bindings} {e}")
         return USAGE
@@ -227,6 +196,12 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE
     try:
         return handlers[args.cmd](args)
+    except ParseError as e:
+        print(f"ERROR Parse {args.file}:{e.line}:{e.col} {e.message}")
+        return PARSE_ERROR
+    except CheckError as e:
+        print(e.diag.render(args.file))
+        return TYPE_ERROR
     except FileNotFoundError as e:
         print(f"ERROR NoSuchFile {e.filename}")
         return USAGE

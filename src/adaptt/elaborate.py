@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 from . import surface as S
 from .check import CheckError, Diagnostic, check_ty, infer_tm
 from .normalize import (
-    compose_ad, conv_ty, ad_src, ad_tgt, cast as mk_cast,
+    compose_ad, conv_ty, ad_end, ad_src, ad_tgt, cast as mk_cast,
     app as mk_app, fst_ as mk_fst, snd_ as mk_snd, KernelError,
 )
 from .pretty import _occurs
+from .transform import free_is_ad_source
 from .syntax import (
     POS, NEG, Context, TmEntry, TyEntry, Telescope,
     Base, TyVarRef, Pi, Sig, Ind, Var, Lam, Pair, Con,
@@ -281,8 +282,7 @@ def _elab_push(head: S.SExpr, comps, span, sc: Scope, want_src, pol=POS):
             for b in (c.binders or ("_",) * ar):
                 sc2 = sc2.push(b, TmEntry(POS, Base("_")))
             ad = elab_ad(c.body, sc2, pol=pol * entry.dir)
-            forced = ad_tgt(ad) if (entry.dir is POS) == (entry.tel_dir is POS) \
-                else ad_src(ad)
+            forced = ad_end(ad, not free_is_ad_source(entry))
             out.append(KAd(ad, forced, ar))
     return IndAd(head.name, Trans(tuple(out)))
 

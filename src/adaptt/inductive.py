@@ -20,7 +20,7 @@ from .syntax import (
 )
 from .normalize import KernelError, apply, apply_tel, pi_tel, replayed_cache
 from .transform import (
-    push_tel, cast_inst, trans_source, trans_target,
+    push_tel, cast_inst, trans_source, trans_target, free_is_source,
 )
 
 
@@ -252,12 +252,9 @@ def _generic_setup(d: IndDesc):
             tgt = Base(chr(ord("A") + n_ty) + "'")
             ad_name = _AD_NAMES[n_ty]
             ar = len(entry.tel)
-            if entry.dir is POS:
-                ad = Post(ad_name, src, tgt)
-                other = tgt
-            else:
-                ad = Post(ad_name, tgt, src)
-                other = tgt
+            ad = Post(ad_name, src, tgt) if entry.dir is POS \
+                else Post(ad_name, tgt, src)
+            other = tgt if free_is_source(entry) else src
             p_comps.append(STy(src, ar))
             mu_comps.append(KAd(ad, other, ar))
             n_ty += 1

@@ -33,7 +33,7 @@ from .syntax import (
     Adapter, AdId, Chain, Post, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd,
     dual_ctx, extend_tm, fv_bounds, map_scoped, scoped, shift,
-    tm_entry_position, ty_entry_position, desc,
+    entry_position, tm_count, ty_count, desc,
 )
 
 
@@ -367,44 +367,33 @@ SMART = {App: app, Fst: fst_, Snd: snd_, Cast: cast, Chain: compose_parts}
 # ---------------------------------------------------------------------------
 
 
-def ad_src(ad: Adapter) -> Type:
+def ad_end(ad: Adapter, want_src: bool) -> Type:
+    """Source (or target) type of an adapter."""
     match ad:
         case AdId(ty):
             return ty
         case Chain(parts):
-            return ad_src(parts[0])
-        case Post(_, s, _) | PiAd(_, _, s, _) | SigAd(_, _, s, _):
-            return s
+            return ad_end(parts[0] if want_src else parts[-1], want_src)
+        case Post(_, s, t) | PiAd(_, _, s, t) | SigAd(_, _, s, t):
+            return s if want_src else t
         case IndAd(dn, trans):
             from . import transform
             d = desc(dn)
-            spine = transform.trans_source(d.full_ctx, trans)
+            spine = transform._endpoint(d.full_ctx, trans, want_src)
             n = len(d.params_ctx)
             params = Sub(spine.comps[:n])
             indices = tuple(c.tm for c in spine.comps[n:])
             return Ind(dn, params, indices)
         case _:
             raise KernelError(f"not an adapter: {ad!r}")
+
+
+def ad_src(ad: Adapter) -> Type:
+    return ad_end(ad, True)
 
 
 def ad_tgt(ad: Adapter) -> Type:
-    match ad:
-        case AdId(ty):
-            return ty
-        case Chain(parts):
-            return ad_tgt(parts[-1])
-        case Post(_, _, t) | PiAd(_, _, _, t) | SigAd(_, _, _, t):
-            return t
-        case IndAd(dn, trans):
-            from . import transform
-            d = desc(dn)
-            spine = transform.trans_target(d.full_ctx, trans)
-            n = len(d.params_ctx)
-            params = Sub(spine.comps[:n])
-            indices = tuple(c.tm for c in spine.comps[n:])
-            return Ind(dn, params, indices)
-        case _:
-            raise KernelError(f"not an adapter: {ad!r}")
+    return ad_end(ad, False)
 
 
 def is_id_ad(ad: Adapter) -> bool:
@@ -511,7 +500,7 @@ def conv_ty(ctx: Context, a: Type, b: Type) -> bool:
         case (TyVarRef(i, ii), TyVarRef(j, jj)):
             if i != j:
                 return False
-            entry = ctx[ty_entry_position(ctx, i)]
+            entry = ctx[entry_position(ctx, TyEntry, i)]
             tel = _entry_tel_here(ctx, i)
             inst_ctx = dual_ctx(ctx, entry.tel_dir)
             return conv_inst(inst_ctx, tel, ii, jj)
@@ -538,22 +527,17 @@ def conv_ty(ctx: Context, a: Type, b: Type) -> bool:
 def _entry_tel_here(ctx: Context, index: int) -> Telescope:
     """Telescope of type-variable entry ``index`` shifted to ``ctx``
     (read against the tel-dir dual, which does not move indices)."""
-    pos = ty_entry_position(ctx, index)
-    entry = ctx[pos]
+    pos = entry_position(ctx, TyEntry, index)
     rest = ctx[pos + 1:]
-    d_tm = sum(1 for e in rest if isinstance(e, TmEntry))
-    d_ty = 1 + sum(1 for e in rest if isinstance(e, TyEntry))
-    return tuple(shift(t, d_tm, d_ty) for t in entry.tel)
+    d_tm, d_ty = tm_count(rest), 1 + ty_count(rest)
+    return tuple(shift(t, d_tm, d_ty) for t in ctx[pos].tel)
 
 
 def tm_entry_type(ctx: Context, index: int) -> Type:
     """Type of term variable ``index`` weakened to the full context."""
-    pos = tm_entry_position(ctx, index)
-    entry = ctx[pos]
+    pos = entry_position(ctx, TmEntry, index)
     rest = ctx[pos:]
-    d_tm = sum(1 for e in rest if isinstance(e, TmEntry))
-    d_ty = sum(1 for e in rest if isinstance(e, TyEntry))
-    return shift(entry.ty, d_tm, d_ty)
+    return shift(ctx[pos].ty, tm_count(rest), ty_count(rest))
 
 
 def conv_tm(ctx: Context, ty: Type, x: Term, y: Term) -> bool:
@@ -629,23 +613,21 @@ def conv_sub(ctx: Context, tgt: Context, s1: Sub, s2: Sub) -> bool:
         raise KernelError("substitution spine length mismatch")
     if s1 is s2:
         return True
+    from .transform import comp_ctx
     for k, entry in enumerate(tgt):
         c1, c2 = s1.comps[k], s2.comps[k]
-        if isinstance(entry, TmEntry):
-            if not (isinstance(c1, STm) and isinstance(c2, STm)):
-                raise KernelError("spine component sort mismatch")
-            pre = Sub(s1.comps[:k])
+        is_tm = isinstance(entry, TmEntry)
+        sort = STm if is_tm else STy
+        if not (isinstance(c1, sort) and isinstance(c2, sort)):
+            raise KernelError("spine component sort mismatch")
+        pre = Sub(s1.comps[:k])
+        if is_tm:
             ty = apply(entry.ty, pre)
             if not conv_tm(dual_ctx(ctx, entry.dir), ty, c1.tm, c2.tm):
                 return False
-        else:
-            if not (isinstance(c1, STy) and isinstance(c2, STy)):
-                raise KernelError("spine component sort mismatch")
-            pre = Sub(s1.comps[:k])
-            tel = apply_tel(entry.tel, pre)
-            inner = ctx + tuple(TmEntry(entry.tel_dir, t) for t in tel)
-            if not conv_ty(dual_ctx(inner, entry.dir), c1.ty, c2.ty):
-                return False
+        elif not conv_ty(comp_ctx(ctx, entry, apply_tel(entry.tel, pre)),
+                         c1.ty, c2.ty):
+            return False
     return True
 
 
@@ -719,35 +701,22 @@ def conv_trans(ctx: Context, tgt: Context, t1: Trans, t2: Trans) -> bool:
         raise KernelError("transformation spine length mismatch")
     if t1 is t2:
         return True
-    from . import transform
+    from .transform import comp_ctx, free_is_source, trans_source, trans_target
     for k, entry in enumerate(tgt):
         c1, c2 = t1.comps[k], t2.comps[k]
-        if isinstance(entry, TmEntry):
-            if not (isinstance(c1, KTm) and isinstance(c2, KTm)):
-                raise KernelError("transformation component sort mismatch")
-            pre = Trans(t1.comps[:k])
-            side = transform.trans_source if entry.dir is POS else transform.trans_target
-            spine = side(tgt[:k], pre)
+        is_tm = isinstance(entry, TmEntry)
+        sort = KTm if is_tm else KAd
+        if not (isinstance(c1, sort) and isinstance(c2, sort)):
+            raise KernelError("transformation component sort mismatch")
+        side = trans_source if free_is_source(entry) else trans_target
+        spine = side(tgt[:k], Trans(t1.comps[:k]))
+        if is_tm:
             ty = apply(entry.ty, spine)
             if not conv_tm(dual_ctx(ctx, entry.dir), ty, c1.tm, c2.tm):
                 return False
-        else:
-            if not (isinstance(c1, KAd) and isinstance(c2, KAd)):
-                raise KernelError("transformation component sort mismatch")
-            pre = Trans(t1.comps[:k])
-            # component context per the direction table: the source-side
-            # block for covariant telescopes, the target-side one otherwise
-            if entry.tel_dir is POS:
-                spine = transform.trans_source(tgt[:k], pre)
-                ext = ctx + tuple(TmEntry(POS, t)
-                                  for t in apply_tel(entry.tel, spine))
-            else:
-                spine = transform.trans_target(tgt[:k], pre)
-                ext = ctx + tuple(TmEntry(NEG, t)
-                                  for t in apply_tel(entry.tel, spine))
-            inner = dual_ctx(ext) if entry.dir is NEG else ext
-            if conv_ad(inner, c1.ad, c2.ad) is None:
-                return False
+        elif conv_ad(comp_ctx(ctx, entry, apply_tel(entry.tel, spine)),
+                     c1.ad, c2.ad) is None:
+            return False
     return True
 
 

@@ -431,25 +431,16 @@ def ty_count(ctx: Context) -> int:
     return sum(1 for e in ctx if isinstance(e, TyEntry))
 
 
-def tm_entry_position(ctx: Context, index: int) -> int:
-    """Absolute position of the term entry with de Bruijn index ``index``."""
+def entry_position(ctx: Context, cls: type, index: int) -> int:
+    """Absolute position of the ``cls`` entry (``TmEntry`` or ``TyEntry``)
+    with de Bruijn index ``index`` in its namespace."""
     seen = 0
     for pos in range(len(ctx) - 1, -1, -1):
-        if isinstance(ctx[pos], TmEntry):
+        if isinstance(ctx[pos], cls):
             if seen == index:
                 return pos
             seen += 1
-    raise IndexError(f"unbound term variable {index}")
-
-
-def ty_entry_position(ctx: Context, index: int) -> int:
-    seen = 0
-    for pos in range(len(ctx) - 1, -1, -1):
-        if isinstance(ctx[pos], TyEntry):
-            if seen == index:
-                return pos
-            seen += 1
-    raise IndexError(f"unbound type variable {index}")
+    raise IndexError(f"unbound {cls.__name__} variable {index}")
 
 
 def vinst(tel: Telescope) -> Inst:
@@ -663,12 +654,6 @@ class IndDesc:
         """Parameter context extended by the index telescope."""
         return extend_tel(self.params_ctx, POS, self.index_tel)
 
-    def con_index(self, name: str) -> int:
-        for i, c in enumerate(self.cons):
-            if c.name == name:
-                return i
-        raise KeyError(f"no constructor {name!r} in {self.name}")
-
 
 # The global description table: append-only, registration precedes use.
 DESC_TABLE: dict[str, IndDesc] = {}
@@ -689,21 +674,3 @@ def install_desc(d: IndDesc) -> None:
         raise ValueError(f"datatype {d.name!r} already registered differently")
     DESC_TABLE[d.name] = d
 
-
-# ---------------------------------------------------------------------------
-# Dualization of the remaining sorts
-# ---------------------------------------------------------------------------
-
-
-def dualize(obj, d: Dir = NEG):
-    """Group action of a direction on contexts, substitutions and
-    transformations.  Spines are self-dual as data (their components do
-    not change); only the context reading flips, so for them this is the
-    identity and the flip happens wherever the context is supplied."""
-    if d is POS:
-        return obj
-    if isinstance(obj, tuple):  # Context
-        return dual_ctx(obj)
-    if isinstance(obj, (Sub, Trans)):
-        return obj
-    raise TypeError(f"cannot dualize {obj!r}")

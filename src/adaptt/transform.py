@@ -17,6 +17,13 @@ entry (dir, tel_dir)  component context   source comp  target comp
 (The (-,d') rows are the whole-context duals of the (+,-d') rows; the
 table is what makes dualization the identity on component spines.)
 
+The table is read in one place, the three helpers below it, and every
+kernel reader of it calls them: ``free_is_source`` (whether an entry's
+free part, a term entry's stored term or a type entry's adapter, sits on
+the source), ``free_is_ad_source`` (whether that free part is the
+adapter's source end, the stored other matching its target end) and
+``comp_ctx`` (the context a type component lives over).
+
 ``push_ty`` eliminates transformations eagerly: the result adapter
 grammar is closed (identity, postulates, Pi/Sigma/inductive structure),
 so cast computation never sees a transformation at the head.
@@ -29,14 +36,38 @@ from .syntax import (
     Type, Base, TyVarRef, Pi, Sig, Ind, Term, Var,
     Adapter, AdId, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd,
-    dual_ctx, extend_tm, extend_tel, map_scoped, shift, desc,
-    ty_entry_position,
+    dual_ctx, extend_tm, extend_tel, map_scoped, shift, desc, entry_position,
 )
 from .normalize import (
     KernelError, SMART, apply, apply_tel, lift_sub_block, lift_trans_block,
-    open_tm_block, cast, compose_ad, ad_src, ad_tgt, is_id_ad,
+    open_tm_block, cast, compose_ad, ad_end, ad_src, ad_tgt, is_id_ad,
     trans_is_identity, note,
 )
+
+
+# ---------------------------------------------------------------------------
+# The direction table
+# ---------------------------------------------------------------------------
+
+
+def free_is_source(entry) -> bool:
+    """Whether the entry's free component sits on the source: a term
+    entry's stored term, or a type entry's adapter (read at its free end;
+    the stored other is the spine component on the other side)."""
+    return (entry.dir if type(entry) is TmEntry else entry.tel_dir) is POS
+
+
+def free_is_ad_source(entry: TyEntry) -> bool:
+    """Whether a type component's free end is its adapter's source, so
+    that the adapter runs from the free side to the forced one."""
+    return entry.dir is entry.tel_dir
+
+
+def comp_ctx(ctx: Context, entry: TyEntry, tel: Telescope) -> Context:
+    """Context of a type component over ``ctx``: the entry's telescope,
+    instantiated on the free side, at the telescope direction, and the
+    whole read at the entry direction."""
+    return dual_ctx(extend_tel(ctx, entry.tel_dir, tel), entry.dir)
 
 
 # ---------------------------------------------------------------------------
@@ -47,23 +78,9 @@ from .normalize import (
 def _comp_endpoint(entry, comp, want_src: bool):
     """Spine component of the source (or target) substitution for one
     type-variable entry, per the direction table above."""
-    dirpos = entry.dir is POS
-    telpos = entry.tel_dir is POS
-    if want_src:
-        if dirpos and telpos:
-            ty = ad_src(comp.ad)
-        elif not dirpos and telpos:
-            ty = ad_tgt(comp.ad)
-        else:
-            ty = comp.forced_ty
-    else:
-        if dirpos and not telpos:
-            ty = ad_tgt(comp.ad)
-        elif not dirpos and not telpos:
-            ty = ad_src(comp.ad)
-        else:
-            ty = comp.forced_ty
-    return STy(ty, comp.arity)
+    if want_src == free_is_source(entry):
+        return STy(ad_end(comp.ad, free_is_ad_source(entry)), comp.arity)
+    return STy(comp.forced_ty, comp.arity)
 
 
 def trans_source(tgt_ctx: Context, tr: Trans) -> Sub:
@@ -82,13 +99,11 @@ def _endpoint(tgt_ctx: Context, tr: Trans, want_src: bool) -> Sub:
         if isinstance(entry, TmEntry):
             if not isinstance(c, KTm):
                 raise KernelError("transformation component sort mismatch")
-            stored_is_src = entry.dir is POS
-            if want_src == stored_is_src:
+            if want_src == free_is_source(entry):
                 comps.append(STm(c.tm))
             else:
-                prefix = Trans(tr.comps[:k])
-                ctx = tgt_ctx[:k] if entry.dir is POS else dual_ctx(tgt_ctx[:k])
-                ad = push_ty(entry.ty, prefix, ctx)
+                ad = push_ty(entry.ty, Trans(tr.comps[:k]),
+                             dual_ctx(tgt_ctx[:k], entry.dir))
                 comps.append(STm(cast(c.tm, ad)))
         else:
             if not isinstance(c, KAd):
@@ -113,14 +128,14 @@ def push_ty(a: Type, tr: Trans, tgt_ctx: Context) -> Adapter:
             note("TRANS_BASE")
             return AdId(a)
         case TyVarRef(j, inst):
-            pos = ty_entry_position(tgt_ctx, j)
+            pos = entry_position(tgt_ctx, TyEntry, j)
             entry = tgt_ctx[pos]
             if entry.dir is not POS:
                 raise KernelError("type variable accessed at negative direction")
             comp = tr.comps[pos]
             if not isinstance(comp, KAd):
                 raise KernelError("transformation component sort mismatch")
-            side = trans_source if entry.tel_dir is POS else trans_target
+            side = trans_source if free_is_source(entry) else trans_target
             inst2 = tuple(apply(t, side(tgt_ctx, tr)) for t in inst)
             note("TRANS_TYVAR")
             return open_tm_block(comp.ad, inst2)
@@ -195,19 +210,15 @@ def whisker_left(rho: Sub, rho_tgt: Context, tr: Trans, mid_ctx: Context) -> Tra
     tgt = trans_target(mid_ctx, tr)
     comps = []
     for k, (entry, c) in enumerate(zip(rho_tgt, rho.comps)):
+        free, forced = (src, tgt) if free_is_source(entry) else (tgt, src)
         if isinstance(entry, TmEntry):
-            side = src if entry.dir is POS else tgt
-            comps.append(KTm(apply(c.tm, side)))
+            comps.append(KTm(apply(c.tm, free)))
         else:
             ar = c.arity
-            pre = Sub(rho.comps[:k])
-            tel_here = apply_tel(entry.tel, pre)
-            ext = extend_tel(mid_ctx, entry.tel_dir, tel_here)
-            if entry.dir is NEG:
-                ext = dual_ctx(ext)
-            ad = push_ty(c.ty, lift_trans_block(tr, ar), ext)
-            other_side = tgt if entry.tel_dir is POS else src
-            other = apply(c.ty, lift_sub_block(other_side, ar))
+            tel_here = apply_tel(entry.tel, Sub(rho.comps[:k]))
+            ad = push_ty(c.ty, lift_trans_block(tr, ar),
+                         comp_ctx(mid_ctx, entry, tel_here))
+            other = apply(c.ty, lift_sub_block(forced, ar))
             comps.append(KAd(ad, other, ar))
     return Trans(tuple(comps))
 
@@ -249,31 +260,21 @@ def vcomp(nu: Trans, mu: Trans, tgt_ctx: Context, check: bool = False) -> Trans:
         raise KernelError("transformation spine does not match its context")
     comps = []
     for k, entry in enumerate(tgt_ctx):
-        cm, cn = mu.comps[k], nu.comps[k]
+        # the composite's free part is that of the transformation on the
+        # free side; the other transformation's adapter is moved along the
+        # telescope adapter of the free one's prefix, and its stored other
+        # is the composite's
+        free_tr, other_tr = (mu, nu) if free_is_source(entry) else (nu, mu)
+        cf, co = free_tr.comps[k], other_tr.comps[k]
         if isinstance(entry, TmEntry):
-            comps.append(cm if entry.dir is POS else cn)
+            comps.append(cf)
             continue
-        ar = cm.arity
-        mu_pre = Trans(mu.comps[:k])
-        nu_pre = Trans(nu.comps[:k])
-        prefix = tgt_ctx[:k]
-        if entry.tel_dir is POS:
-            alpha = _mid_telad(entry, prefix, mu_pre)
-            if entry.dir is POS:
-                ad = compose_ad(cast_block_vars(cn.ad, alpha, ar), cm.ad)
-                other = cn.forced_ty
-            else:
-                ad = compose_ad(cm.ad, cast_block_vars(cn.ad, alpha, ar))
-                other = cn.forced_ty
-        else:
-            alpha = _mid_telad(entry, prefix, nu_pre)
-            if entry.dir is POS:
-                ad = compose_ad(cn.ad, cast_block_vars(cm.ad, alpha, ar))
-                other = cm.forced_ty
-            else:
-                ad = compose_ad(cast_block_vars(cm.ad, alpha, ar), cn.ad)
-                other = cm.forced_ty
-        comps.append(KAd(ad, other, ar))
+        ar = mu.comps[k].arity
+        alpha = _mid_telad(entry, tgt_ctx[:k], Trans(free_tr.comps[:k]))
+        moved = cast_block_vars(co.ad, alpha, ar)
+        ad = compose_ad(moved, cf.ad) if free_is_ad_source(entry) \
+            else compose_ad(cf.ad, moved)
+        comps.append(KAd(ad, co.forced_ty, ar))
     out = Trans(tuple(comps))
     if check:
         mid1 = trans_target(tgt_ctx, mu)

@@ -10,7 +10,7 @@ entry, and a covariant entry with a contravariant telescope) end to end.
 
 from adaptt.syntax import (
     POS, NEG, TmEntry, TyEntry, Base, TyVarRef, Pi, Ind, Var, Post,
-    Sub, STm, STy, Trans, KTm, KAd, shift, dual_ctx,
+    Sub, STm, STy, Trans, KTm, KAd, shift, dual_ctx, id_sub,
 )
 from adaptt.normalize import apply, conv_ad, ad_src, ad_tgt
 from adaptt.transform import push_ty, trans_source, trans_target
@@ -44,6 +44,14 @@ def test_substitution_instance_is_the_function_type():
     assert apply(GENERIC, TAU) == Pi(B, shift(D, 1, 0))
     check_sub((), SIGMA, PI_CTX)
     check_sub((), TAU, PI_CTX)
+
+
+def test_identity_substitution_checks():
+    # the covariant entry's telescope is contravariant: its component is
+    # checked over the prefix extended at that direction
+    check_sub(PI_CTX, id_sub(PI_CTX), PI_CTX)
+    dual = dual_ctx(PI_CTX)
+    check_sub(dual, id_sub(dual), dual)
 
 
 def test_transformation_endpoints():

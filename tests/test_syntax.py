@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from adaptt.syntax import (
     POS, NEG, Dir, TmEntry, TyEntry, Base, TyVarRef, Pi, Var,
-    dual_ctx, dualize, extend_tel, vinst, id_sub, shift,
+    dual_ctx, extend_tel, vinst, id_sub, shift,
     tm_count, ty_count, Sub, STm, STy,
 )
 from helpers import A, B
@@ -30,7 +30,7 @@ def test_dualize_empty():
 
 def test_dualize_by_pos_is_identity():
     ctx = (TyEntry(NEG, POS, ()), TmEntry(POS, TyVarRef(0, ())))
-    assert dualize(ctx, POS) == ctx
+    assert dual_ctx(ctx, POS) == ctx
 
 
 dirs = st.sampled_from([POS, NEG])
@@ -53,14 +53,16 @@ def test_dualize_involution(ctx):
 
 
 def test_spines_are_self_dual_data():
-    # dualizing a substitution or transformation leaves its components
+    # dualizing the context leaves a transformation's components
     # untouched; the endpoint readings flip with the context instead
-    from adaptt.syntax import Sub, STm, Trans, KTm
-    s = Sub((STm(Var(0)),))
-    tr = Trans((KTm(Var(0)),))
-    assert dualize(s) is s
-    assert dualize(tr) is tr
-    assert dualize(dualize(s)) is s
+    from adaptt.syntax import Post, Trans, KAd
+    from adaptt.transform import trans_source, trans_target
+    ctx = (TyEntry(POS, POS, ()),)
+    tr = Trans((KAd(Post("f", A, B), B, 0),))
+    assert trans_source(ctx, tr) == Sub((STy(A, 0),))
+    assert trans_target(ctx, tr) == Sub((STy(B, 0),))
+    assert trans_source(dual_ctx(ctx), tr) == trans_target(ctx, tr)
+    assert trans_target(dual_ctx(ctx), tr) == trans_source(ctx, tr)
 
 
 def test_extend_by_empty_telescope():
