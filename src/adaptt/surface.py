@@ -1,4 +1,4 @@
-"""Concrete syntax: lexer, recursive-descent parser, surface AST.
+"""Concrete syntax: lexer, binding-power parser, surface AST.
 
 One unified expression grammar covers types, terms and adapters; the
 elaborator sorts expressions by the position they appear in.  Comments
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 
 class ParseError(Exception):
@@ -27,6 +28,7 @@ _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+|--[^\n]*)
   | (?P<punct>\[\[|\]\]|:=|=>|->|\*\*|<\||\^-|[()>{}\[\];:,.=])
   | (?P<name>Ty[+-]|[A-Za-z_][A-Za-z0-9_']*)
+  | (?P<stray>.)
 """, re.VERBOSE)
 
 KEYWORDS = {
@@ -35,34 +37,38 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str   # "name", "kw", or the punctuation itself
-    text: str
-    span: Span
+    __slots__ = ("kind", "text", "span")
+
+    def __init__(self, kind: str, text: str, span: Span):
+        self.kind = kind    # "name", "kw", "eof", or the punctuation itself
+        self.text = text
+        self.span = span
+
+    def __repr__(self) -> str:
+        return f"Token({self.kind!r}, {self.text!r}, {self.span!r})"
 
 
 def lex(text: str) -> list[Token]:
+    """All tokens of ``text`` in one pass, closed by an ``eof`` token; a
+    column is the offset from the start of its line, plus one."""
     out = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise ParseError(f"stray character {text[i]!r}", line, col)
-        chunk = m.group(0)
-        if m.lastgroup == "punct":
-            out.append(Token(chunk, chunk, (line, col)))
-        elif m.lastgroup == "name":
-            kind = "kw" if chunk in KEYWORDS else "name"
-            out.append(Token(kind, chunk, (line, col)))
-        nl = chunk.count("\n")
-        if nl:
-            line += nl
-            col = len(chunk) - chunk.rfind("\n")
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        group, chunk, start = m.lastgroup, m.group(), m.start()
+        if group == "ws":
+            if "\n" in chunk:
+                line += chunk.count("\n")
+                line_start = start + chunk.rfind("\n") + 1
+            continue
+        span = (line, start - line_start + 1)
+        if group == "punct":
+            out.append(Token(chunk, chunk, span))
+        elif group == "name":
+            out.append(Token("kw" if chunk in KEYWORDS else "name", chunk, span))
         else:
-            col += len(chunk)
-        i = m.end()
-    out.append(Token("eof", "", (line, col)))
+            raise ParseError(f"stray character {chunk!r}", *span)
+    out.append(Token("eof", "", (line, len(text) - line_start + 1)))
     return out
 
 
@@ -266,6 +272,28 @@ Decl = (DBase | DPostulate | DVar | DDef | DData | DCheck | DAssertEq
 # Parser
 # ---------------------------------------------------------------------------
 
+#: binding levels, loosest first
+ARROW, STAR, CAST, COMP, JUXT = range(5)
+
+#: infix token -> (its level, the level of its right operand, node).  The
+#: right operand of ``->`` and ``**`` is read at their own level, so they
+#: associate to the right; ``<|`` and ``.`` read one level tighter and
+#: associate to the left.  Juxtaposition, at JUXT, applies at every level
+#: and takes one atom as its right operand.
+INFIX = {
+    "->": (ARROW, ARROW, partial(SArrow, None)),
+    "**": (STAR, STAR, partial(SStar, None)),
+    "<|": (CAST, COMP, SCast),
+    ".": (COMP, JUXT, SComp),
+}
+
+#: texts of the tokens other than names that start an atom
+ATOM_START = frozenset({"(", "fun", "fst", "snd", "id"})
+
+
+def _starts_atom(t: Token) -> bool:
+    return t.kind == "name" or t.text in ATOM_START
+
 
 class Parser:
     def __init__(self, text: str):
@@ -274,21 +302,17 @@ class Parser:
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def at(self, kind: str, text: str | None = None) -> bool:
+        t = self.toks[self.pos]
+        return t.kind == kind and (text is None or t.text == text)
 
     def next(self) -> Token:
-        t = self.peek()
         self.pos += 1
-        return t
-
-    def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.peek()
-        return t.kind == kind and (text is None or t.text == text)
+        return self.toks[self.pos - 1]
 
     def eat(self, kind: str, text: str | None = None) -> Token:
         if not self.at(kind, text):
-            t = self.peek()
+            t = self.toks[self.pos]
             want = text or kind
             raise ParseError(f"expected {want!r}, found {t.text or 'end of input'!r}",
                              t.span[0], t.span[1], expected=(want,))
@@ -297,7 +321,20 @@ class Parser:
     def name(self) -> Token:
         return self.eat("name")
 
+    def names_then_fat_arrow(self) -> tuple[str, ...] | None:
+        """``x y =>``: the names, consumed with the arrow, or None (and
+        nothing consumed) unless one or more names precede ``=>``."""
+        toks, k = self.toks, self.pos
+        while toks[k].kind == "name":
+            k += 1
+        if k == self.pos or toks[k].text != "=>":
+            return None
+        names = tuple(t.text for t in toks[self.pos:k])
+        self.pos = k + 1
+        return names
+
     # -- declarations
+
 
     def file(self) -> list[Decl]:
         out = []
@@ -306,7 +343,7 @@ class Parser:
         return out
 
     def decl(self) -> Decl:
-        t = self.peek()
+        t = self.toks[self.pos]
         if self.at("kw", "base"):
             self.next()
             n = self.name()
@@ -375,7 +412,7 @@ class Parser:
         indices = []
         while self.at("["):
             self.next()
-            if self.at("name") and self.peek(1).text == ":":
+            if self.at("name") and self.toks[self.pos + 1].text == ":":
                 iname = self.name().text
                 self.eat(":")
             else:
@@ -421,7 +458,7 @@ class Parser:
                 bt = self.expr()
                 self.eat(")")
                 binders.append((bn.text, bt))
-            if self.at("name") and self.peek().text in ("Ty+", "Ty-"):
+            if self.at("name") and self.toks[self.pos].text in ("Ty+", "Ty-"):
                 d = self.next().text[-1]
                 return tuple(binders), d
         except ParseError:
@@ -432,8 +469,8 @@ class Parser:
         n = self.name()
         self.eat(":")
         args = []
-        while self.at("(") and self.peek(1).kind == "name" \
-                and self.peek(2).text == ":":
+        while self.at("(") and self.toks[self.pos + 1].kind == "name" \
+                and self.toks[self.pos + 2].text == ":":
             self.next()
             an = self.name()
             self.eat(":")
@@ -447,166 +484,107 @@ class Parser:
 
     # -- expressions
 
-    def expr(self) -> SExpr:
-        return self.arrow()
-
-    def arrow(self) -> SExpr:
-        t = self.peek()
-        binder = self.try_binder()
-        if binder is not None:
-            name, dom, kind = binder
-            rest = self.arrow() if kind == "->" else self.star_tail_after_binder()
-            if kind == "->":
-                return SArrow(name, dom, rest, t.span)
-            return SStar(name, dom, rest, t.span)
-        left = self.star()
-        if self.at("->"):
-            self.next()
-            return SArrow(None, left, self.arrow(), t.span)
-        return left
-
-    def star_tail_after_binder(self) -> SExpr:
-        return self.arrow()
-
-    def try_binder(self):
-        """``(x : A) ->`` or ``(x : A) **`` introduces a binder."""
-        if not self.at("("):
-            return None
-        save = self.pos
-        try:
-            self.next()
-            n = self.name()
-            self.eat(":")
-            dom = self.expr()
-            self.eat(")")
-            if self.at("->") or self.at("**"):
-                kind = self.next().text
-                return n.text, dom, kind
-        except ParseError:
-            pass
-        self.pos = save
-        return None
-
-    def star(self) -> SExpr:
-        t = self.peek()
-        left = self.castlevel()
-        if self.at("**"):
-            self.next()
-            return SStar(None, left, self.star(), t.span)
-        return left
-
-    def castlevel(self) -> SExpr:
-        t = self.peek()
-        out = self.comp()
-        while self.at("<|"):
-            self.next()
-            out = SCast(out, self.comp(), t.span)
-        return out
-
-    def comp(self) -> SExpr:
-        t = self.peek()
-        out = self.juxt()
-        while self.at("."):
-            self.next()
-            out = SComp(out, self.juxt(), t.span)
-        return out
-
-    def juxt(self) -> SExpr:
-        t = self.peek()
-        out = self.postfix()
-        while self.starts_atom():
-            out = SApp(out, self.postfix(), t.span)
-        return out
-
-    def starts_atom(self) -> bool:
-        return (self.at("name") or self.at("(")
-                or self.at("kw", "fun") or self.at("kw", "fst")
-                or self.at("kw", "snd") or self.at("kw", "id"))
-
-    def postfix(self) -> SExpr:
+    def expr(self, level: int = ARROW) -> SExpr:
+        """An expression whose infix operators bind at ``level`` or
+        tighter.  At arrow level it may open with a binder.  Every node
+        built here is spanned by the first token of its left operand."""
+        toks = self.toks
+        first = toks[self.pos]
+        if (level == ARROW and first.text == "("
+                and toks[self.pos + 1].kind == "name"
+                and toks[self.pos + 2].text == ":"):
+            return self.binder(first)
         out = self.atom()
-        while self.at("[["):
-            t = self.next()
-            comps: list[SSpineComp] = []
-            if not self.at("]]"):
-                comps.append(self.spine_comp())
-                while self.at(">"):
-                    self.next()
-                    comps.append(self.spine_comp())
-            self.eat("]]")
-            out = SPush(out, tuple(comps), t.span)
-        return out
+        while True:
+            t = toks[self.pos]
+            op = INFIX.get(t.text)
+            if op is not None:
+                if op[0] < level:
+                    return out
+                self.pos += 1
+                out = op[2](out, self.expr(op[1]), first.span)
+            elif _starts_atom(t):
+                out = SApp(out, self.atom(), first.span)
+            else:
+                return out
 
-    def spine_comp(self) -> SSpineComp:
-        t = self.peek()
-        save = self.pos
-        binders = []
-        while self.at("name"):
-            binders.append(self.next().text)
-        if binders and self.at("=>"):
-            self.next()
-            return SSpineComp(tuple(binders), self.expr(), t.span)
-        self.pos = save
-        return SSpineComp((), self.expr(), t.span)
+    def binder(self, open_: Token) -> SExpr:
+        """``(x : A) -> B`` or ``(x : A) ** B``, committed to on the
+        lookahead ``( name :``; both bodies are arrow-level.  When no
+        binder follows after all, the colon is where the expression
+        ``(x`` should have closed."""
+        toks = self.toks
+        colon = toks[self.pos + 2]
+        name = toks[self.pos + 1].text
+        self.pos += 3
+        try:
+            dom = self.expr()
+        except ParseError:
+            dom = None
+        if (dom is None or toks[self.pos].text != ")"
+                or toks[self.pos + 1].text not in ("->", "**")):
+            raise ParseError("expected ')', found ':'", colon.span[0],
+                             colon.span[1], expected=(")",))
+        node = SArrow if toks[self.pos + 1].text == "->" else SStar
+        self.pos += 2
+        return node(name, dom, self.expr(), open_.span)
 
     def atom(self) -> SExpr:
-        t = self.peek()
-        if self.at("kw", "fun"):
-            self.next()
+        """One atom with the spine pushes ``[[ ... ]]`` that follow it."""
+        toks = self.toks
+        t = toks[self.pos]
+        if t.kind == "name":
+            self.pos += 1
+            out = SName(t.text, t.span)
+        elif t.text == "(":
+            self.pos += 1
+            binders = self.names_then_fat_arrow()
+            if binders is not None:
+                out = SFam(binders, self.expr(), t.span)
+            else:
+                out = self.expr()
+                if self.at(","):
+                    self.pos += 1
+                    snd = self.expr()
+                    self.eat(":")
+                    out = SPair(out, snd, self.expr(), t.span)
+            self.eat(")")
+        elif t.text == "fun":
+            self.pos += 1
             self.eat("(")
             n = self.name()
             self.eat(":")
             dom = self.expr()
             self.eat(")")
             self.eat("=>")
-            body = self.expr()
-            return SFun(n.text, dom, body, t.span)
-        if self.at("kw", "fst"):
-            self.next()
-            return SFst(self.postfix(), t.span)
-        if self.at("kw", "snd"):
-            self.next()
-            return SSnd(self.postfix(), t.span)
-        if self.at("kw", "id"):
-            self.next()
-            if self.starts_atom():
-                return SId(self.postfix(), t.span)
-            return SId(None, t.span)
-        if self.at("name"):
-            n = self.next()
-            return SName(n.text, n.span)
-        if self.at("("):
-            self.next()
-            fam = self.try_family(t.span)
-            if fam is not None:
-                return fam
-            first = self.expr()
-            if self.at(","):
-                self.next()
-                snd = self.expr()
-                self.eat(":")
-                ty = self.expr()
-                self.eat(")")
-                return SPair(first, snd, ty, t.span)
-            self.eat(")")
-            return first
-        raise ParseError(f"expected an expression, found {t.text or 'end of input'!r}",
-                         t.span[0], t.span[1],
-                         expected=("name", "(", "fun", "fst", "snd", "id"))
+            out = SFun(n.text, dom, self.expr(), t.span)
+        elif t.text in ("fst", "snd"):
+            self.pos += 1
+            out = (SFst if t.text == "fst" else SSnd)(self.atom(), t.span)
+        elif t.text == "id":
+            self.pos += 1
+            at = self.atom() if _starts_atom(toks[self.pos]) else None
+            out = SId(at, t.span)
+        else:
+            raise ParseError(f"expected an expression, found {t.text or 'end of input'!r}",
+                             t.span[0], t.span[1],
+                             expected=("name", "(", "fun", "fst", "snd", "id"))
+        while toks[self.pos].text == "[[":
+            push = self.next()
+            comps: list[SSpineComp] = []
+            if not self.at("]]"):
+                comps.append(self.spine_comp())
+                while self.at(">"):
+                    self.pos += 1
+                    comps.append(self.spine_comp())
+            self.eat("]]")
+            out = SPush(out, tuple(comps), push.span)
+        return out
 
-    def try_family(self, span: Span) -> SFam | None:
-        """After an open paren: ``x y => T )`` is a type family."""
-        save = self.pos
-        binders = []
-        while self.at("name"):
-            binders.append(self.next().text)
-        if binders and self.at("=>"):
-            self.next()
-            body = self.expr()
-            self.eat(")")
-            return SFam(tuple(binders), body, span)
-        self.pos = save
-        return None
+    def spine_comp(self) -> SSpineComp:
+        t = self.toks[self.pos]
+        binders = self.names_then_fat_arrow()
+        return SSpineComp(binders or (), self.expr(), t.span)
 
 
 def parse(text: str) -> list[Decl]:
