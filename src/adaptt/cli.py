@@ -154,7 +154,7 @@ def cmd_selftest(args) -> int:
     return OK if bad == 0 else TYPE_ERROR
 
 
-def main(argv: list[str] | None = None) -> int:
+def _arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="adaptt",
         description="Type theory with first-class structural type casts")
@@ -179,9 +179,17 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--bindings", required=True)
 
     sub.add_parser("selftest", help="run the stock computation rows")
+    return ap
 
+
+#: built once at import; ``parse_args`` and ``print_help`` only read it,
+#: and nothing may mutate it after this line
+ARG_PARSER = _arg_parser()
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = ap.parse_args(argv)
+        args = ARG_PARSER.parse_args(argv)
     except SystemExit:
         return USAGE
     handlers = {
@@ -192,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
         "selftest": cmd_selftest,
     }
     if args.cmd not in handlers:
-        ap.print_help()
+        ARG_PARSER.print_help()
         return USAGE
     try:
         return handlers[args.cmd](args)
