@@ -526,11 +526,12 @@ def conv_ty(ctx: Context, a: Type, b: Type) -> bool:
 
 def _entry_tel_here(ctx: Context, index: int) -> Telescope:
     """Telescope of type-variable entry ``index`` shifted to ``ctx``
-    (read against the tel-dir dual, which does not move indices)."""
+    (read against the tel-dir dual, which does not move indices).  The
+    telescope is shifted as one node, so references between its own
+    entries stay put."""
     pos = entry_position(ctx, TyEntry, index)
     rest = ctx[pos + 1:]
-    d_tm, d_ty = tm_count(rest), 1 + ty_count(rest)
-    return tuple(shift(t, d_tm, d_ty) for t in ctx[pos].tel)
+    return shift(ctx[pos].tel, tm_count(rest), 1 + ty_count(rest))
 
 
 def tm_entry_type(ctx: Context, index: int) -> Type:
