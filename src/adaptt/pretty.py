@@ -13,7 +13,7 @@ from .syntax import (
     Context, TmEntry, TyEntry, desc, scoped,
 )
 
-LOW, COMP, APP, ATOM = 0, 1, 2, 3
+LOW, STAR, COMP, APP, ATOM = 0, 1, 2, 3, 4
 
 _TM_POOL = ["x", "y", "z", "u", "v", "w"]
 _TY_POOL = ["X", "Y", "Z", "U", "V", "W"]
@@ -115,8 +115,11 @@ def render(x, env: Env, level: int = LOW) -> str:
                 env2, n = env.push("tm")
                 s = f"({n} : {render(fst, env, LOW)}) ** {render(snd, env2, LOW)}"
             else:
+                # the right operand of a plain ``**`` is read at star
+                # level: a function type there needs parentheses
                 env2, _ = env.push("tm", "_")
-                s = f"{render(fst, env, APP)} ** {render(snd, env2, LOW)}"
+                s = f"{render(fst, env, APP)} ** {render(snd, env2, STAR)}"
+                return _wrap(s, STAR, level)
             return _wrap(s, LOW, level)
         case Ind(name, params, indices):
             args = [_spine_str(c, env) for c in params.comps]

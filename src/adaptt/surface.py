@@ -45,9 +45,6 @@ class Token:
         self.text = text
         self.span = span
 
-    def __repr__(self) -> str:
-        return f"Token({self.kind!r}, {self.text!r}, {self.span!r})"
-
 
 def lex(text: str) -> list[Token]:
     """All tokens of ``text`` in one pass, closed by an ``eof`` token; a
@@ -458,7 +455,7 @@ class Parser:
                 bt = self.expr()
                 self.eat(")")
                 binders.append((bn.text, bt))
-            if self.at("name") and self.toks[self.pos].text in ("Ty+", "Ty-"):
+            if self.toks[self.pos].text in ("Ty+", "Ty-"):
                 d = self.next().text[-1]
                 return tuple(binders), d
         except ParseError:

@@ -2,12 +2,12 @@
 generators' ambient context, ``pretty.tm_string`` followed by
 ``elaborate.elab_expr_in`` gives back the same interned term."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adaptt import surface as S, elaborate as E, pretty as P
-from adaptt.inductive import nat
+from adaptt.inductive import nat, nat_zero
 from adaptt.normalize import nf
-from adaptt.syntax import Base, Cast, Ind, Pi, Sig, Sub, STy, shift
+from adaptt.syntax import Base, Cast, Ind, Lam, Pair, Pi, Sig, Sub, STy, shift
 
 from gen import AMBIENT, AMBIENT_NAMES, BASES, Gen, path_adapter, pos_var
 
@@ -68,6 +68,9 @@ def terms(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(terms())
+# a function type to the right of a plain ``**`` must be parenthesized
+@example(Pair(Sig(nat(), Pi(Base("A"), nat())), nat_zero(),
+              Lam(Base("A"), nat_zero())))
 def test_printed_term_parses_back_to_itself(tm):
     printed = P.tm_string(AMBIENT, tm, AMBIENT_NAMES)
     again, _ = E.elab_expr_in(SCOPE, printed)
