@@ -1,25 +1,32 @@
 """Batch command-line front end.
 
 Exit status: 0 success, 1 type or conversion error, 2 parse error,
-3 oracle failure, 4 usage error.
+3 oracle failure, 4 usage error, 5 input nested too deeply.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextvars
 import json
 import os
 import sys
 
 from . import surface, elaborate, pretty, normalize, setmodel
 from .check import CheckError
+from .inductive import builtin_descs
 from .surface import ParseError
+from .syntax import SESSION, Session
 
 OK = 0
 TYPE_ERROR = 1
 PARSE_ERROR = 2
 ORACLE_FAILURE = 3
 USAGE = 4
+TOO_DEEP = 5
+
+#: the stock datatypes, checked at import; each command starts from a copy
+_STOCK = {d.name: d for d in builtin_descs()}
 
 
 def _read(path: str) -> str:
@@ -35,22 +42,8 @@ def _load(path: str):
     return surface.parse(_read(path))
 
 
-def _trace_on(args) -> bool:
-    return bool(getattr(args, "trace", False) or os.environ.get("ADAPTT_TRACE"))
-
-
-def _with_trace(args, fn):
-    if _trace_on(args):
-        normalize.set_trace(lambda rule, path: print(f"RULE {rule} AT {path}"))
-    try:
-        return fn()
-    finally:
-        normalize.set_trace(None)
-
-
 def cmd_check(args) -> int:
-    decls = _load(args.file)
-    out = _with_trace(args, lambda: elaborate.elab_file(decls))
+    out = elaborate.elab_file(_load(args.file))
     failures = 0
     for ctx, names, lhs, rhs, ty, span in out.asserts:
         if normalize.conv_tm(ctx, ty, lhs, rhs):
@@ -69,7 +62,7 @@ def cmd_check(args) -> int:
 
 def cmd_norm(args) -> int:
     sc = elaborate.elab_file(_load(args.file)).scope
-    tm, ty = _with_trace(args, lambda: elaborate.elab_expr_in(sc, args.expr))
+    tm, ty = elaborate.elab_expr_in(sc, args.expr)
     names = list(sc.names)
     print(pretty.tm_string(sc.ctx, normalize.nf(tm).value, names))
     print(f": {pretty.ty_string(sc.ctx, ty, names)}")
@@ -145,7 +138,7 @@ def cmd_model(args) -> int:
 
 def cmd_selftest(args) -> int:
     from . import golden
-    results = _with_trace(args, golden.run)
+    results = golden.run()
     bad = 0
     for label, ok in results:
         print(f"{'OK  ' if ok else 'FAIL'} {label}")
@@ -202,14 +195,27 @@ def main(argv: list[str] | None = None) -> int:
     if args.cmd not in handlers:
         ARG_PARSER.print_help()
         return USAGE
+    return contextvars.copy_context().run(_run, handlers[args.cmd], args)
+
+
+def _run(handler, args) -> int:
+    """The one error boundary, in a fresh session: the stock datatypes,
+    and the ``RULE`` printer under ``--trace``, else the caller's sink."""
+    sink = SESSION.get().sink
+    if args.trace or os.environ.get("ADAPTT_TRACE"):
+        sink = lambda rule, path: print(f"RULE {rule} AT {path}")
+    SESSION.set(Session(dict(_STOCK), sink))
     try:
-        return handlers[args.cmd](args)
+        return handler(args)
     except ParseError as e:
         print(f"ERROR Parse {args.file}:{e.line}:{e.col} {e.message}")
         return PARSE_ERROR
     except CheckError as e:
         print(e.diag.render(args.file))
         return TYPE_ERROR
+    except RecursionError:
+        print(f"ERROR TooDeep {args.file} input nested too deeply")
+        return TOO_DEEP
     except FileNotFoundError as e:
         print(f"ERROR NoSuchFile {e.filename}")
         return USAGE

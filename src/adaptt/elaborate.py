@@ -24,7 +24,7 @@ from .syntax import (
     Base, TyVarRef, Pi, Sig, Ind, Var, Lam, Pair, Con,
     AdId, Post, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd,
-    RecDesc, ConDesc, IndDesc, DESC_TABLE, desc,
+    RecDesc, ConDesc, IndDesc, SESSION, desc,
     dual_ctx, shift, vinst,
 )
 
@@ -117,8 +117,8 @@ def _elab_ty_head(head: S.SName, args: list[S.SExpr], sc: Scope):
             raise _err("ArityMismatch", f"base type {name} takes no arguments",
                        head.span)
         return sc.bases[name]
-    if name in DESC_TABLE:
-        d = desc(name)
+    d = SESSION.get().descs.get(name)
+    if d is not None:
         want = len(d.params_ctx) + len(d.index_tel)
         if len(args) != want:
             raise _err("ArityMismatch",
@@ -258,9 +258,9 @@ def _elab_push(head: S.SExpr, comps, span, sc: Scope, want_src, pol=POS):
         raise _err("Syntax", "expected a named adapter former", span)
     if head.name in ("Pi", "Sig"):
         return _elab_pi_sig_ad(head.name, comps, span, sc, want_src, pol)
-    if head.name not in DESC_TABLE:
+    d = SESSION.get().descs.get(head.name)
+    if d is None:
         raise _err("UnboundVariable", f"unknown datatype {head.name}", span)
-    d = desc(head.name)
     if len(comps) != len(d.full_ctx):
         raise _err("ArityMismatch",
                    f"{head.name} adapter expects {len(d.full_ctx)} components",
@@ -481,7 +481,7 @@ class Elaborated:
 def elab_file(decls: list[S.Decl]) -> Elaborated:
     from .inductive import register
     sc = Scope()
-    for dname, d in DESC_TABLE.items():
+    for dname, d in SESSION.get().descs.items():
         for i, c in enumerate(d.cons):
             sc.constructors.setdefault(c.name, (dname, i))
     out = Elaborated(sc)
@@ -520,10 +520,10 @@ def elab_file(decls: list[S.Decl]) -> Elaborated:
                     sc.defs[name] = (m, t)
                 case S.DData(_, _, _, _, span):
                     d = elab_data(decl, sc)
-                    if DESC_TABLE.get(d.name, d) is not d:
-                        raise _err("Redefinition", f"datatype {d.name} is "
-                                   f"already defined differently", span)
-                    register(d)
+                    try:
+                        register(d)
+                    except ValueError as e:
+                        raise _err("Redefinition", str(e), span) from None
                     out.datas.append(d.name)
                     for i, c in enumerate(d.cons):
                         if sc.constructors.get(c.name) != (d.name, i):
@@ -567,7 +567,7 @@ def elab_file(decls: list[S.Decl]) -> Elaborated:
 
 def _fresh(sc: Scope, name: str, span):
     if (name in sc.bases or name in sc.posts or name in sc.constructors
-            or name in sc.defs or name in DESC_TABLE):
+            or name in sc.defs or name in SESSION.get().descs):
         raise _err("Redefinition", f"name {name} is already in use", span)
 
 

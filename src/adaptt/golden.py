@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from .syntax import (
     POS, NEG, Context, TmEntry, TyEntry, Base, TyVarRef, Pi, Ind,
     Var, Cast, Con, Post, Sub, STm, STy, Trans, KTm, KAd,
-    RecDesc, ConDesc, IndDesc, DESC_TABLE, shift,
+    RecDesc, ConDesc, IndDesc, desc, shift,
 )
 from .normalize import nf, conv_tm
-from .inductive import ind_adapter, nat, nat_zero, nat_succ, register
+from .inductive import cast_con, ind_adapter, nat, nat_zero, nat_succ, register
+from .transform import trans_target
 
 A = Base("GA")
 B = Base("GB")
@@ -43,8 +44,7 @@ def tree_desc() -> IndDesc:
 
 
 def ensure_tree() -> None:
-    if "Tree" not in DESC_TABLE:
-        register(tree_desc())
+    register(tree_desc())
 
 
 @dataclass(frozen=True)
@@ -128,19 +128,12 @@ def run() -> list[tuple[str, bool]]:
     """Evaluate every row: the raw cast node must convert to the derived
     constructor form, and the derived form must again be a constructor
     at the transformation's target parameters."""
-    from .inductive import cast_con
     results = []
     for r in rows():
-        lhs = Cast(r.term, r.adapter)
-        rhs = cast_con(r.term, r.adapter.trans) \
-            if r.adapter.__class__.__name__ == "IndAd" else r.term
-        ok = conv_tm(r.ctx, r.result_ty, nf(lhs).value, rhs)
-        if isinstance(rhs, Con):
-            from .transform import trans_target
-            from .syntax import desc
-            d = desc(rhs.desc)
-            npar = len(d.params_ctx)
-            mu = Trans(r.adapter.trans.comps[:npar])
-            ok = ok and rhs.params == trans_target(d.params_ctx, mu)
+        rhs = cast_con(r.term, r.adapter.trans)
+        ok = conv_tm(r.ctx, r.result_ty, nf(Cast(r.term, r.adapter)).value, rhs)
+        d = desc(rhs.desc)
+        mu = Trans(r.adapter.trans.comps[:len(d.params_ctx)])
+        ok = ok and rhs.params == trans_target(d.params_ctx, mu)
         results.append((r.label, ok))
     return results

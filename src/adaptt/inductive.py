@@ -15,7 +15,7 @@ from .syntax import (
     POS, NEG, Context, TmEntry, TyEntry, Telescope, TelAd, Inst,
     Type, TyVarRef, Ind, Term, Var, Con, Adapter, Post,
     Sub, STm, STy, Trans, KTm, KAd,
-    RecDesc, ConDesc, IndDesc, DESC_TABLE, desc, install_desc,
+    RecDesc, ConDesc, IndDesc, SESSION, desc,
     extend_tel, shift, id_sub, vinst,
 )
 from .normalize import KernelError, apply, apply_tel, pi_tel, replayed_cache
@@ -150,10 +150,13 @@ def ind_adapter(name: str, mu: Trans, src_indices: Inst) -> Adapter:
 
 def register(d: IndDesc) -> None:
     """Checked registration: re-verifies every well-formedness premise of
-    the signature sorts, then installs the description."""
+    the signature sorts, then installs the description in the current
+    session.  Re-registering the same description is a no-op; a different
+    one under a name already taken raises ``ValueError``."""
     from . import check
     check.check_desc(d)
-    install_desc(d)
+    if SESSION.get().descs.setdefault(d.name, d) is not d:
+        raise ValueError(f"datatype {d.name} is already defined differently")
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +221,7 @@ def builtin_descs() -> tuple[IndDesc, ...]:
 
 def install_builtins() -> None:
     for d in builtin_descs():
-        if d.name not in DESC_TABLE:
-            register(d)
+        register(d)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .syntax import (
     Adapter, AdId, Chain, Post, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd,
     dual_ctx, extend_tm, fv_bounds, map_scoped, scoped, shift,
-    entry_position, tm_count, ty_count, desc,
+    entry_position, tm_count, ty_count, desc, SESSION,
 )
 
 
@@ -80,21 +80,18 @@ RULES = frozenset({
     "FUSE_IND",        # conv-side: ind{{n}} . ind{{m}} == ind{{n o m}}
 })
 
-_trace_sink = None
-_trace_path: list[str] = []
-
 
 def set_trace(sink) -> None:
-    """Install a callable receiving (rule_name, path) per rewrite step,
-    or None to disable tracing."""
-    global _trace_sink
-    _trace_sink = sink
+    """Install a callable receiving (rule_name, path) per rewrite step in
+    the current session, or None to disable tracing."""
+    SESSION.get().sink = sink
 
 
 def note(rule: str) -> None:
-    if _trace_sink is not None:
+    s = SESSION.get()
+    if s.sink is not None:
         assert rule in RULES, rule
-        _trace_sink(rule, "/".join(_trace_path) or ".")
+        s.sink(rule, "/".join(s.path) or ".")
 
 
 class at:
@@ -104,17 +101,18 @@ class at:
         self.seg = seg
 
     def __enter__(self):
-        _trace_path.append(self.seg)
+        SESSION.get().path.append(self.seg)
 
     def __exit__(self, *exc):
-        _trace_path.pop()
+        SESSION.get().path.pop()
 
 
 def _replay(rules) -> None:
-    if _trace_sink is not None:
-        path = "/".join(_trace_path) or "."
+    s = SESSION.get()
+    if s.sink is not None:
+        path = "/".join(s.path) or "."
         for rule in rules:
-            _trace_sink(rule, path)
+            s.sink(rule, path)
 
 
 def replayed_cache(maxsize: int | None):
@@ -125,23 +123,22 @@ def replayed_cache(maxsize: int | None):
     trace and its rule counts are therefore those of the uncached program,
     whatever ran earlier in the process.  Cached computations never enter
     an ``at`` marker, so the replayed notes share the caller's path.  The
-    sink is swapped here directly, not through ``set_trace``, so that a
-    wrapper around ``set_trace`` never sees the recording sink."""
+    session's sink is swapped here directly, not through ``set_trace``, so
+    that a wrapper around ``set_trace`` never sees the recording sink."""
     def decorate(fn):
         @lru_cache(maxsize=maxsize)
         def recorded(*args):
-            global _trace_sink
+            s = SESSION.get()
             rules: list[str] = []
-            outer = _trace_sink
-            _trace_sink = lambda rule, _path: rules.append(rule)
+            outer, s.sink = s.sink, lambda rule, _path: rules.append(rule)
             try:
                 out = fn(*args)
             except BaseException:
                 # a failed computation is not cached: report its steps now
-                _trace_sink = outer
+                s.sink = outer
                 _replay(rules)
                 raise
-            _trace_sink = outer
+            s.sink = outer
             return out, tuple(rules)
 
         @wraps(fn)

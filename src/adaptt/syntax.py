@@ -31,7 +31,8 @@ Representation choices that the rest of the kernel relies on:
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, fields
+from contextvars import ContextVar
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from enum import Enum
 from typing import Union
@@ -655,22 +656,23 @@ class IndDesc:
         return extend_tel(self.params_ctx, POS, self.index_tel)
 
 
-# The global description table: append-only, registration precedes use.
-DESC_TABLE: dict[str, IndDesc] = {}
+@dataclass
+class Session:
+    """State of one command: the datatype table by name, the trace sink
+    (called with rule name and path per rewrite step, or None) and the
+    stack of trace-path segments."""
+    descs: dict[str, IndDesc]
+    sink: object = None
+    path: list[str] = field(default_factory=list)
+
+
+#: the current session; by default the root one, which holds the stock
+#: datatypes for library callers
+SESSION: ContextVar[Session] = ContextVar("SESSION", default=Session({}))
 
 
 def desc(name: str) -> IndDesc:
     try:
-        return DESC_TABLE[name]
+        return SESSION.get().descs[name]
     except KeyError:
         raise KeyError(f"unregistered datatype {name!r}") from None
-
-
-def install_desc(d: IndDesc) -> None:
-    """Raw table insertion; idempotent on structurally equal re-entry.
-    Checked registration lives in the inductive engine."""
-    old = DESC_TABLE.get(d.name)
-    if old is not None and old != d:
-        raise ValueError(f"datatype {d.name!r} already registered differently")
-    DESC_TABLE[d.name] = d
-

@@ -393,7 +393,7 @@ def test_criterion_trace_audit():
 
 def test_criterion_surface_roundtrip():
     from adaptt import surface as S, elaborate as E, pretty as P
-    from adaptt.syntax import DESC_TABLE
+    from adaptt.syntax import desc
     from adaptt.inductive import builtin_descs
     checked = 0
     for path in ("corpus/prelude.adt", "corpus/casts.adt", "corpus/tree.adt"):
@@ -409,9 +409,9 @@ def test_criterion_surface_roundtrip():
                 checked += 1
     stock = {d.name: d for d in builtin_descs()}
     for name, d in stock.items():
-        assert DESC_TABLE[name] == d
+        assert desc(name) == d
         out = E.elab_file(S.parse(P.data_decl_string(d)))
-        assert DESC_TABLE[name] == d
+        assert desc(name) == d
         checked += 1
     report("surface-roundtrip",
            f"{checked} expressions and declarations round-trip")

@@ -11,6 +11,7 @@ import pytest
 
 import adaptt  # noqa: F401  (registers the stock datatypes)
 from adaptt import cli
+from test_trace_golden import COMMANDS
 
 
 def run(argv):
@@ -125,35 +126,42 @@ def test_trace_flag_emits_rule_lines():
                for line in out.splitlines())
 
 
-_TRACE_TWICE = """
+_RUN_ALL = """
 import contextlib, io, json, sys
 from adaptt import cli
 outs = []
-for path in sys.argv[1:]:
-    for _ in range(2):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = cli.main(["--trace", "check", path])
-        outs.append([code, buf.getvalue()])
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    outs.append([code, buf.getvalue()])
 print(json.dumps(outs))
 """
 
 
-def test_trace_does_not_depend_on_process_history():
-    # a fresh interpreter, so the first run of each file sees cold caches;
-    # cached kernel computations replay their rule notes, so the second
-    # run prints the same trace
-    paths = [f"corpus/{name}.adt"
-             for name in ("casts", "prelude", "tree", "broken")]
+def in_fresh_interpreter(argvs):
+    """``[code, stdout]`` of each ``cli.main(argv)``, run in order in one
+    new interpreter."""
     src = os.path.dirname(os.path.dirname(adaptt.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", _TRACE_TWICE, *paths],
+    proc = subprocess.run([sys.executable, "-c", _RUN_ALL, json.dumps(argvs)],
                           capture_output=True, text=True, env=env, check=True)
-    outs = json.loads(proc.stdout)
-    for k, path in enumerate(paths):
+    return json.loads(proc.stdout)
+
+
+def test_trace_does_not_depend_on_process_history():
+    # a fresh interpreter, so the first run of each command sees cold
+    # caches; cached kernel computations replay their rule notes, so the
+    # second run prints the same trace
+    argvs = [["--trace", "check", f"corpus/{name}.adt"]
+             for name in ("casts", "prelude", "tree", "broken")]
+    argvs += [["--trace", *argv] for argv in COMMANDS.values()
+              if argv[0] != "check"]
+    outs = in_fresh_interpreter([argv for argv in argvs for _ in range(2)])
+    for k, argv in enumerate(argvs):
         first, second = outs[2 * k], outs[2 * k + 1]
-        assert first == second, path
-        assert first == list(run(["--trace", "check", path])), path
+        assert first == second, argv
+        assert first == list(run(argv)), argv
 
 
 def test_redefining_a_stock_datatype_is_a_diagnostic(tmp_path):
@@ -165,13 +173,29 @@ def test_redefining_a_stock_datatype_is_a_diagnostic(tmp_path):
                    f"defined differently\n")
 
 
-def test_redefining_a_datatype_from_an_earlier_file_is_a_diagnostic(tmp_path):
-    first = tmp_path / "first.adt"
-    first.write_text("data Box (X : Ty+) {\n  box : (x : X) -> Box X\n}\n")
-    second = tmp_path / "second.adt"
-    second.write_text("base A ;\n\ndata Box (X : Ty+) {\n  empty : Box X\n}\n")
-    assert run(["check", str(first)])[0] == 0
-    code, out = run(["check", str(second)])
-    assert code == 1
-    assert out == (f"ERROR Redefinition {second}:3:1 datatype Box is already "
-                   f"defined differently\n")
+#: per file: the constructors of its own ``Box``, and a ``Box A`` cell
+#: with its cast along ``f``; both files declare the same ``Foo`` over it
+_BOXES = {
+    "c1.adt": ("box : (x : X) -> Box X", "box A a", "box B (a <| f)"),
+    "c2.adt": ("empty : Box X ;\n  two : (x : X) (y : X) -> Box X",
+               "two A a a", "two B (a <| f) (a <| f)"),
+}
+
+
+def test_checking_a_file_does_not_depend_on_earlier_files(tmp_path):
+    # the memoized casts of Foo's constructor are shared by both files;
+    # the datatype table is not
+    argvs = []
+    for name, (cons, cell, cast_cell) in _BOXES.items():
+        path = tmp_path / name
+        path.write_text(
+            "base A ;\nbase B ;\npostulate adapter f : A => B ;\n"
+            "var a : A ;\n\n"
+            f"data Box (X : Ty+) {{\n  {cons}\n}}\n\n"
+            "data Foo (X : Ty+) {\n  foo : (b : Box X) -> Foo X\n}\n\n"
+            f"asserteq foo A ({cell}) <| Foo [[ f ]] = foo B ({cast_cell}) "
+            ": Foo B ;\n")
+        argvs.append(["--trace", "check", str(path)])
+    fresh = [in_fresh_interpreter([argv])[0] for argv in argvs]
+    assert [code for code, _ in fresh] == [0, 0]
+    assert in_fresh_interpreter(argvs * 2) == fresh * 2

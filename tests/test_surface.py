@@ -7,7 +7,7 @@ import pytest
 import adaptt  # noqa: F401  (registers the stock datatypes)
 from adaptt import surface as S, elaborate as E, pretty as P
 from adaptt.surface import ParseError
-from adaptt.syntax import DESC_TABLE, desc, TyVarRef, Var
+from adaptt.syntax import desc, TyVarRef, Var
 from adaptt.inductive import builtin_descs
 
 def elab(text: str):
@@ -47,7 +47,7 @@ def test_elaboration_matches_stock_signatures():
     stock = {d.name: d for d in builtin_descs()}
     assert set(out.datas) == set(stock)
     for name, d in stock.items():
-        assert DESC_TABLE[name] == d
+        assert desc(name) == d
 
 
 def test_positivity_rejected_left_of_arrow():
@@ -163,4 +163,4 @@ def test_roundtrip_data_declarations():
         d = desc(name)
         text = P.data_decl_string(d)
         out = elab(text)
-        assert DESC_TABLE[name] == d
+        assert desc(name) == d
