@@ -20,13 +20,10 @@ from .syntax import (
     dual_ctx, extend_tm, extend_tel, shift, id_sub, desc, entry_position,
 )
 from .normalize import (
-    apply, apply_tel, open_tm_block, cast, conv_ty,
+    apply, apply_tel, open_tm_block, cast, conv_ty, fst_, ad_src, ad_tgt,
     tm_entry_type, _entry_tel_here,
 )
-from .transform import (
-    comp_ctx, free_is_ad_source, free_is_source, _mid_telad,
-    trans_source, trans_target,
-)
+from .transform import free_is_ad_source, spine_slots, _mid_telad
 
 
 @dataclass(frozen=True)
@@ -180,7 +177,6 @@ def infer_tm(ctx: Context, t: Term) -> Type:
             if not isinstance(pty, Sig):
                 _fail("ClassifierMismatch", "projection of a non-pair",
                       expected="a pair type", actual=pty)
-            from .normalize import fst_
             return open_tm_block(pty.snd, (fst_(p),))
         case Cast(tm, ad):
             tty = infer_tm(ctx, tm)
@@ -233,7 +229,7 @@ def check_ad(ctx: Context, ad: Adapter) -> tuple[Type, Type]:
             _demand_conv_ty(dual_ctx(ctx), dat, src.dom, "domain adapter target")
             ext = extend_tm(ctx, NEG, tgt.dom)
             cas, cat = check_ad(ext, cod_ad)
-            expected = apply(src.cod, _precomp_sub(ctx, tgt.dom, dom_ad))
+            expected = apply(src.cod, _block_adjust_sub(ctx, (dom_ad,)))
             _demand_conv_ty(ext, cas, expected, "codomain adapter source")
             _demand_conv_ty(ext, cat, tgt.cod, "codomain adapter target")
             return src, tgt
@@ -249,29 +245,22 @@ def check_ad(ctx: Context, ad: Adapter) -> tuple[Type, Type]:
             ext = extend_tm(ctx, POS, src.fst)
             sas, sat = check_ad(ext, snd_ad)
             _demand_conv_ty(ext, sas, src.snd, "second adapter source")
-            expected = apply(tgt.snd, _precomp_sub(ctx, src.fst, fst_ad))
+            expected = apply(tgt.snd, _block_adjust_sub(ctx, (fst_ad,)))
             _demand_conv_ty(ext, sat, expected, "second adapter target")
             return src, tgt
         case IndAd(name, trans):
             d = desc(name)
             check_trans(ctx, trans, d.full_ctx)
-            from .normalize import ad_src, ad_tgt
             return ad_src(ad), ad_tgt(ad)
         case _:
             _fail("IllFormed", f"not an adapter: {ad!r}")
 
 
-def _precomp_sub(ctx: Context, new_dom: Type, ad: Adapter) -> Sub:
-    """Spine ctx |> new_dom -> ctx |> other end: weaken the identity and
-    cast the bound variable along the (weakened) adapter."""
-    comps = tuple(shift(c, 1, 0) for c in id_sub(ctx).comps)
-    return Sub(comps + (STm(cast(Var(0), shift(ad, 1, 0))),))
-
-
-def _block_adjust_sub(ctx: Context, tel_src: Telescope, alpha) -> Sub:
-    """Spine ctx |> tel_src -> ctx |> tel_tgt casting each block variable
-    along the matching telescope-adapter component."""
-    k = len(tel_src)
+def _block_adjust_sub(ctx: Context, alpha) -> Sub:
+    """Spine ctx |> tel_src -> ctx |> tel_tgt for a telescope adapter
+    ``alpha`` from tel_src to tel_tgt: weaken the identity and cast each
+    block variable along the matching (weakened) component."""
+    k = len(alpha)
     comps = list(shift(c, k, 0) for c in id_sub(ctx).comps)
     for p in range(k):
         comps.append(STm(cast(Var(k - 1 - p), shift(alpha[p], k - p, 0))))
@@ -287,7 +276,7 @@ def check_telad(ctx: Context, ads, src_tel: Telescope, tgt_tel: Telescope) -> No
         comp_ctx = extend_tel(ctx, POS, src_tel[:k])
         s, t = check_ad(comp_ctx, ad)
         _demand_conv_ty(comp_ctx, s, src_tel[k], "telescope adapter source")
-        adj = _block_adjust_sub(ctx, src_tel[:k], ads[:k])
+        adj = _block_adjust_sub(ctx, ads[:k])
         _demand_conv_ty(comp_ctx, t, apply(tgt_tel[k], adj),
                         "telescope adapter target")
 
@@ -301,59 +290,44 @@ def check_sub(ctx: Context, sub: Sub, tgt: Context) -> None:
     if len(sub.comps) != len(tgt):
         _fail("ArityMismatch",
               f"substitution has {len(sub.comps)} components for a context of {len(tgt)}")
-    for k, (entry, c) in enumerate(zip(tgt, sub.comps)):
-        pre = Sub(sub.comps[:k])
+    for entry, c, here, want in spine_slots(ctx, tgt, sub):
         if isinstance(entry, TmEntry):
             if not isinstance(c, STm):
                 _fail("ArityMismatch", "term entry needs a term component")
-            want = apply(entry.ty, pre)
-            got = infer_tm(dual_ctx(ctx, entry.dir), c.tm)
-            _demand_conv_ty(dual_ctx(ctx, entry.dir), got, want,
+            _demand_conv_ty(here, infer_tm(here, c.tm), want,
                             "substitution component")
         else:
             if not isinstance(c, STy):
                 _fail("ArityMismatch", "type entry needs a type component")
             if c.arity != len(entry.tel):
                 _fail("ArityMismatch", "type component arity mismatch")
-            check_ty(comp_ctx(ctx, entry, apply_tel(entry.tel, pre)), c.ty)
+            check_ty(here, c.ty)
 
 
 def check_trans(ctx: Context, tr: Trans, tgt: Context) -> None:
+    """Each component against the direction table: a term component at
+    its free side's type; an adapter component over its free side's
+    telescope block, its forced end the stored other adjusted along the
+    telescope adapter of the prefix."""
     if len(tr.comps) != len(tgt):
         _fail("ArityMismatch",
               f"transformation has {len(tr.comps)} components for a context of {len(tgt)}")
-    for k, (entry, c) in enumerate(zip(tgt, tr.comps)):
-        pre = Trans(tr.comps[:k])
-        sigma = trans_source(tgt[:k], pre)
-        tau = trans_target(tgt[:k], pre)
+    for k, (entry, c, here, want) in enumerate(spine_slots(ctx, tgt, tr)):
         if isinstance(entry, TmEntry):
             if not isinstance(c, KTm):
                 _fail("ArityMismatch", "term entry needs a term component")
-            want = apply(entry.ty, sigma if free_is_source(entry) else tau)
-            got = infer_tm(dual_ctx(ctx, entry.dir), c.tm)
-            _demand_conv_ty(dual_ctx(ctx, entry.dir), got, want,
+            _demand_conv_ty(here, infer_tm(here, c.tm), want,
                             "transformation component")
-        else:
-            if not isinstance(c, KAd):
-                _fail("ArityMismatch", "type entry needs an adapter component")
-            if c.arity != len(entry.tel):
-                _fail("ArityMismatch", "adapter component arity mismatch")
-            _check_trans_ty_comp(ctx, entry, c, tgt[:k], pre, sigma, tau)
-
-
-def _check_trans_ty_comp(ctx: Context, entry: TyEntry, c: KAd,
-                         prefix: Context, pre: Trans, sigma: Sub, tau: Sub):
-    """Check one adapter component against the direction table: it lives
-    over the free side's telescope block, and its forced end is the stored
-    other endpoint adjusted along the telescope adapter."""
-    alpha = _mid_telad(entry, prefix, pre)
-    tel_here = apply_tel(entry.tel, sigma if free_is_source(entry) else tau)
-    here = comp_ctx(ctx, entry, tel_here)
-    s, t = check_ad(here, c.ad)
-    adj = _block_adjust_sub(ctx, tel_here, alpha)
-    got, end = (t, "target") if free_is_ad_source(entry) else (s, "source")
-    _demand_conv_ty(here, got, apply(c.forced_ty, adj),
-                    f"adapter component {end}")
+            continue
+        if not isinstance(c, KAd):
+            _fail("ArityMismatch", "type entry needs an adapter component")
+        if c.arity != len(entry.tel):
+            _fail("ArityMismatch", "adapter component arity mismatch")
+        alpha = _mid_telad(tgt, tr, k)
+        s, t = check_ad(here, c.ad)
+        got, end = (t, "target") if free_is_ad_source(entry) else (s, "source")
+        want = apply(c.forced_ty, _block_adjust_sub(ctx, alpha))
+        _demand_conv_ty(here, got, want, f"adapter component {end}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import sys
 
 from . import surface, elaborate, pretty, normalize, setmodel
 from .check import CheckError
-from .inductive import builtin_descs
+from .inductive import builtin_descs, derive_rule_doc
 from .surface import ParseError
 from .syntax import SESSION, Session
 
@@ -70,7 +70,6 @@ def cmd_norm(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    from .inductive import derive_rule_doc
     try:
         elaborate.elab_file(_load(args.file))
         doc = derive_rule_doc(args.name)

@@ -17,6 +17,7 @@ from .normalize import (
     compose_ad, conv_ty, ad_end, ad_src, ad_tgt, cast as mk_cast,
     app as mk_app, fst_ as mk_fst, snd_ as mk_snd, KernelError,
 )
+from . import pretty
 from .pretty import _occurs
 from .transform import free_is_ad_source
 from .syntax import (
@@ -53,28 +54,15 @@ class Scope:
         return Scope(self.bases, self.posts, self.constructors, self.defs,
                      self.ctx + (entry,), self.names + (name,))
 
-    def tm_index(self, name: str) -> int | None:
+    def lookup(self, name: str, cls) -> tuple[int, TmEntry | TyEntry] | None:
+        """De Bruijn index and entry of the innermost ``cls`` entry named
+        ``name`` (indices count entries of that sort only), or None."""
         seen = 0
         for n, e in zip(reversed(self.names), reversed(self.ctx)):
-            if isinstance(e, TmEntry):
+            if type(e) is cls:
                 if n == name:
-                    return seen
+                    return seen, e
                 seen += 1
-        return None
-
-    def ty_index(self, name: str) -> int | None:
-        seen = 0
-        for n, e in zip(reversed(self.names), reversed(self.ctx)):
-            if isinstance(e, TyEntry):
-                if n == name:
-                    return seen
-                seen += 1
-        return None
-
-    def ty_entry(self, name: str) -> TyEntry | None:
-        for n, e in zip(reversed(self.names), reversed(self.ctx)):
-            if n == name and isinstance(e, TyEntry):
-                return e
         return None
 
 
@@ -127,9 +115,9 @@ def _elab_ty_head(head: S.SName, args: list[S.SExpr], sc: Scope):
         params = _elab_param_spine(d.params_ctx, args[:len(d.params_ctx)], sc)
         indices = tuple(elab_tm(a, sc) for a in args[len(d.params_ctx):])
         return Ind(name, params, indices)
-    ent = sc.ty_entry(name)
-    if ent is not None:
-        j = sc.ty_index(name)
+    hit = sc.lookup(name, TyEntry)
+    if hit is not None:
+        j, ent = hit
         if len(args) != len(ent.tel):
             raise _err("ArityMismatch",
                        f"type variable {name} expects {len(ent.tel)} arguments",
@@ -163,12 +151,13 @@ def _elab_family(a: S.SExpr, arity: int, sc: Scope) -> STy:
             sc2 = sc2.push(b, TmEntry(POS, Base("_")))
         return STy(elab_ty(a.body, sc2), arity)
     if isinstance(a, S.SName):
-        ent = sc.ty_entry(a.name)
-        if ent is not None:
+        hit = sc.lookup(a.name, TyEntry)
+        if hit is not None:
+            j, ent = hit
             if len(ent.tel) != arity:
                 raise _err("ArityMismatch",
                            f"type variable {a.name} has the wrong arity", a.span)
-            return STy(TyVarRef(sc.ty_index(a.name), vinst(ent.tel)), arity)
+            return STy(TyVarRef(j, vinst(ent.tel)), arity)
     ty = elab_ty(a, sc)
     return STy(shift(ty, arity, 0), arity)
 
@@ -176,9 +165,9 @@ def _elab_family(a: S.SExpr, arity: int, sc: Scope) -> STy:
 def elab_tm(e: S.SExpr, sc: Scope, pol=POS):
     match e:
         case S.SName(name, span):
-            i = sc.tm_index(name)
-            if i is not None:
-                return Var(i)
+            hit = sc.lookup(name, TmEntry)
+            if hit is not None:
+                return Var(hit[0])
             if name in sc.constructors:
                 return _elab_con(e, [], sc, pol)
             if name in sc.defs:
@@ -535,7 +524,6 @@ def elab_file(decls: list[S.Decl]) -> Elaborated:
                     m = elab_tm(tm, sc)
                     got = infer_tm(sc.ctx, m)
                     if not conv_ty(sc.ctx, got, t):
-                        from . import pretty
                         raise ElabError(Diagnostic(
                             "ClassifierMismatch", "check failed", span,
                             pretty.ty_string(sc.ctx, t, list(sc.names)),

@@ -17,7 +17,7 @@ from .syntax import (
     Var, Cast, Con, Post, Sub, STm, STy, Trans, KTm, KAd,
     RecDesc, ConDesc, IndDesc, desc, shift,
 )
-from .normalize import nf, conv_tm
+from .normalize import nf, conv_tm, ad_tgt
 from .inductive import cast_con, ind_adapter, nat, nat_zero, nat_succ, register
 from .transform import trans_target
 
@@ -65,7 +65,6 @@ def rows() -> list[Row]:
     mu_fk0 = Trans((KAd(f, B, 0), KAd(k, D, 0)))
 
     def row(label, ctx, term, adapter):
-        from .normalize import ad_tgt
         out.append(Row(label, ctx, term, adapter, ad_tgt(adapter)))
 
     # naturals: no parameters, the adapter is degenerate

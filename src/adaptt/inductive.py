@@ -13,12 +13,14 @@ from __future__ import annotations
 
 from .syntax import (
     POS, NEG, Context, TmEntry, TyEntry, Telescope, TelAd, Inst,
-    Type, TyVarRef, Ind, Term, Var, Con, Adapter, Post,
+    Type, Base, TyVarRef, Ind, Term, Var, Con, Cast, Adapter, Post, IndAd,
     Sub, STm, STy, Trans, KTm, KAd,
     RecDesc, ConDesc, IndDesc, SESSION, desc,
     extend_tel, shift, id_sub, vinst,
 )
-from .normalize import KernelError, apply, apply_tel, pi_tel, replayed_cache
+from .normalize import (
+    KernelError, apply, apply_tel, pi_tel, replayed_cache, ad_src, ad_tgt,
+)
 from .transform import (
     push_tel, cast_inst, trans_source, trans_target, free_is_source,
 )
@@ -143,7 +145,6 @@ def ind_adapter(name: str, mu: Trans, src_indices: Inst) -> Adapter:
         raise KernelError("parameter transformation arity mismatch")
     if len(src_indices) != len(d.index_tel):
         raise KernelError("index arity mismatch")
-    from .syntax import IndAd
     comps = mu.comps + tuple(KTm(t) for t in src_indices)
     return IndAd(name, Trans(comps))
 
@@ -229,8 +230,15 @@ def install_builtins() -> None:
 # ---------------------------------------------------------------------------
 
 
+_TY_NAMES = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 _AD_NAMES = "fghkpq"
 _TM_NAMES = "abcde"
+
+
+def _pool_name(pool: str, n: int) -> str:
+    """The n-th name drawn from a pool: its letters in order, then its
+    first letter with the number as a suffix."""
+    return pool[n] if n < len(pool) else f"{pool[0]}{n}"
 
 
 def _generic_setup(d: IndDesc):
@@ -241,7 +249,6 @@ def _generic_setup(d: IndDesc):
 
     Returns (ambient context, names, source params spine, transformation).
     """
-    from .syntax import Base
     ctx: list = []
     names: list[str] = []
     p_comps: list = []
@@ -250,9 +257,9 @@ def _generic_setup(d: IndDesc):
     n_tm = 0
     for entry in d.params_ctx:
         if isinstance(entry, TyEntry):
-            src = Base(chr(ord("A") + n_ty))
-            tgt = Base(chr(ord("A") + n_ty) + "'")
-            ad_name = _AD_NAMES[n_ty]
+            src = Base(_pool_name(_TY_NAMES, n_ty))
+            tgt = Base(src.name + "'")
+            ad_name = _pool_name(_AD_NAMES, n_ty)
             ar = len(entry.tel)
             ad = Post(ad_name, src, tgt) if entry.dir is POS \
                 else Post(ad_name, tgt, src)
@@ -261,10 +268,8 @@ def _generic_setup(d: IndDesc):
             mu_comps.append(KAd(ad, other, ar))
             n_ty += 1
         else:
-            ty = apply(entry.ty, Sub(tuple(p_comps)))
-            ty = shift(ty, n_tm, 0)
-            ctx.append(TmEntry(POS, ty))
-            names.append(_TM_NAMES[n_tm])
+            ctx.append(TmEntry(POS, apply(entry.ty, Sub(tuple(p_comps)))))
+            names.append(_pool_name(_TM_NAMES, n_tm))
             n_tm += 1
             # every later component sees one more ambient variable
             p_comps = [shift(c, 1, 0) for c in p_comps]
@@ -279,8 +284,6 @@ def derive_rule_doc(name: str) -> dict:
     compute the per-constructor cast equations, as printable strings and
     structured data.  Everything is derived by the engine itself."""
     from . import pretty
-    from .normalize import ad_src, ad_tgt, cast
-    from .syntax import Cast, IndAd
 
     d = desc(name)
     doc: dict = {"name": name}
@@ -319,7 +322,8 @@ def derive_rule_doc(name: str) -> dict:
     ctx, names, p_src, mu = _generic_setup(d)
 
     premises = []
-    for comp, entry in zip(mu.comps, d.params_ctx):
+    n_tm = 0
+    for comp in mu.comps:
         if isinstance(comp, KAd):
             a = comp.ad
             premises.append(
@@ -327,18 +331,22 @@ def derive_rule_doc(name: str) -> dict:
                 f"{pretty.ty_string(ctx, ad_src(a), names)} => "
                 f"{pretty.ty_string(ctx, ad_tgt(a), names)}")
         else:
+            # the ambient entry's type lives over the variables before it
             premises.append(
-                f"{pretty.tm_string(ctx, comp.tm, names)} : "
-                f"{pretty.ty_string(ctx, _entry_ty_at(d, entry, p_src), names)}")
+                f"{names[n_tm]} : "
+                f"{pretty.ty_string(ctx[:n_tm], ctx[n_tm].ty, names)}")
+            n_tm += 1
 
-    src_idx = vinst_of_indices(d, ctx, p_src)
-    k = len(d.index_tel)
-    mu_idx = Trans(tuple(shift(c, k, 0) for c in mu.comps))
-    full_ad = ind_adapter(name, mu_idx, src_idx["terms"])
+    # the conclusion is stated at one fresh variable per index
+    idx_tel = apply_tel(d.index_tel, p_src)
+    idx_ctx = extend_tel(ctx, POS, idx_tel)
+    idx_names = names + [f"i{k}" for k in range(len(idx_tel))]
+    mu_idx = Trans(tuple(shift(c, len(idx_tel), 0) for c in mu.comps))
+    full_ad = ind_adapter(name, mu_idx, vinst(idx_tel))
     conclusion = (
-        f"{pretty.ad_string(src_idx['ctx'], full_ad, src_idx['names'])} : "
-        f"{pretty.ty_string(src_idx['ctx'], ad_src(full_ad), src_idx['names'])} => "
-        f"{pretty.ty_string(src_idx['ctx'], ad_tgt(full_ad), src_idx['names'])}")
+        f"{pretty.ad_string(idx_ctx, full_ad, idx_names)} : "
+        f"{pretty.ty_string(idx_ctx, ad_src(full_ad), idx_names)} => "
+        f"{pretty.ty_string(idx_ctx, ad_tgt(full_ad), idx_names)}")
     doc["adapterRule"] = {"premises": premises, "conclusion": conclusion}
 
     rows = []
@@ -352,31 +360,6 @@ def derive_rule_doc(name: str) -> dict:
         })
     doc["computation"] = rows
     return doc
-
-
-def _entry_ty_at(d: IndDesc, entry: TmEntry, p_src: Sub) -> Type:
-    k = d.params_ctx.index(entry)
-    return apply(entry.ty, Sub(p_src.comps[:k]))
-
-
-def vinst_of_indices(d: IndDesc, ctx: Context, p_src: Sub) -> dict:
-    """Ambient context extended with one variable per index, for stating
-    the generic rule at arbitrary indices."""
-    names = list(_iter_names(ctx))
-    tel = apply_tel(d.index_tel, p_src)
-    full_ctx = extend_tel(ctx, POS, tel)
-    idx_names = [f"i{k}" for k in range(len(tel))]
-    terms = vinst(tel)
-    return {
-        "ctx": full_ctx,
-        "names": names + idx_names,
-        "terms": terms,
-    }
-
-
-def _iter_names(ctx: Context):
-    for k, e in enumerate(ctx):
-        yield _TM_NAMES[k] if k < len(_TM_NAMES) else f"v{k}"
 
 
 def _generic_row(d: IndDesc, ci: int, ctx: Context, names: list[str],

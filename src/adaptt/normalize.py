@@ -226,20 +226,14 @@ def apply_tel(tel: Telescope, sub: Sub) -> Telescope:
     return _ap(tel, *_split_spine(sub), 0)
 
 
-def lift_sub_block(sub: Sub, k: int) -> Sub:
-    """Lift a spine over k new positive term binders: (s o ^) > vinst."""
+def lift_block(spine, k: int):
+    """Lift a substitution or transformation over k new term binders:
+    (s o ^) > vinst, each new variable its own component."""
     if k == 0:
-        return sub
-    return Sub(shift(sub, k, 0).comps
-               + tuple(STm(Var(k - 1 - m)) for m in range(k)))
-
-
-def lift_trans_block(tr: Trans, k: int) -> Trans:
-    """Lift a transformation over k new term binders: (m o ^) > 0tm..."""
-    if k == 0:
-        return tr
-    return Trans(shift(tr, k, 0).comps
-                 + tuple(KTm(Var(k - 1 - m)) for m in range(k)))
+        return spine
+    comp = STm if type(spine) is Sub else KTm
+    return type(spine)(shift(spine, k, 0).comps
+                       + tuple(comp(Var(k - 1 - m)) for m in range(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -611,20 +605,13 @@ def conv_sub(ctx: Context, tgt: Context, s1: Sub, s2: Sub) -> bool:
         raise KernelError("substitution spine length mismatch")
     if s1 is s2:
         return True
-    from .transform import comp_ctx
-    for k, entry in enumerate(tgt):
-        c1, c2 = s1.comps[k], s2.comps[k]
-        is_tm = isinstance(entry, TmEntry)
-        sort = STm if is_tm else STy
+    from .transform import spine_slots
+    for (_, c1, here, ty), c2 in zip(spine_slots(ctx, tgt, s1), s2.comps):
+        sort = STm if ty is not None else STy
         if not (isinstance(c1, sort) and isinstance(c2, sort)):
             raise KernelError("spine component sort mismatch")
-        pre = Sub(s1.comps[:k])
-        if is_tm:
-            ty = apply(entry.ty, pre)
-            if not conv_tm(dual_ctx(ctx, entry.dir), ty, c1.tm, c2.tm):
-                return False
-        elif not conv_ty(comp_ctx(ctx, entry, apply_tel(entry.tel, pre)),
-                         c1.ty, c2.ty):
+        if not (conv_tm(here, ty, c1.tm, c2.tm) if ty is not None
+                else conv_ty(here, c1.ty, c2.ty)):
             return False
     return True
 
@@ -699,21 +686,13 @@ def conv_trans(ctx: Context, tgt: Context, t1: Trans, t2: Trans) -> bool:
         raise KernelError("transformation spine length mismatch")
     if t1 is t2:
         return True
-    from .transform import comp_ctx, free_is_source, trans_source, trans_target
-    for k, entry in enumerate(tgt):
-        c1, c2 = t1.comps[k], t2.comps[k]
-        is_tm = isinstance(entry, TmEntry)
-        sort = KTm if is_tm else KAd
+    from .transform import spine_slots
+    for (_, c1, here, ty), c2 in zip(spine_slots(ctx, tgt, t1), t2.comps):
+        sort = KTm if ty is not None else KAd
         if not (isinstance(c1, sort) and isinstance(c2, sort)):
             raise KernelError("transformation component sort mismatch")
-        side = trans_source if free_is_source(entry) else trans_target
-        spine = side(tgt[:k], Trans(t1.comps[:k]))
-        if is_tm:
-            ty = apply(entry.ty, spine)
-            if not conv_tm(dual_ctx(ctx, entry.dir), ty, c1.tm, c2.tm):
-                return False
-        elif conv_ad(comp_ctx(ctx, entry, apply_tel(entry.tel, spine)),
-                     c1.ad, c2.ad) is None:
+        if not (conv_tm(here, ty, c1.tm, c2.tm) if ty is not None
+                else conv_ad(here, c1.ad, c2.ad) is not None):
             return False
     return True
 

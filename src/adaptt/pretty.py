@@ -10,7 +10,7 @@ from __future__ import annotations
 from .syntax import (
     Base, TyVarRef, Pi, Sig, Ind, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     AdId, Chain, Post, PiAd, SigAd, IndAd, STm, KTm,
-    Context, TmEntry, TyEntry, desc, scoped,
+    Context, TmEntry, TyEntry, desc, scoped, shift,
 )
 
 LOW, STAR, COMP, APP, ATOM = 0, 1, 2, 3, 4
@@ -200,7 +200,6 @@ def _spine_str(c, env: Env) -> str:
             and ty.inst == tuple(Var(c.arity - 1 - m) for m in range(c.arity))):
         return env.ty_name(ty.index)
     if not any(_occurs(ty, i) for i in range(c.arity)):
-        from .syntax import shift
         return render(shift(ty, -c.arity, 0, c_tm=c.arity), env, ATOM)
     env2 = env
     names = []
@@ -240,7 +239,6 @@ def data_decl_string(d) -> str:
     """Surface declaration for a registered datatype; reparses and
     re-elaborates to a structurally identical signature."""
     from .inductive import con_data_tied
-    from .syntax import shift
     env = Env([])
     header = [f"data {d.name}"]
     for e in d.params_ctx:

@@ -24,6 +24,13 @@ the source), ``free_is_ad_source`` (whether that free part is the
 adapter's source end, the stored other matching its target end) and
 ``comp_ctx`` (the context a type component lives over).
 
+Beside them sits the spine reader, ``spine_slots``: component k of a
+substitution or transformation into a context is typed by entry k read
+under the spine's first k components (the context-extension rule of a
+category with families), and for a transformation those components are
+read through their endpoint on the entry's free side.  ``check_sub``,
+``check_trans``, ``conv_sub`` and ``conv_trans`` are loops over it.
+
 ``push_ty`` eliminates transformations eagerly: the result adapter
 grammar is closed (identity, postulates, Pi/Sigma/inductive structure),
 so cast computation never sees a transformation at the head.
@@ -39,9 +46,9 @@ from .syntax import (
     dual_ctx, extend_tm, extend_tel, map_scoped, shift, desc, entry_position,
 )
 from .normalize import (
-    KernelError, SMART, apply, apply_tel, lift_sub_block, lift_trans_block,
+    KernelError, SMART, apply, apply_tel, lift_block,
     open_tm_block, cast, compose_ad, ad_end, ad_src, ad_tgt, is_id_ad,
-    trans_is_identity, note,
+    trans_is_identity, note, conv_tm, conv_ad,
 )
 
 
@@ -68,6 +75,28 @@ def comp_ctx(ctx: Context, entry: TyEntry, tel: Telescope) -> Context:
     instantiated on the free side, at the telescope direction, and the
     whole read at the entry direction."""
     return dual_ctx(extend_tel(ctx, entry.tel_dir, tel), entry.dir)
+
+
+def spine_slots(ctx: Context, tgt: Context, spine: Sub | Trans):
+    """Read a substitution or transformation over ``ctx`` into ``tgt``
+    one component at a time, yielding ``(entry, comp, here, ty)``:
+    ``here`` is the context the component lives over and ``ty`` a term
+    component's type (None for a type component).  Entry k is read under
+    the spine's first k components: for a transformation, under their
+    endpoint on the entry's free side.  Lazy, so a caller that rejects a
+    bad component never reads a prefix that contains it; callers check
+    the spine's length and its component sorts themselves."""
+    comps = spine.comps
+    for k, (entry, comp) in enumerate(zip(tgt, comps)):
+        if type(spine) is Sub:
+            pre = Sub(comps[:k])
+        else:
+            pre = _endpoint(tgt[:k], Trans(comps[:k]), free_is_source(entry))
+        if type(entry) is TmEntry:
+            yield entry, comp, dual_ctx(ctx, entry.dir), apply(entry.ty, pre)
+        else:
+            yield (entry, comp,
+                   comp_ctx(ctx, entry, apply_tel(entry.tel, pre)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +170,7 @@ def push_ty(a: Type, tr: Trans, tgt_ctx: Context) -> Adapter:
             return open_tm_block(comp.ad, inst2)
         case Pi(dom, cod):
             dom_ad = push_ty(dom, tr, dual_ctx(tgt_ctx))
-            cod_ad = push_ty(cod, lift_trans_block(tr, 1),
+            cod_ad = push_ty(cod, lift_block(tr, 1),
                              extend_tm(tgt_ctx, NEG, dom))
             src = apply(a, trans_source(tgt_ctx, tr))
             tgt = apply(a, trans_target(tgt_ctx, tr))
@@ -149,7 +178,7 @@ def push_ty(a: Type, tr: Trans, tgt_ctx: Context) -> Adapter:
             return PiAd(dom_ad, cod_ad, src, tgt)
         case Sig(fst, snd):
             fst_ad = push_ty(fst, tr, tgt_ctx)
-            snd_ad = push_ty(snd, lift_trans_block(tr, 1),
+            snd_ad = push_ty(snd, lift_block(tr, 1),
                              extend_tm(tgt_ctx, POS, fst))
             src = apply(a, trans_source(tgt_ctx, tr))
             tgt = apply(a, trans_target(tgt_ctx, tr))
@@ -173,7 +202,7 @@ def push_tel(tel: Telescope, tr: Trans, tgt_ctx: Context) -> TelAd:
     source-side extension by the first k entries."""
     ads = []
     for k, ty in enumerate(tel):
-        ads.append(push_ty(ty, lift_trans_block(tr, k),
+        ads.append(push_ty(ty, lift_block(tr, k),
                            extend_tel(tgt_ctx, POS, tel[:k])))
     return tuple(ads)
 
@@ -216,9 +245,9 @@ def whisker_left(rho: Sub, rho_tgt: Context, tr: Trans, mid_ctx: Context) -> Tra
         else:
             ar = c.arity
             tel_here = apply_tel(entry.tel, Sub(rho.comps[:k]))
-            ad = push_ty(c.ty, lift_trans_block(tr, ar),
+            ad = push_ty(c.ty, lift_block(tr, ar),
                          comp_ctx(mid_ctx, entry, tel_here))
-            other = apply(c.ty, lift_sub_block(forced, ar))
+            other = apply(c.ty, lift_block(forced, ar))
             comps.append(KAd(ad, other, ar))
     return Trans(tuple(comps))
 
@@ -247,10 +276,12 @@ def _cbv(x, ads, k, dd):
     return map_scoped(x, _cbv, (ads, k), dd, SMART)
 
 
-def _mid_telad(entry: TyEntry, tgt_prefix: Context, pre: Trans) -> TelAd:
-    """Telescope adapter of the entry's telescope under the prefix
-    transformation, read at the telescope direction."""
-    return push_tel(entry.tel, pre, dual_ctx(tgt_prefix, entry.tel_dir))
+def _mid_telad(tgt_ctx: Context, tr: Trans, k: int) -> TelAd:
+    """Telescope adapter of entry k's telescope under the first k
+    components of ``tr``, read at the telescope direction."""
+    entry = tgt_ctx[k]
+    return push_tel(entry.tel, Trans(tr.comps[:k]),
+                    dual_ctx(tgt_ctx[:k], entry.tel_dir))
 
 
 def vcomp(nu: Trans, mu: Trans, tgt_ctx: Context, check: bool = False) -> Trans:
@@ -270,7 +301,7 @@ def vcomp(nu: Trans, mu: Trans, tgt_ctx: Context, check: bool = False) -> Trans:
             comps.append(cf)
             continue
         ar = mu.comps[k].arity
-        alpha = _mid_telad(entry, tgt_ctx[:k], Trans(free_tr.comps[:k]))
+        alpha = _mid_telad(tgt_ctx, free_tr, k)
         moved = cast_block_vars(co.ad, alpha, ar)
         ad = compose_ad(moved, cf.ad) if free_is_ad_source(entry) \
             else compose_ad(cf.ad, moved)
@@ -349,7 +380,6 @@ def fuse_chain(ctx: Context, parts: tuple[Adapter, ...]) -> tuple[Adapter, ...]:
 def check_naturality_tm(ctx: Context, tgt_ctx: Context, t: Term, a: Type,
                         tr: Trans) -> bool:
     """t[src]<a{{tr}}>  ==  t[tgt]  at  a[tgt]."""
-    from .normalize import conv_tm
     src = trans_source(tgt_ctx, tr)
     tgt = trans_target(tgt_ctx, tr)
     lhs = cast(apply(t, src), push_ty(a, tr, tgt_ctx))
@@ -360,7 +390,6 @@ def check_naturality_tm(ctx: Context, tgt_ctx: Context, t: Term, a: Type,
 def check_naturality_ad(ctx: Context, tgt_ctx: Context, f: Adapter,
                         tr: Trans) -> bool:
     """b{{tr}} o f[src]  ==  f[tgt] o a{{tr}}  for f : a => b."""
-    from .normalize import conv_ad
     src = trans_source(tgt_ctx, tr)
     tgt = trans_target(tgt_ctx, tr)
     a = ad_src(f)

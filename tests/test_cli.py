@@ -118,6 +118,55 @@ def test_derive_conclusion_for_w():
         "W [[ f > g ]] : W A B => W A' B'"
 
 
+def _derive_json(tmp_path, decl, name):
+    p = tmp_path / "d.adt"
+    p.write_text(decl)
+    code, out = run(["derive", str(p), name, "--json"])
+    assert code == 0 and "Traceback" not in out, out
+    return json.loads(out)
+
+
+def test_derive_seven_type_parameters(tmp_path):
+    params = " ".join(f"(X{i} : Ty+)" for i in range(7))
+    head = "P " + " ".join(f"X{i}" for i in range(7))
+    doc = _derive_json(tmp_path, f"data P {params} "
+                       f"{{ mk : (x : X6) -> {head} }}", "P")
+    rule = doc["adapterRule"]
+    assert rule["premises"][5:] == ["q : F => F'", "f6 : G => G'"]
+    assert rule["conclusion"] == \
+        "P [[ f > g > h > k > p > q > f6 ]] : P A B C D E F G => " \
+        "P A' B' C' D' E' F' G'"
+    assert doc["computation"] == [{
+        "lhs": "mk A B C D E F G x0 <| P [[ f > g > h > k > p > q > f6 ]]",
+        "rhs": "mk A' B' C' D' E' F' G' (x0 <| f6)"}]
+
+
+def test_derive_six_term_parameters_names_each_variable_once(tmp_path):
+    params = " ".join(f"(n{i} : Nat)" for i in range(6))
+    head = "Q " + " ".join(f"n{i}" for i in range(6))
+    doc = _derive_json(tmp_path, f"data Q {params} [Nat] "
+                       f"{{ mk : (m : Nat) -> {head} m }}", "Q")
+    rule = doc["adapterRule"]
+    assert rule["premises"] == [f"{v} : Nat" for v in "abcde"] + ["a5 : Nat"]
+    # the conclusion, its index and the rows use the premises' names
+    assert rule["conclusion"] == \
+        "Q [[ a > b > c > d > e > a5 > i0 ]] : Q a b c d e a5 i0 => " \
+        "Q a b c d e a5 i0"
+    assert doc["computation"][0]["lhs"] == \
+        "mk a b c d e a5 x0 <| Q [[ a > b > c > d > e > a5 > x0 ]]"
+
+
+def test_derive_reads_each_premise_at_its_own_entry(tmp_path):
+    # x and y have the same declared type, Vec X (Var 0), at different
+    # positions: y's premise is read under m, not under n
+    doc = _derive_json(tmp_path, "data P (X : Ty+) (n : Nat) (x : Vec X n) "
+                       "(m : Nat) (y : Vec X m) { mk : P X n x m y }", "P")
+    assert doc["adapterRule"]["premises"] == [
+        "f : A => A'", "a : Nat", "b : Vec A a", "c : Nat", "d : Vec A c"]
+    assert doc["adapterRule"]["conclusion"].endswith(
+        "=> P A' a (b <| Vec [[ f > a ]]) c (d <| Vec [[ f > c ]])")
+
+
 def test_trace_flag_emits_rule_lines():
     code, out = run(["--trace", "norm", "corpus/casts.adt", "-e",
                      "a <| g . f"])
