@@ -1,7 +1,9 @@
 """Batch command-line front end.
 
 Exit status: 0 success, 1 type or conversion error, 2 parse error,
-3 oracle failure, 4 usage error, 5 input nested too deeply.
+3 oracle failure, 4 usage error, 5 input nested too deeply.  A reader
+that closes stdout early (``adaptt ... | head -1``) also gives 1, with
+nothing on stderr: the rest of the output is discarded.
 """
 
 from __future__ import annotations
@@ -81,6 +83,9 @@ def cmd_derive(args) -> int:
         return OK
     print(f"datatype {doc['name']}")
     for p in doc["params"]:
+        if "type" in p:
+            print(f"  parameter {p['name']} : {p['type']}")
+            continue
         tele = " ".join(f"({s})" for s in p["telescope"]) or "-"
         print(f"  parameter {p['name']} : Ty{p['dir']} over {tele}")
     for i, s in enumerate(doc["indices"]):
@@ -170,7 +175,8 @@ def _arg_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--bindings", required=True)
 
-    sub.add_parser("selftest", help="run the stock computation rows")
+    sub.add_parser("selftest", help="check the derived cast rows of every "
+                                "stock datatype and Tree")
     return ap
 
 
@@ -194,7 +200,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.cmd not in handlers:
         ARG_PARSER.print_help()
         return USAGE
-    return contextvars.copy_context().run(_run, handlers[args.cmd], args)
+    try:
+        code = contextvars.copy_context().run(_run, handlers[args.cmd], args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send the rest to devnull, so that the
+        # flush at exit cannot fail again (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return TYPE_ERROR
 
 
 def _run(handler, args) -> int:
@@ -215,6 +229,8 @@ def _run(handler, args) -> int:
     except RecursionError:
         print(f"ERROR TooDeep {args.file} input nested too deeply")
         return TOO_DEEP
+    except BrokenPipeError:
+        raise       # a closed stdout, not an unreadable input: see ``main``
     except FileNotFoundError as e:
         print(f"ERROR NoSuchFile {e.filename}")
         return USAGE

@@ -51,8 +51,7 @@ def tie_sub(d: IndDesc) -> Sub:
     datatype itself (identity on the parameters)."""
     base = id_sub(d.params_ctx)
     k = len(d.index_tel)
-    weakened = Sub(tuple(shift(c, k, 0) for c in base.comps))
-    family = Ind(d.name, weakened, vinst(d.index_tel))
+    family = Ind(d.name, shift(base, k, 0), vinst(d.index_tel))
     return Sub(base.comps + (STy(family, k),))
 
 
@@ -81,7 +80,7 @@ def constr_type(name: str, ci: int) -> tuple[Context, Type]:
     c = d.cons[ci]
     tied = con_data_tied(d, ci)
     ctx = extend_tel(d.params_ctx, POS, tied)
-    params = Sub(tuple(shift(cp, len(tied), 0) for cp in id_sub(d.params_ctx).comps))
+    params = shift(id_sub(d.params_ctx), len(tied), 0)
     indices = tuple(shift(t, len(c.rec), 0) for t in c.ind)
     return ctx, Ind(name, params, indices)
 
@@ -90,8 +89,7 @@ def generic_con(name: str, ci: int) -> Con:
     """The constructor term in its universal context."""
     d = desc(name)
     tied = con_data_tied(d, ci)
-    params = Sub(tuple(shift(cp, len(tied), 0) for cp in id_sub(d.params_ctx).comps))
-    return Con(name, ci, params, vinst(tied))
+    return Con(name, ci, shift(id_sub(d.params_ctx), len(tied), 0), vinst(tied))
 
 
 def result_indices(tm: Con) -> Inst:
@@ -241,11 +239,11 @@ def _pool_name(pool: str, n: int) -> str:
     return pool[n] if n < len(pool) else f"{pool[0]}{n}"
 
 
-def _generic_setup(d: IndDesc):
-    """Generic instantiation of a parameter transformation: postulated
-    base types for type parameters (constant families when the parameter
-    has a dependency telescope), postulated adapters between them, and
-    ambient variables for term parameters.
+def generic_setup(d: IndDesc):
+    """The generic instance of a signature's parameters: a postulated
+    base type and adapter per type parameter (constant families when the
+    parameter has a dependency telescope), and an ambient variable per
+    term parameter.
 
     Returns (ambient context, names, source params spine, transformation).
     """
@@ -279,6 +277,26 @@ def _generic_setup(d: IndDesc):
     return tuple(ctx), names, Sub(tuple(p_comps)), Trans(tuple(mu_comps))
 
 
+def generic_rows(d: IndDesc, setup):
+    """The computation rows of ``d`` at its generic instance ``setup``
+    (as returned by ``generic_setup``).  For each constructor, yield
+    ``(constructor, ctx, names, term, trans)``: the ambient context
+    extended by one variable per constructor argument at the source
+    parameters, its names, the constructor applied to those variables, and
+    the datatype's full transformation (the parameter part followed by the
+    term's indices), so that ``Cast(term, IndAd(d.name, trans))`` is the
+    row's left-hand side and ``cast_con(term, trans)`` its right."""
+    ctx, names, p_src, mu = setup
+    for ci, c in enumerate(d.cons):
+        args_tel = con_args_tel(d, ci, p_src)
+        n = len(args_tel)
+        tm = Con(d.name, ci, shift(p_src, n, 0), vinst(args_tel))
+        tr = Trans(shift(mu, n, 0).comps
+                   + tuple(KTm(t) for t in result_indices(tm)))
+        yield (c, extend_tel(ctx, POS, args_tel),
+               names + [f"x{k}" for k in range(n)], tm, tr)
+
+
 def derive_rule_doc(name: str) -> dict:
     """Specialize the generic adapter typing rule at one datatype and
     compute the per-constructor cast equations, as printable strings and
@@ -290,14 +308,11 @@ def derive_rule_doc(name: str) -> dict:
 
     pnames = pretty.ctx_names(d.params_ctx)
     doc["params"] = [
-        {
-            "name": pnames[k],
-            "dir": e.dir.value,
-            "telescope": pretty.tel_strings(d.params_ctx[:k], e.tel)
-            if isinstance(e, TyEntry) else
-            [pretty.ty_string(d.params_ctx[:k], e.ty)],
-        }
-        for k, e in enumerate(d.params_ctx)
+        {"name": n, "dir": e.dir.value,
+         "telescope": pretty.tel_strings(d.params_ctx[:k], e.tel)}
+        if isinstance(e, TyEntry) else
+        {"name": n, "type": pretty.ty_string(d.params_ctx[:k], e.ty)}
+        for k, (n, e) in enumerate(zip(pnames, d.params_ctx))
     ]
     doc["indices"] = pretty.tel_strings(d.params_ctx, d.index_tel)
     doc["constructors"] = [
@@ -319,7 +334,7 @@ def derive_rule_doc(name: str) -> dict:
         for c in d.cons
     ]
 
-    ctx, names, p_src, mu = _generic_setup(d)
+    ctx, names, p_src, mu = setup = generic_setup(d)
 
     premises = []
     n_tm = 0
@@ -341,38 +356,16 @@ def derive_rule_doc(name: str) -> dict:
     idx_tel = apply_tel(d.index_tel, p_src)
     idx_ctx = extend_tel(ctx, POS, idx_tel)
     idx_names = names + [f"i{k}" for k in range(len(idx_tel))]
-    mu_idx = Trans(tuple(shift(c, len(idx_tel), 0) for c in mu.comps))
-    full_ad = ind_adapter(name, mu_idx, vinst(idx_tel))
+    full_ad = ind_adapter(name, shift(mu, len(idx_tel), 0), vinst(idx_tel))
     conclusion = (
         f"{pretty.ad_string(idx_ctx, full_ad, idx_names)} : "
         f"{pretty.ty_string(idx_ctx, ad_src(full_ad), idx_names)} => "
         f"{pretty.ty_string(idx_ctx, ad_tgt(full_ad), idx_names)}")
     doc["adapterRule"] = {"premises": premises, "conclusion": conclusion}
 
-    rows = []
-    for ci, c in enumerate(d.cons):
-        row_ctx, row_names, lhs_tm, tr = _generic_row(d, ci, ctx, names, p_src, mu)
-        lhs = Cast(lhs_tm, IndAd(name, tr))
-        rhs = cast_con(lhs_tm, tr)
-        rows.append({
-            "lhs": pretty.tm_string(row_ctx, lhs, row_names),
-            "rhs": pretty.tm_string(row_ctx, rhs, row_names),
-        })
-    doc["computation"] = rows
+    doc["computation"] = [
+        {"lhs": pretty.tm_string(row_ctx, Cast(tm, IndAd(name, tr)), row_names),
+         "rhs": pretty.tm_string(row_ctx, cast_con(tm, tr), row_names)}
+        for _, row_ctx, row_names, tm, tr in generic_rows(d, setup)
+    ]
     return doc
-
-
-def _generic_row(d: IndDesc, ci: int, ctx: Context, names: list[str],
-                 p_src: Sub, mu: Trans):
-    """Ambient data for one computation row: the generic setup extended
-    with one variable per constructor argument at the source parameters."""
-    tied = con_data_tied(d, ci)
-    args_tel = apply_tel(tied, p_src)
-    row_ctx = extend_tel(ctx, POS, args_tel)
-    n = len(args_tel)
-    row_names = list(names) + [f"x{k}" for k in range(n)]
-    p_here = Sub(tuple(shift(c, n, 0) for c in p_src.comps))
-    mu_here = Trans(tuple(shift(c, n, 0) for c in mu.comps))
-    tm = Con(d.name, ci, p_here, vinst(args_tel))
-    tr = Trans(mu_here.comps + tuple(KTm(t) for t in result_indices(tm)))
-    return row_ctx, row_names, tm, tr

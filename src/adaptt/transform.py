@@ -284,9 +284,9 @@ def _mid_telad(tgt_ctx: Context, tr: Trans, k: int) -> TelAd:
                     dual_ctx(tgt_ctx[:k], entry.tel_dir))
 
 
-def vcomp(nu: Trans, mu: Trans, tgt_ctx: Context, check: bool = False) -> Trans:
-    """Vertical composite nu o mu (mu first); the precondition that mu's
-    target spine converts to nu's source spine is checked on demand."""
+def vcomp(nu: Trans, mu: Trans, tgt_ctx: Context) -> Trans:
+    """Vertical composite nu o mu (mu first).  The caller ensures that
+    mu's target spine converts to nu's source spine."""
     if len(nu.comps) != len(tgt_ctx) or len(mu.comps) != len(tgt_ctx):
         raise KernelError("transformation spine does not match its context")
     comps = []
@@ -306,15 +306,7 @@ def vcomp(nu: Trans, mu: Trans, tgt_ctx: Context, check: bool = False) -> Trans:
         ad = compose_ad(moved, cf.ad) if free_is_ad_source(entry) \
             else compose_ad(cf.ad, moved)
         comps.append(KAd(ad, co.forced_ty, ar))
-    out = Trans(tuple(comps))
-    if check:
-        mid1 = trans_target(tgt_ctx, mu)
-        mid2 = trans_source(tgt_ctx, nu)
-        # endpoint agreement is a conversion check over the (unknown)
-        # source context; spine equality after normalization suffices here
-        if mid1 != mid2:
-            raise KernelError("vertical composition endpoint mismatch")
-    return out
+    return Trans(tuple(comps))
 
 
 def id_trans(ctx: Context, sub: Sub) -> Trans:

@@ -167,6 +167,55 @@ def test_derive_reads_each_premise_at_its_own_entry(tmp_path):
         "=> P A' a (b <| Vec [[ f > a ]]) c (d <| Vec [[ f > c ]])")
 
 
+def test_derive_prints_a_term_parameter_with_its_type(tmp_path):
+    code, out = run(["derive", "corpus/prelude.adt", "Id"])
+    assert code == 0
+    assert "\n  parameter x : X\n" in out
+    assert "Ty+ over (X)" not in out
+    code, out = run(["derive", "corpus/prelude.adt", "Id", "--json"])
+    assert json.loads(out)["params"] == [
+        {"name": "X", "dir": "+", "telescope": []},
+        {"name": "x", "type": "X"}]
+    p = tmp_path / "p.adt"
+    p.write_text("data P (X : Ty+) (n : Nat) (x : Vec X n) (m : Nat) "
+                 "(y : Vec X m) { mk : P X n x m y }")
+    code, out = run(["derive", str(p), "P"])
+    assert code == 0
+    assert out.splitlines()[1:6] == [
+        "  parameter X : Ty+ over -", "  parameter x : Nat",
+        "  parameter y : Vec X x", "  parameter z : Nat",
+        "  parameter u : Vec X z"]
+
+
+#: one equation whose trace is about 690 bytes; 400 copies print more than
+#: a pipe holds, so the command is still writing when its reader leaves
+_CAST_EQUATION = ("asserteq cons A a (nil A) <| List [[ f ]] "
+                  "= cons B (a <| f) (nil B) : List B ;\n")
+
+
+@pytest.mark.parametrize("lines_read", [1, 0])
+def test_closed_stdout_is_exit_1_without_traceback(lines_read, tmp_path):
+    if lines_read:
+        path = tmp_path / "long.adt"
+        path.write_text("base A ; base B ; postulate adapter f : A => B ;\n"
+                        "var a : A ;\n" + _CAST_EQUATION * 400)
+        argv = ["--trace", "check", str(path)]
+    else:
+        argv = ["check", "corpus/prelude.adt"]
+    src = os.path.dirname(os.path.dirname(adaptt.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen([sys.executable, "-m", "adaptt.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    for _ in range(lines_read):
+        assert proc.stdout.readline().startswith(b"RULE ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""
+
+
 def test_trace_flag_emits_rule_lines():
     code, out = run(["--trace", "norm", "corpus/casts.adt", "-e",
                      "a <| g . f"])
