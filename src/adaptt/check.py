@@ -17,13 +17,15 @@ from .syntax import (
     Term, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     Adapter, AdId, Chain, Post, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd, IndDesc,
-    dual_ctx, extend_tm, extend_tel, shift, id_sub, desc, entry_position,
+    dual_ctx, extend_tm, extend_tel, shift, desc, entry_position,
 )
 from .normalize import (
-    apply, apply_tel, open_tm_block, cast, conv_ty, fst_, ad_src, ad_tgt,
+    apply_tel, open_tm_block, conv_ty, fst_, ad_src, ad_tgt,
     tm_entry_type, _entry_tel_here,
 )
-from .transform import free_is_ad_source, spine_slots, _mid_telad
+from .transform import (
+    free_is_ad_source, spine_slots, cast_block_vars, _mid_telad,
+)
 
 
 @dataclass(frozen=True)
@@ -229,7 +231,7 @@ def check_ad(ctx: Context, ad: Adapter) -> tuple[Type, Type]:
             _demand_conv_ty(dual_ctx(ctx), dat, src.dom, "domain adapter target")
             ext = extend_tm(ctx, NEG, tgt.dom)
             cas, cat = check_ad(ext, cod_ad)
-            expected = apply(src.cod, _block_adjust_sub(ctx, (dom_ad,)))
+            expected = cast_block_vars(src.cod, (dom_ad,), 1)
             _demand_conv_ty(ext, cas, expected, "codomain adapter source")
             _demand_conv_ty(ext, cat, tgt.cod, "codomain adapter target")
             return src, tgt
@@ -245,7 +247,7 @@ def check_ad(ctx: Context, ad: Adapter) -> tuple[Type, Type]:
             ext = extend_tm(ctx, POS, src.fst)
             sas, sat = check_ad(ext, snd_ad)
             _demand_conv_ty(ext, sas, src.snd, "second adapter source")
-            expected = apply(tgt.snd, _block_adjust_sub(ctx, (fst_ad,)))
+            expected = cast_block_vars(tgt.snd, (fst_ad,), 1)
             _demand_conv_ty(ext, sat, expected, "second adapter target")
             return src, tgt
         case IndAd(name, trans):
@@ -254,17 +256,6 @@ def check_ad(ctx: Context, ad: Adapter) -> tuple[Type, Type]:
             return ad_src(ad), ad_tgt(ad)
         case _:
             _fail("IllFormed", f"not an adapter: {ad!r}")
-
-
-def _block_adjust_sub(ctx: Context, alpha) -> Sub:
-    """Spine ctx |> tel_src -> ctx |> tel_tgt for a telescope adapter
-    ``alpha`` from tel_src to tel_tgt: weaken the identity and cast each
-    block variable along the matching (weakened) component."""
-    k = len(alpha)
-    comps = list(shift(c, k, 0) for c in id_sub(ctx).comps)
-    for p in range(k):
-        comps.append(STm(cast(Var(k - 1 - p), shift(alpha[p], k - p, 0))))
-    return Sub(tuple(comps))
 
 
 def check_telad(ctx: Context, ads, src_tel: Telescope, tgt_tel: Telescope) -> None:
@@ -276,8 +267,7 @@ def check_telad(ctx: Context, ads, src_tel: Telescope, tgt_tel: Telescope) -> No
         comp_ctx = extend_tel(ctx, POS, src_tel[:k])
         s, t = check_ad(comp_ctx, ad)
         _demand_conv_ty(comp_ctx, s, src_tel[k], "telescope adapter source")
-        adj = _block_adjust_sub(ctx, ads[:k])
-        _demand_conv_ty(comp_ctx, t, apply(tgt_tel[k], adj),
+        _demand_conv_ty(comp_ctx, t, cast_block_vars(tgt_tel[k], ads[:k], k),
                         "telescope adapter target")
 
 
@@ -326,7 +316,7 @@ def check_trans(ctx: Context, tr: Trans, tgt: Context) -> None:
         alpha = _mid_telad(tgt, tr, k)
         s, t = check_ad(here, c.ad)
         got, end = (t, "target") if free_is_ad_source(entry) else (s, "source")
-        want = apply(c.forced_ty, _block_adjust_sub(ctx, alpha))
+        want = cast_block_vars(c.forced_ty, alpha, len(alpha))
         _demand_conv_ty(here, got, want, f"adapter component {end}")
 
 

@@ -3,7 +3,9 @@
 Exit status: 0 success, 1 type or conversion error, 2 parse error,
 3 oracle failure, 4 usage error, 5 input nested too deeply.  A reader
 that closes stdout early (``adaptt ... | head -1``) also gives 1, with
-nothing on stderr: the rest of the output is discarded.
+nothing on stderr: the rest of the output is discarded.  A bare
+``adaptt`` (no command) prints the help and gives 4, also when its
+reader is gone (``adaptt | true``), again with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -197,18 +199,21 @@ def main(argv: list[str] | None = None) -> int:
         "model": cmd_model,
         "selftest": cmd_selftest,
     }
-    if args.cmd not in handlers:
-        ARG_PARSER.print_help()
-        return USAGE
+    bare = args.cmd not in handlers
     try:
-        code = contextvars.copy_context().run(_run, handlers[args.cmd], args)
+        if bare:
+            ARG_PARSER.print_help()
+            code = USAGE
+        else:
+            code = contextvars.copy_context().run(_run, handlers[args.cmd],
+                                                  args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
         # the reader closed stdout: send the rest to devnull, so that the
         # flush at exit cannot fail again (Python docs, "Note on SIGPIPE")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return TYPE_ERROR
+        return USAGE if bare else TYPE_ERROR
 
 
 def _run(handler, args) -> int:

@@ -205,11 +205,10 @@ def elab_tm(e: S.SExpr, sc: Scope, pol=POS):
 
 
 def _elab_con(head: S.SName, args: list[S.SExpr], sc: Scope, pol=POS):
-    from .inductive import con_data_tied
     dname, tag = sc.constructors[head.name]
     d = desc(dname)
-    tel = con_data_tied(d, tag)
-    want = len(d.params_ctx) + len(tel)
+    c = d.cons[tag]
+    want = len(d.params_ctx) + len(c.nrec) + len(c.rec)
     if len(args) != want:
         raise _err("ArityMismatch",
                    f"constructor {head.name} expects {want} arguments, "

@@ -1,12 +1,12 @@
 """Datatype signature compiler.
 
 From a signature (parameter context, index telescope, constructor
-records) this module elaborates the argument telescope of each
-constructor over a fresh type variable standing for the type being
-defined, ties the knot with a single substitution, and derives the
-computation rule for casting a constructor along the datatype's
-functorial adapter.  The six stock datatypes (naturals, lists, vectors,
-sums, branching trees, propositional equality) are registered here.
+records) this module builds the argument telescope of each constructor
+over the parameter context, each recursive argument naming the datatype
+itself, and derives the computation rule for casting a constructor along
+the datatype's functorial adapter.  The six stock datatypes (naturals,
+lists, vectors, sums, branching trees, propositional equality) are
+registered here.
 """
 
 from __future__ import annotations
@@ -26,44 +26,17 @@ from .transform import (
 )
 
 
-def elab_rec_data(d: IndDesc, r: RecDesc) -> Type:
-    """Type of one recursive argument, over the parameter context
-    extended by the fresh type variable and the non-recursive block:
-    an iterated Pi over the (contravariant) arity, ending in the fresh
-    variable at the recursive indices."""
-    arit = shift(r.arit, 0, 1)
-    rind = tuple(shift(t, 0, 1) for t in r.rind)
-    return pi_tel(arit, TyVarRef(0, rind))
-
-
-def con_data(d: IndDesc, ci: int) -> Telescope:
-    """Argument telescope of constructor ``ci`` over the parameter
-    context extended by the fresh type variable."""
-    c = d.cons[ci]
-    tel: list[Type] = list(shift(c.nrec, 0, 1))
-    for k, r in enumerate(c.rec):
-        tel.append(shift(elab_rec_data(d, r), k, 0))
-    return tuple(tel)
-
-
-def tie_sub(d: IndDesc) -> Sub:
-    """Substitution instantiating the fresh type variable with the
-    datatype itself (identity on the parameters)."""
-    base = id_sub(d.params_ctx)
-    k = len(d.index_tel)
-    family = Ind(d.name, shift(base, k, 0), vinst(d.index_tel))
-    return Sub(base.comps + (STy(family, k),))
-
-
-@replayed_cache(maxsize=None)
-def _con_data_tied(d: IndDesc, ci: int) -> Telescope:
-    return apply_tel(con_data(d, ci), tie_sub(d))
-
-
 def con_data_tied(d: IndDesc, ci: int) -> Telescope:
-    """Constructor argument telescope over the parameter context, with
-    recursive occurrences referring to the datatype itself."""
-    return _con_data_tied(d, ci)
+    """Argument telescope of constructor ``ci`` over the parameter
+    context: the non-recursive arguments as declared, then recursive
+    argument k, an iterated Pi over its arity into the datatype at its
+    indices, shifted past the k recursive arguments before it."""
+    c = d.cons[ci]
+    tel: list[Type] = list(c.nrec)
+    for k, r in enumerate(c.rec):
+        params = shift(id_sub(d.params_ctx), len(c.nrec) + len(r.arit), 0)
+        tel.append(shift(pi_tel(r.arit, Ind(d.name, params, r.rind)), k, 0))
+    return tuple(tel)
 
 
 @replayed_cache(maxsize=1024)

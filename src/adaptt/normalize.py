@@ -6,8 +6,8 @@ time: every operation that could create a redex goes through the smart
 constructors below (``app``, ``cast``, ``fst_``, ``snd_``), so values the
 kernel builds are always in normal form.  ``nf`` re-runs the smart
 constructors over an arbitrary tree; on kernel-built values it is the
-identity.  Eta is not expanded by ``nf``: it is handled type-directed in
-``conv``.
+identity.  Eta is not expanded by ``nf``: conversion (``conv_tm``)
+handles it type-directed.
 
 ``shift`` and ``open_tm_block`` return a subterm untouched when its
 cached free-variable bounds (``syntax.fv_bounds``) lie below the range
@@ -415,27 +415,6 @@ class NormalForm:
     value: object
 
 
-def whnf(t: Term) -> Term:
-    """Weak head normal form.  Kernel-built terms are already eagerly
-    computed, so this re-fires the head rule if the node was assembled
-    by hand."""
-    match t:
-        case App(fn, arg):
-            out = app(whnf(fn), arg)
-            return out if isinstance(out, App) else whnf(out)
-        case Fst(p):
-            out = fst_(whnf(p))
-            return out if isinstance(out, Fst) else whnf(out)
-        case Snd(p):
-            out = snd_(whnf(p))
-            return out if isinstance(out, Snd) else whnf(out)
-        case Cast(tm, ad):
-            out = cast(whnf(tm), ad)
-            return out if isinstance(out, Cast) else whnf(out)
-        case _:
-            return t
-
-
 def nf(x):
     """Full normal form of any syntax value (idempotent)."""
     if isinstance(x, NormalForm):
@@ -696,35 +675,3 @@ def conv_trans(ctx: Context, tgt: Context, t1: Trans, t2: Trans) -> bool:
             return False
     return True
 
-
-def conv(ctx: Context, x, y, ty: Type | None = None) -> bool:
-    """Front door: conversion at any sort.  Terms need their classifier
-    unless both sides are closed enough to compare neutrally."""
-    x = _nf(x) if not isinstance(x, NormalForm) else x.value
-    y = _nf(y) if not isinstance(y, NormalForm) else y.value
-    if _is_type(x) and _is_type(y):
-        return conv_ty(ctx, x, y)
-    if _is_term(x) and _is_term(y):
-        if ty is None:
-            from . import check
-            ty = check.infer_tm(ctx, x)
-        return conv_tm(ctx, ty, x, y)
-    if _is_adapter(x) and _is_adapter(y):
-        return conv_ad(ctx, x, y) is not None
-    if isinstance(x, Sub) and isinstance(y, Sub):
-        if ty is None:
-            raise KernelError("substitution conversion needs the target context")
-        return conv_sub(ctx, ty, x, y)
-    raise KernelError("conversion across sorts")
-
-
-def _is_type(x) -> bool:
-    return isinstance(x, (Base, TyVarRef, Pi, Sig, Ind))
-
-
-def _is_term(x) -> bool:
-    return isinstance(x, (Var, Lam, App, Pair, Fst, Snd, Cast, Con))
-
-
-def _is_adapter(x) -> bool:
-    return isinstance(x, (AdId, Chain, Post, PiAd, SigAd, IndAd))

@@ -7,7 +7,9 @@ independent of the kernel's rewrite machinery: casting along a structural
 adapter is interpreted by a semantic functorial map computed by recursion
 on the type, with type variables read off a semantic transformation (a
 per-entry list of component functions); the kernel's cast computation is
-never consulted.
+never consulted.  Constructor argument types come from the signature
+records, adapter ends from the adapters, and the direction table is the
+oracle's own copy: it imports nothing from ``adaptt`` but ``syntax``.
 
 Functions are finite tables over enumerable domains.  A function space
 whose domain cannot be enumerated (an inductive type, say) raises
@@ -25,7 +27,7 @@ from .syntax import (
     POS, NEG, Dir, Context, TmEntry, TyEntry,
     Base, TyVarRef, Pi, Sig, Ind, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     AdId, Chain, Post, PiAd, SigAd, IndAd, Sub, STm, STy, Trans, KTm, KAd,
-    desc,
+    desc, ty_count,
 )
 
 
@@ -216,7 +218,6 @@ def _strings(xs) -> bool:
 
 @dataclass
 class SemTm:
-    dir: Dir
     src_val: object
     tgt_val: object
 
@@ -225,7 +226,6 @@ class SemTm:
 class SemAd:
     dir: Dir
     tel_dir: Dir
-    arity: int
     src_fam: object   # tuple of values -> SemType
     tgt_fam: object
     fn: object        # tuple of values -> (value -> value)
@@ -235,9 +235,9 @@ def dual_sem(entries: list) -> list:
     out = []
     for e in entries:
         if isinstance(e, SemTm):
-            out.append(SemTm(e.dir.flip, e.tgt_val, e.src_val))
+            out.append(SemTm(e.tgt_val, e.src_val))
         else:
-            out.append(SemAd(e.dir.flip, e.tel_dir.flip, e.arity,
+            out.append(SemAd(e.dir.flip, e.tel_dir.flip,
                              e.tgt_fam, e.src_fam, e.fn))
     return out
 
@@ -252,24 +252,20 @@ def side_env(entries: list, want_src: bool) -> list:
     return env
 
 
-def env_tm(env, index: int):
+_SORT_NAMES = {"tm": "term", "ty": "type"}
+
+
+def env_lookup(env, sort: str, index: int):
+    """Value of the variable of ``sort`` (``"tm"`` or ``"ty"``) with de
+    Bruijn index ``index`` in its namespace."""
     seen = 0
     for kind, v in reversed(env):
-        if kind == "tm":
+        if kind == sort:
             if seen == index:
                 return v
             seen += 1
-    raise ModelError(f"environment misses term variable {index}")
-
-
-def env_ty(env, index: int):
-    seen = 0
-    for kind, v in reversed(env):
-        if kind == "ty":
-            if seen == index:
-                return v
-            seen += 1
-    raise ModelError(f"environment misses type variable {index}")
+    raise ModelError(
+        f"environment misses {_SORT_NAMES[sort]} variable {index}")
 
 
 def _sem_entry_at(entries: list, ty_index: int):
@@ -296,7 +292,7 @@ class Evaluator:
             case Base(name):
                 return self.binding.base(name)
             case TyVarRef(j, inst):
-                fam = env_ty(env, j)
+                fam = env_lookup(env, "ty", j)
                 return fam(tuple(self.eval_tm(env, t) for t in inst))
             case Pi(dom, cod):
                 dom_s = self.eval_ty(env, dom)
@@ -309,7 +305,7 @@ class Evaluator:
             case _:
                 raise ModelError(f"cannot evaluate type {ty!r}")
 
-    def family(self, env, ty, arity: int):
+    def family(self, env, ty):
         def fam(vals):
             return self.eval_ty(env + [("tm", v) for v in vals], ty)
         return fam
@@ -319,7 +315,7 @@ class Evaluator:
     def eval_tm(self, env, tm):
         match tm:
             case Var(i):
-                return env_tm(env, i)
+                return env_lookup(env, "tm", i)
             case Lam(dom, body):
                 dom_s = self.eval_ty(env, dom)
                 if not dom_s.enumerable:
@@ -382,9 +378,25 @@ class Evaluator:
                     return VPair(fst_fn(pv.fst), snd_fn(pv.snd))
                 return sigmap
             case IndAd(name, trans):
-                d = desc(name)
-                st = self.sem_trans(env, d.full_ctx, trans)
-                return self.tree_map(name, st[:len(d.params_ctx)])
+                # the zip in sem_trans stops before the forced indices
+                st = self.sem_trans(env, desc(name).params_ctx, trans)
+                return self.tree_map(name, st)
+            case _:
+                raise ModelError(f"cannot evaluate adapter {ad!r}")
+
+    def ad_end(self, env, ad, want_src: bool) -> SemType:
+        """Set of an adapter's source (or target) end, read off the
+        adapter; an inductive adapter's ends are its datatype's set."""
+        match ad:
+            case AdId(ty):
+                return self.eval_ty(env, ty)
+            case Chain(parts):
+                return self.ad_end(env, parts[0] if want_src else parts[-1],
+                                   want_src)
+            case Post(_, s, t) | PiAd(_, _, s, t) | SigAd(_, _, s, t):
+                return self.eval_ty(env, s if want_src else t)
+            case IndAd(name, _):
+                return SInd(name)
             case _:
                 raise ModelError(f"cannot evaluate adapter {ad!r}")
 
@@ -399,27 +411,29 @@ class Evaluator:
                 if entry.dir is POS:
                     v = self.eval_tm(env, c.tm)
                     w = self.push_ty(entry.ty, entries)(v)
-                    entries.append(SemTm(POS, v, w))
                 else:
                     w = self.eval_tm(env, c.tm)
                     v = self.push_ty(entry.ty, dual_sem(entries))(w)
-                    entries.append(SemTm(NEG, v, w))
+                entries.append(SemTm(v, w))
             else:
-                entries.append(self._sem_ad_entry(env, entries, entry, c))
+                entries.append(self._sem_ad_entry(env, entry, c))
         return entries
 
-    def _sem_ad_entry(self, env, prefix: list, entry: TyEntry, c: KAd) -> SemAd:
-        from .transform import _comp_endpoint
-        ar = c.arity
-        src_ty = _comp_endpoint(entry, c, True).ty
-        tgt_ty = _comp_endpoint(entry, c, False).ty
-        src_fam = self.family(env, src_ty, ar)
-        tgt_fam = self.family(env, tgt_ty, ar)
+    def _sem_ad_entry(self, env, entry: TyEntry, c: KAd) -> SemAd:
+        """Semantic entry of an adapter component, by the oracle's own copy
+        of the direction table: the adapter sits on the source side iff the
+        telescope direction is positive, its free end is its source iff the
+        two directions agree, and the stored other is the other side."""
+        def free_fam(vals):
+            return self.ad_end(env + [("tm", v) for v in vals], c.ad,
+                               entry.dir is entry.tel_dir)
+        other = self.family(env, c.forced_ty)
 
         def fn(vals):
-            inner = env + [("tm", v) for v in vals]
-            return self.eval_ad(inner, c.ad)
-        return SemAd(entry.dir, entry.tel_dir, ar, src_fam, tgt_fam, fn)
+            return self.eval_ad(env + [("tm", v) for v in vals], c.ad)
+        if entry.tel_dir is POS:
+            return SemAd(entry.dir, entry.tel_dir, free_fam, other, fn)
+        return SemAd(entry.dir, entry.tel_dir, other, free_fam, fn)
 
     def whisker_sem(self, entries: list, ctx: Context, sub: Sub) -> list:
         """Semantic left whisker: the transformation ``entries`` pushed
@@ -430,11 +444,9 @@ class Evaluator:
             src = side_env(entries, True) + side_env(out, True)
             tgt = side_env(entries, False) + side_env(out, False)
             if isinstance(entry, TmEntry):
-                out.append(SemTm(entry.dir,
-                                 self.eval_tm(src, c.tm),
+                out.append(SemTm(self.eval_tm(src, c.tm),
                                  self.eval_tm(tgt, c.tm)))
             else:
-                ar = c.arity
                 prefix = list(out)
 
                 def make(ty=c.ty, prefix=prefix, entry=entry):
@@ -446,9 +458,9 @@ class Evaluator:
                             whole = dual_sem(whole)
                         return self.push_ty(ty, whole)
                     return fn
-                out.append(SemAd(entry.dir, entry.tel_dir, ar,
-                                 self.family(src, c.ty, ar),
-                                 self.family(tgt, c.ty, ar),
+                out.append(SemAd(entry.dir, entry.tel_dir,
+                                 self.family(src, c.ty),
+                                 self.family(tgt, c.ty),
                                  make()))
         return out
 
@@ -461,7 +473,7 @@ class Evaluator:
         blocks: list = []
         for ty, v in zip(entry.tel, vals):
             fn = self.push_ty(ty, read + blocks)
-            blocks.append(SemTm(POS, v, fn(v)))
+            blocks.append(SemTm(v, fn(v)))
         if entry.tel_dir is NEG:
             blocks = dual_sem(blocks)
         return blocks
@@ -493,7 +505,7 @@ class Evaluator:
                     rows = []
                     for u in new_dom.elements():
                         v = fv.apply(back(u))
-                        ext = entries + [SemTm(NEG, back(u), u)]
+                        ext = entries + [SemTm(back(u), u)]
                         rows.append((u, self.push_ty(cod, ext)(v)))
                     return VFun(tuple(rows))
                 return pimap
@@ -501,39 +513,50 @@ class Evaluator:
                 fst_fn = self.push_ty(fst, entries)
 
                 def sigmap(pv):
-                    ext = entries + [SemTm(POS, pv.fst, fst_fn(pv.fst))]
+                    ext = entries + [SemTm(pv.fst, fst_fn(pv.fst))]
                     return VPair(fst_fn(pv.fst),
                                  self.push_ty(snd, ext)(pv.snd))
                 return sigmap
-            case Ind(name, params, indices):
-                d = desc(name)
-                spine = Sub(params.comps + tuple(STm(t) for t in indices))
-                st = self.whisker_sem(entries, d.full_ctx, spine)
-                return self.tree_map(name, st[:len(d.params_ctx)])
+            case Ind(name, params, _):
+                st = self.whisker_sem(entries, desc(name).params_ctx, params)
+                return self.tree_map(name, st)
             case _:
                 raise ModelError(f"cannot map over type {ty!r}")
 
     def tree_map(self, name: str, param_entries: list):
         """Map a constructor tree along a semantic parameter
-        transformation: the initial-algebra functorial action."""
-        from .inductive import con_data
+        transformation: the initial-algebra functorial action.  The
+        datatype is one more type variable outside the parameters, so the
+        declared argument types are read as they stand."""
         d = desc(name)
+        self_ix = ty_count(d.params_ctx)
+        rec_tys = []
+        for c in d.cons:
+            tys = []
+            for r in c.rec:
+                ty = TyVarRef(self_ix, r.rind)
+                for a in reversed(r.arit):
+                    ty = Pi(a, ty)
+                tys.append(ty)
+            rec_tys.append(tys)
 
         def self_fam(_vals):
             return SInd(name)
+        self_entry = SemAd(POS, POS, self_fam, self_fam, lambda _vals: go)
 
         def go(v):
             if not isinstance(v, VCon) or v.desc != name:
                 raise ModelError("inductive map applied to a non-tree value")
-            self_entry = SemAd(POS, POS, len(d.index_tel),
-                               self_fam, self_fam, lambda _vals: go)
-            entries = param_entries + [self_entry]
+            nrec = d.cons[v.tag].nrec
+            # recursive arguments sit over the non-recursive ones only
+            entries = [self_entry] + param_entries
             args = []
-            for ty, arg in zip(con_data(d, v.tag), v.args):
-                fn = self.push_ty(ty, entries)
-                out = fn(arg)
+            for ty, arg in zip(nrec, v.args):
+                out = self.push_ty(ty, entries)(arg)
                 args.append(out)
-                entries.append(SemTm(POS, arg, out))
+                entries.append(SemTm(arg, out))
+            for ty, arg in zip(rec_tys[v.tag], v.args[len(nrec):]):
+                args.append(self.push_ty(ty, entries)(arg))
             return VCon(name, v.tag, tuple(args))
         return go
 

@@ -22,7 +22,8 @@ kernel reader of it calls them: ``free_is_source`` (whether an entry's
 free part, a term entry's stored term or a type entry's adapter, sits on
 the source), ``free_is_ad_source`` (whether that free part is the
 adapter's source end, the stored other matching its target end) and
-``comp_ctx`` (the context a type component lives over).
+``comp_ctx`` (the context a type component lives over).  The set-model
+oracle keeps its own copy, so that it shares no code with the kernel.
 
 Beside them sits the spine reader, ``spine_slots``: component k of a
 substitution or transformation into a context is typed by entry k read
@@ -104,14 +105,6 @@ def spine_slots(ctx: Context, tgt: Context, spine: Sub | Trans):
 # ---------------------------------------------------------------------------
 
 
-def _comp_endpoint(entry, comp, want_src: bool):
-    """Spine component of the source (or target) substitution for one
-    type-variable entry, per the direction table above."""
-    if want_src == free_is_source(entry):
-        return STy(ad_end(comp.ad, free_is_ad_source(entry)), comp.arity)
-    return STy(comp.forced_ty, comp.arity)
-
-
 def trans_source(tgt_ctx: Context, tr: Trans) -> Sub:
     return _endpoint(tgt_ctx, tr, want_src=True)
 
@@ -137,7 +130,11 @@ def _endpoint(tgt_ctx: Context, tr: Trans, want_src: bool) -> Sub:
         else:
             if not isinstance(c, KAd):
                 raise KernelError("transformation component sort mismatch")
-            comps.append(_comp_endpoint(entry, c, want_src))
+            if want_src == free_is_source(entry):
+                comps.append(STy(ad_end(c.ad, free_is_ad_source(entry)),
+                                 c.arity))
+            else:
+                comps.append(STy(c.forced_ty, c.arity))
     return Sub(tuple(comps))
 
 

@@ -216,6 +216,26 @@ def test_closed_stdout_is_exit_1_without_traceback(lines_read, tmp_path):
     assert err == b""
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_bare_command_into_a_closed_pipe_is_exit_4_without_stderr(unbuffered):
+    # the help text of a bare ``adaptt`` meets a pipe whose reader is gone
+    src = os.path.dirname(os.path.dirname(adaptt.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "adaptt.cli"],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4
+    assert proc.stderr == b""
+
+
 def test_trace_flag_emits_rule_lines():
     code, out = run(["--trace", "norm", "corpus/casts.adt", "-e",
                      "a <| g . f"])

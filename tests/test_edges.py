@@ -79,9 +79,9 @@ def test_trace_env_var(tmp_path):
         del os.environ["ADAPTT_TRACE"]
 
 
-def test_whnf_on_hand_built_redex_tower():
-    from adaptt.normalize import whnf
+def test_nf_on_hand_built_redex_tower():
+    from adaptt.normalize import nf
     from adaptt.syntax import Lam
     t = App(Lam(A, App(Lam(B, Var(0)), Cast(Var(0), f_AB))), Var(3))
-    out = whnf(t)
+    out = nf(t).value
     assert out == Cast(Var(3), f_AB)

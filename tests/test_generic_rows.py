@@ -1,19 +1,21 @@
 """The generic instance of a signature and its computation rows, the ones
 ``adaptt derive`` prints and ``adaptt selftest`` checks.
 
-Every row is checked three ways: its full adapter is well-typed, its
-constructor term has the adapter's source type, and the raw cast
-converts to the derived constructor cast.  The datatypes are the stock
-ones, ``Tree``, and three declared in the surface language: dependent
-term parameters, a parameter with a dependency telescope, and a
-contravariant parameter under a function-typed argument."""
+Every row is checked four ways: its context is well-formed, its full
+adapter is well-typed, its constructor term has the adapter's source
+type, and the raw cast converts to the derived constructor cast.  The
+datatypes are the stock ones, ``Tree``, and four declared in the surface
+language: dependent term parameters, a parameter with a dependency
+telescope, a contravariant parameter under a function-typed argument,
+and an indexed tree with two recursive arguments, the second typed under
+the first."""
 
 import contextvars
 
 import pytest
 
 from adaptt import elaborate, golden, surface
-from adaptt.check import check_ad, infer_tm
+from adaptt.check import check_ad, check_ctx, infer_tm
 from adaptt.inductive import (
     builtin_descs, cast_con, generic_rows, generic_setup,
 )
@@ -26,6 +28,9 @@ DECLARED = {
     "Fam": "data Fam (F : (n : Nat) Ty+) (k : Nat) "
            "{ fam : (v : F k) -> Fam F k }",
     "Co": "data Co (X : Ty-) (Y : Ty+) { co : (h : X -> Y) -> Co X Y }",
+    "Bin": "data Bin (X : Ty+) [Nat] { tip : Bin X zero ; "
+           "fork : (x : X) (n : Nat) (l : Bin X n) (r : Bin X n) "
+           "-> Bin X (succ n) }",
 }
 
 NAMES = [d.name for d in builtin_descs()] + ["Tree", *DECLARED]
@@ -43,6 +48,7 @@ def checked_rows(name):
         rows = []
         for c, ctx, _, tm, tr in generic_rows(d, generic_setup(d)):
             ad = IndAd(d.name, tr)
+            check_ctx(ctx)
             check_ad(ctx, ad)
             typed = conv_ty(ctx, infer_tm(ctx, tm), ad_src(ad))
             computes = conv_tm(ctx, ad_tgt(ad), nf(Cast(tm, ad)).value,

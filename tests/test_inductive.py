@@ -11,7 +11,7 @@ from adaptt.syntax import (
 )
 from adaptt.normalize import cast, conv_tm, KernelError
 from adaptt.inductive import (
-    con_data, con_data_tied, constr_type, cast_con, ind_adapter,
+    con_data_tied, constr_type, cast_con, ind_adapter,
     generic_con, result_indices, nat, nat_zero, nat_succ,
 )
 from helpers import (
@@ -25,18 +25,11 @@ from helpers import (
 
 def test_con_data_list():
     d = desc("List")
-    assert con_data(d, 0) == ()
-    # cons over (X:Ty+) |> (Self : <>.Ty+): [X, Self]
-    assert con_data(d, 1) == (TyVarRef(1, ()), TyVarRef(0, ()))
     assert con_data_tied(d, 1) == (TyVarRef(0, ()), list_of(TyVarRef(0, ())))
 
 
 def test_con_data_w():
     d = desc("W")
-    # sup: [X, Pi (Y x). Self]
-    assert con_data(d, 0) == (
-        TyVarRef(2, ()),
-        Pi(TyVarRef(1, (Var(0),)), TyVarRef(0, ())))
     tied = con_data_tied(d, 0)
     assert tied == (
         TyVarRef(1, ()),

@@ -10,7 +10,7 @@ from adaptt.syntax import (
 )
 from adaptt.normalize import (
     apply, apply_tel, compose_ad, cast, app, fst_, snd_,
-    pi_tel, nf, whnf, conv, conv_ty, conv_tm, conv_ad, assert_normal,
+    pi_tel, nf, conv_ty, conv_tm, conv_ad, assert_normal,
     NormalForm, KernelError, open_tm_block, note, replayed_cache, set_trace,
 )
 from helpers import A, B, C, f_AB, g_BC, h_CD, list_of, nil, cons, list_ad, q_DC
@@ -162,9 +162,9 @@ def test_projections_through_pair_cast():
     assert snd_(Cast(p, ad)) == Cast(Snd(p), g_BC)
 
 
-def test_whnf_beta():
+def test_nf_beta():
     t = App(Lam(A, Var(0)), Var(2))
-    assert whnf(t) == Var(2)
+    assert nf(t).value == Var(2)
 
 
 # -- iterated Pi ------------------------------------------------------------
@@ -213,12 +213,12 @@ def test_conv_cast_functoriality():
     t = Var(0)
     lhs = cast(t, compose_ad(g_BC, f_AB))
     rhs = cast(cast(t, f_AB), g_BC)
-    assert conv(ctx, lhs, rhs, C)
+    assert conv_tm(ctx, C, lhs, rhs)
 
 
 def test_conv_cast_identity():
     ctx = (TmEntry(POS, A),)
-    assert conv(ctx, cast(Var(0), AdId(A)), Var(0), A)
+    assert conv_tm(ctx, A, cast(Var(0), AdId(A)), Var(0))
 
 
 def test_conv_eta_function():

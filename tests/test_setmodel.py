@@ -1,20 +1,29 @@
 """Finite-set oracle: evaluation, extensional comparison, totality
 checking, non-enumerability reporting."""
 
+import ast
+import collections
+import contextvars
+import pathlib
+
 import pytest
 
+from adaptt import elaborate, setmodel, surface
 from adaptt.syntax import (
     POS, NEG, TmEntry, Base, TyVarRef, Pi, Sig, Ind,
     Var, Lam, App, Pair, Fst, Snd, Cast, Con, AdId, Post, PiAd, SigAd,
-    Sub, STm, STy, Trans, KTm, KAd, shift,
+    Sub, STm, STy, Trans, KTm, KAd, SESSION, Session, shift,
 )
 from adaptt.normalize import cast as kcast
-from adaptt.inductive import ind_adapter
+from adaptt.inductive import (
+    builtin_descs, ind_adapter, nat_succ, nat_zero,
+)
 from adaptt.setmodel import (
     ModelBinding, Evaluator, NonEnumerable, ModelError,
     VBase, VPair, VFun, VCon, sem_eq, enumerate_envs, free_tm_vars,
 )
-from helpers import A, B, C, f_AB, g_BC, list_of, nil, cons
+from helpers import A, B, C, D, f_AB, g_BC, list_of, nil, cons
+from test_generic_rows import DECLARED
 
 
 BINDING = ModelBinding.from_json("""
@@ -202,3 +211,106 @@ def test_branching_tree_map():
     out = fn(tree)
     assert out.args[0] == VBase("B", "b0")
     assert out.args[1] == VFun(())
+
+
+def in_fresh_session(fn, sink=None):
+    """Run ``fn`` in a copied context whose session holds the stock
+    datatypes, ``Tree`` and ``Bin``, and reports to ``sink``."""
+    def go():
+        from adaptt.golden import ensure_tree
+        SESSION.set(Session({d.name: d for d in builtin_descs()}))
+        ensure_tree()
+        elaborate.elab_file(surface.parse(DECLARED["Bin"]))
+        SESSION.get().sink = sink
+        return fn()
+    return contextvars.copy_context().run(go)
+
+
+def bin_tree(p):
+    """fork a0 1 (fork a1 0 tip tip) (fork a0 0 tip tip) over (a0, a1)."""
+    tip = Con("Bin", 0, p, ())
+    one = nat_succ(nat_zero())
+    return Con("Bin", 1, p, (
+        Var(1), one,
+        Con("Bin", 1, p, (Var(0), nat_zero(), tip, tip)),
+        Con("Bin", 1, p, (Var(1), nat_zero(), tip, tip))))
+
+
+def test_kernel_and_model_agree_on_bin_cast():
+    # both recursive arguments of a fork are mapped, each at its own index
+    def go():
+        tree = bin_tree(Sub((STy(A, 0),)))
+        ad = ind_adapter("Bin", Trans((KAd(f_AB, B, 0),)),
+                         (nat_succ(nat_succ(nat_zero())),))
+        env = [("tm", a0()), ("tm", VBase("A", "a1"))]
+        return (ev().eval_tm(env, Cast(tree, ad)),
+                ev().eval_tm(env, kcast(tree, ad)))
+    raw, computed = in_fresh_session(go)
+    tip = VCon("Bin", 0, ())
+    zero = VCon("Nat", 0, ())
+    b0, b1 = VBase("B", "b0"), VBase("B", "b1")
+    assert raw == VCon("Bin", 1, (
+        b0, VCon("Nat", 1, (zero,)),
+        VCon("Bin", 1, (b1, zero, tip, tip)),
+        VCon("Bin", 1, (b0, zero, tip, tip))))
+    assert sem_eq(raw, computed)
+
+
+def test_oracle_reports_no_rewrite_step():
+    # casts along List, Vec, W and Tree adapters, evaluated by the oracle
+    # under a counting sink; the kernel's own casts of the same terms
+    # reach that sink, and the two agree
+    binding = ModelBinding.from_json(
+        '{"types": {"A": ["a0", "a1"], "B": ["b0", "b1"], "C": ["c0", "c1"],'
+        '           "D": ["d0"], "E0": [], "E1": []},'
+        ' "adapters": {"f": {"A->B": {"a0": "b0", "a1": "b1"}},'
+        '              "k": {"D->C": {"d0": "c1"}}, "e": {"E1->E0": {}}}}')
+    rules = collections.Counter()
+    e0, e1 = Base("E0"), Base("E1")
+    list_p = Sub((STy(A, 0),))
+    w_p = Sub((STy(A, 0), STy(shift(e0, 1, 0), 1)))
+    tree_p = Sub((STy(A, 0), STy(C, 0)))
+    mu_f = (KAd(f_AB, B, 0),)
+    cases = [
+        (cons(A, Var(0), nil(A)), ind_adapter("List", Trans(mu_f), ())),
+        (Con("Vec", 1, list_p,
+             (Var(0), nat_zero(), Con("Vec", 0, list_p, ()))),
+         ind_adapter("Vec", Trans(mu_f), (nat_succ(nat_zero()),))),
+        # sup a (fun (y : E0) => w) over (w : W A E0, a : A)
+        (Con("W", 0, w_p, (Var(0), Lam(e0, Var(2)))),
+         ind_adapter("W", Trans(mu_f + (KAd(Post("e", shift(e1, 1, 0),
+                                                 shift(e0, 1, 0)),
+                                            shift(e1, 1, 0), 1),)), ())),
+        (Con("Tree", 1, tree_p, (Var(0), Lam(C, Con("Tree", 0, tree_p, ())))),
+         ind_adapter("Tree", Trans(mu_f + (KAd(Post("k", D, C), D, 0),)), ())),
+    ]
+    env = [("tm", VCon("W", 0, (a0(), VFun(())))), ("tm", VBase("A", "a1"))]
+
+    def go():
+        e = Evaluator(binding)
+        rules.clear()
+        raw = [e.eval_tm(env, Cast(tm, ad)) for tm, ad in cases]
+        oracle_rules = dict(rules)
+        computed = [e.eval_tm(env, kcast(tm, ad)) for tm, ad in cases]
+        return raw, oracle_rules, computed
+    raw, oracle_rules, computed = in_fresh_session(
+        go, lambda rule, _path: rules.update([rule]))
+    assert oracle_rules == {}
+    assert rules["CAST_CONSTR"] >= len(cases)
+    assert all(sem_eq(x, y) for x, y in zip(raw, computed))
+    assert raw[0] == VCon("List", 1, (VBase("B", "b1"), VCon("List", 0, ())))
+
+
+def test_setmodel_imports_only_syntax_from_the_package():
+    tree = ast.parse(pathlib.Path(setmodel.__file__).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                found.add(node.module)
+            elif node.module.split(".")[0] == "adaptt":
+                found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names
+                      if a.name.split(".")[0] == "adaptt"}
+    assert found == {"syntax"}
