@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import pretty
 from .syntax import (
     POS, NEG, Context, TmEntry, TyEntry, Telescope, Inst,
     Type, Base, TyVarRef, Pi, Sig, Ind,
@@ -20,12 +21,13 @@ from .syntax import (
     dual_ctx, extend_tm, extend_tel, shift, desc, entry_position,
 )
 from .normalize import (
-    apply_tel, open_tm_block, conv_ty, fst_, ad_src, ad_tgt,
+    apply, open_tm_block, conv_ty, fst_, ad_src, ad_tgt,
     tm_entry_type, _entry_tel_here,
 )
 from .transform import (
     free_is_ad_source, spine_slots, cast_block_vars, _mid_telad,
 )
+from .inductive import con_args_tel, result_indices
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,6 @@ class CheckError(Exception):
 
 
 def _fail(code: str, message: str, expected=None, actual=None):
-    from . import pretty
     exp = pretty.plain(expected) if expected is not None else None
     act = pretty.plain(actual) if actual is not None else None
     raise CheckError(Diagnostic(code, message, None, exp, act))
@@ -127,7 +128,7 @@ def check_ty(ctx: Context, ty: Type) -> None:
         case Ind(name, params, indices):
             d = desc(name)
             check_sub(ctx, params, d.params_ctx)
-            check_inst(ctx, indices, apply_tel(d.index_tel, params))
+            check_inst(ctx, indices, apply(d.index_tel, params))
         case _:
             _fail("IllFormed", f"not a type: {ty!r}")
 
@@ -190,7 +191,6 @@ def infer_tm(ctx: Context, t: Term) -> Type:
             if not 0 <= tag < len(d.cons):
                 _fail("UnboundVariable", f"no constructor {tag} in {name}")
             check_sub(ctx, params, d.params_ctx)
-            from .inductive import con_args_tel, result_indices
             check_inst(ctx, args, con_args_tel(d, tag, params))
             return Ind(name, params, result_indices(t))
         case _:

@@ -1,11 +1,14 @@
 """Batch command-line front end.
 
 Exit status: 0 success, 1 type or conversion error, 2 parse error,
-3 oracle failure, 4 usage error, 5 input nested too deeply.  A reader
-that closes stdout early (``adaptt ... | head -1``) also gives 1, with
-nothing on stderr: the rest of the output is discarded.  A bare
-``adaptt`` (no command) prints the help and gives 4, also when its
-reader is gone (``adaptt | true``), again with nothing on stderr.
+3 oracle failure, 4 usage error, 5 input nested too deeply.  An error in
+a ``norm -e`` expression is a diagnostic like one in the file: a kernel
+failure while it elaborates prints ``ERROR Kernel <file> <reason>`` and
+gives 1.  A reader that closes stdout early (``adaptt ... | head -1``)
+also gives 1, with nothing on stderr: the rest of the output is
+discarded.  A bare ``adaptt`` (no command) prints the help and gives 4,
+also when its reader is gone (``adaptt | true``), again with nothing on
+stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import json
 import os
 import sys
 
-from . import surface, elaborate, pretty, normalize, setmodel
+from . import surface, elaborate, golden, pretty, normalize, setmodel
 from .check import CheckError
 from .inductive import builtin_descs, derive_rule_doc
 from .surface import ParseError
@@ -143,7 +146,6 @@ def cmd_model(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    from . import golden
     results = golden.run()
     bad = 0
     for label, ok in results:

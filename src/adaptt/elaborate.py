@@ -9,7 +9,8 @@ grammar).  All outputs are checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from . import surface as S
 from .check import CheckError, Diagnostic, check_ty, infer_tm
@@ -18,6 +19,7 @@ from .normalize import (
     app as mk_app, fst_ as mk_fst, snd_ as mk_snd, KernelError,
 )
 from . import pretty
+from .inductive import register
 from .pretty import _occurs
 from .transform import free_is_ad_source
 from .syntax import (
@@ -53,6 +55,18 @@ class Scope:
     def push(self, name: str, entry) -> "Scope":
         return Scope(self.bases, self.posts, self.constructors, self.defs,
                      self.ctx + (entry,), self.names + (name,))
+
+    def closed(self) -> "Scope":
+        """The file-level names alone, with an empty context."""
+        return Scope(self.bases, self.posts, self.constructors, self.defs)
+
+    def push_placeholders(self, names) -> "Scope":
+        """Binders whose types are not written: a placeholder entry
+        carries the name, indices are all the elaborator needs."""
+        sc = self
+        for n in names:
+            sc = sc.push(n, TmEntry(POS, Base("_")))
+        return sc
 
     def lookup(self, name: str, cls) -> tuple[int, TmEntry | TyEntry] | None:
         """De Bruijn index and entry of the innermost ``cls`` entry named
@@ -144,12 +158,7 @@ def _elab_family(a: S.SExpr, arity: int, sc: Scope) -> STy:
             raise _err("ArityMismatch",
                        f"family binds {len(a.binders)} of {arity} variables",
                        a.span)
-        sc2 = sc
-        for b in a.binders:
-            # binder types are not written; a placeholder entry carries
-            # the name, indices are all the elaborator needs here
-            sc2 = sc2.push(b, TmEntry(POS, Base("_")))
-        return STy(elab_ty(a.body, sc2), arity)
+        return STy(elab_ty(a.body, sc.push_placeholders(a.binders)), arity)
     if isinstance(a, S.SName):
         hit = sc.lookup(a.name, TyEntry)
         if hit is not None:
@@ -266,9 +275,7 @@ def _elab_push(head: S.SExpr, comps, span, sc: Scope, want_src, pol=POS):
                 raise _err("ArityMismatch",
                            f"component binds {len(c.binders)} of {ar} variables",
                            c.span)
-            sc2 = sc
-            for b in (c.binders or ("_",) * ar):
-                sc2 = sc2.push(b, TmEntry(POS, Base("_")))
+            sc2 = sc.push_placeholders(c.binders or ("_",) * ar)
             ad = elab_ad(c.body, sc2, pol=pol * entry.dir)
             forced = ad_end(ad, not free_is_ad_source(entry))
             out.append(KAd(ad, forced, ar))
@@ -321,40 +328,23 @@ def _elab_pi_sig_ad(kind: str, comps, span, sc: Scope, want_src, pol=POS):
 # ---------------------------------------------------------------------------
 
 
-def _mentions(e: S.SExpr, name: str) -> bool:
-    match e:
-        case S.SName(n, _):
-            return n == name
-        case S.SApp(f, a, _):
-            return _mentions(f, name) or _mentions(a, name)
-        case S.SArrow(_, d, c, _) | S.SStar(_, d, c, _):
-            return _mentions(d, name) or _mentions(c, name)
-        case S.SFun(_, d, b, _):
-            return _mentions(d, name) or _mentions(b, name)
-        case S.SFst(a, _) | S.SSnd(a, _):
-            return _mentions(a, name)
-        case S.SPair(a, b, t, _):
-            return any(_mentions(x, name) for x in (a, b, t))
-        case S.SCast(t, a, _):
-            return _mentions(t, name) or _mentions(a, name)
-        case S.SComp(g, f, _):
-            return _mentions(g, name) or _mentions(f, name)
-        case S.SId(at, _):
-            return at is not None and _mentions(at, name)
-        case S.SPush(h, comps, _):
-            return _mentions(h, name) or any(_mentions(c.body, name)
-                                             for c in comps)
-        case S.SFam(_, b, _):
-            return _mentions(b, name)
-        case _:
-            return False
+def _mentions(e, name: str) -> bool:
+    """Whether ``name`` is used in ``e``.  Every field of every surface
+    node is walked (binder names are strings, not uses), so a surface
+    form added later is covered without a case of its own."""
+    if type(e) is S.SName:
+        return e.name == name
+    if type(e) is tuple:
+        return any(_mentions(x, name) for x in e)
+    return is_dataclass(e) and any(_mentions(getattr(e, f.name), name)
+                                   for f in fields(e))
 
 
 def _peel_arrows(e: S.SExpr):
     """Split (x : A) -> ... -> HEAD into binders and head."""
     binders = []
     while isinstance(e, S.SArrow):
-        binders.append((e.binder or "_", e.dom))
+        binders.append((e.binder, e.dom))
         e = e.cod
     return binders, e
 
@@ -363,35 +353,32 @@ def elab_data(decl: S.DData, sc: Scope) -> IndDesc:
     # re-declaring an existing datatype is allowed only when the result
     # is structurally identical, hence the same interned node (elab_file
     # enforces that)
-    # parameter context
-    psc = Scope(sc.bases, sc.posts, sc.constructors, sc.defs)
+    psc = sc.closed()
     for p in decl.params:
         if isinstance(p, S.PTmParam):
             psc = psc.push(p.name, TmEntry(POS, elab_ty(p.ty, psc)))
         else:
-            tsc = psc
-            tel = []
-            for bn, bt in p.tele:
-                ty = elab_ty(bt, tsc)
-                tel.append(ty)
-                tsc = tsc.push(bn, TmEntry(POS, ty))
+            tel, _ = _elab_tel(p.tele, psc, POS)
             d = POS if p.dir == "+" else NEG
-            psc = psc.push(p.name, TyEntry(d, POS, tuple(tel)))
-    # index telescope
-    isc = psc
-    index_tel = []
-    for iname, ity in decl.indices:
-        ty = elab_ty(ity, isc)
-        index_tel.append(ty)
-        isc = isc.push(iname or "_", TmEntry(POS, ty))
-    cons = []
-    for con in decl.cons:
-        cons.append(_elab_con_decl(decl, con, psc, tuple(index_tel)))
-    return IndDesc(decl.name, psc.ctx, tuple(index_tel), tuple(cons))
+            psc = psc.push(p.name, TyEntry(d, POS, tel))
+    index_tel, _ = _elab_tel(decl.indices, psc, POS)
+    cons = tuple(_elab_con_decl(decl, con, psc) for con in decl.cons)
+    return IndDesc(decl.name, psc.ctx, index_tel, cons)
 
 
-def _elab_con_decl(decl: S.DData, con: S.SConDecl, psc: Scope,
-                   index_tel: Telescope) -> ConDesc:
+def _elab_tel(binders, sc: Scope, dir) -> tuple[Telescope, Scope]:
+    """Elaborate ``(name, type)`` binders left to right, each type in the
+    scope of the ones before it as ``dir`` term entries (an unnamed
+    binder is ``_``); returns the telescope and the extended scope."""
+    tel = []
+    for name, ty in binders:
+        t = elab_ty(ty, sc)
+        tel.append(t)
+        sc = sc.push(name or "_", TmEntry(dir, t))
+    return tuple(tel), sc
+
+
+def _elab_con_decl(decl: S.DData, con: S.SConDecl, psc: Scope) -> ConDesc:
     self_name = decl.name
     nrec: list = []
     recs: list[RecDesc] = []
@@ -402,21 +389,13 @@ def _elab_con_decl(decl: S.DData, con: S.SConDecl, psc: Scope,
         h, hargs = _head_spine(head)
         is_rec = isinstance(h, S.SName) and h.name == self_name
         if is_rec:
-            for _, bt in binders:
-                if _mentions(bt, self_name):
-                    raise _err("Positivity",
-                               f"{self_name} occurs in a branching arity",
-                               con.span)
+            if any(_mentions(bt, self_name) for _, bt in binders):
+                raise _err("Positivity",
+                           f"{self_name} occurs in a branching arity", con.span)
             seen_rec = True
-            asc = nsc
-            arit = []
-            for bn, bt in binders:
-                ty = elab_ty(bt, asc)
-                arit.append(ty)
-                asc = asc.push(bn, TmEntry(NEG, ty))
-            rind = _elab_self_result(decl, h, hargs, asc, con.span,
-                                     indices_only=True)
-            recs.append(RecDesc(tuple(arit), rind))
+            arit, asc = _elab_tel(binders, nsc, NEG)
+            recs.append(RecDesc(arit, _elab_self_result(decl, hargs, asc,
+                                                        con.span)))
         else:
             if _mentions(arg_ty, self_name):
                 raise _err("Positivity",
@@ -433,12 +412,11 @@ def _elab_con_decl(decl: S.DData, con: S.SConDecl, psc: Scope,
     if not (isinstance(h, S.SName) and h.name == self_name):
         raise _err("IllFormedDescription",
                    f"constructor {con.name} must build {self_name}", con.span)
-    ind = _elab_self_result(decl, h, hargs, nsc, con.span, indices_only=True)
+    ind = _elab_self_result(decl, hargs, nsc, con.span)
     return ConDesc(con.name, tuple(nrec), tuple(recs), ind)
 
 
-def _elab_self_result(decl: S.DData, h: S.SName, hargs: list[S.SExpr],
-                      sc: Scope, span, indices_only: bool):
+def _elab_self_result(decl: S.DData, hargs: list[S.SExpr], sc: Scope, span):
     nparams = len(decl.params)
     if len(hargs) != nparams + len(decl.indices):
         raise _err("ArityMismatch",
@@ -466,25 +444,35 @@ class Elaborated:
     datas: list = field(default_factory=list)       # registered names
 
 
+@contextmanager
+def _diagnosed(span):
+    """The diagnostic boundary of one declaration or expression: a check
+    failure without a place gets ``span``, a kernel failure becomes a
+    ``Kernel`` diagnostic at ``span``."""
+    try:
+        yield
+    except CheckError as e:
+        raise e.with_span(span) from None
+    except KernelError as e:
+        raise ElabError(Diagnostic("Kernel", str(e), span)) from None
+
+
 def elab_file(decls: list[S.Decl]) -> Elaborated:
-    from .inductive import register
     sc = Scope()
     for dname, d in SESSION.get().descs.items():
         for i, c in enumerate(d.cons):
             sc.constructors.setdefault(c.name, (dname, i))
     out = Elaborated(sc)
     for decl in decls:
-        try:
+        with _diagnosed(decl.span):
             match decl:
                 case S.DBase(name, span):
                     _fresh(sc, name, span)
                     sc.bases[name] = Base(name)
                 case S.DPostulate(name, src, tgt, span):
                     _fresh(sc, name, span)
-                    s = elab_ty(src, Scope(sc.bases, sc.posts,
-                                           sc.constructors, sc.defs))
-                    t = elab_ty(tgt, Scope(sc.bases, sc.posts,
-                                           sc.constructors, sc.defs))
+                    s = elab_ty(src, sc.closed())
+                    t = elab_ty(tgt, sc.closed())
                     check_ty((), s)
                     check_ty((), t)
                     sc.posts[name] = Post(name, s, t)
@@ -493,10 +481,9 @@ def elab_file(decls: list[S.Decl]) -> Elaborated:
                     d = NEG if neg else POS
                     check_ty(dual_ctx(sc.ctx, d), t)
                     sc = sc.push(name, TmEntry(d, t))
-                    out.scope = sc
                 case S.DDef(name, ty, tm, span):
                     _fresh(sc, name, span)
-                    closed = Scope(sc.bases, sc.posts, sc.constructors, sc.defs)
+                    closed = sc.closed()
                     t = elab_ty(ty, closed)
                     check_ty((), t)
                     m = elab_tm(tm, closed)
@@ -543,11 +530,6 @@ def elab_file(decls: list[S.Decl]) -> Elaborated:
                     m = elab_tm(tm, sc)
                     infer_tm(sc.ctx, m)
                     out.normalizes.append((sc.ctx, list(sc.names), m, span))
-        except CheckError as e:
-            raise e.with_span(getattr(decl, "span", None)) from None
-        except KernelError as e:
-            raise ElabError(Diagnostic("Kernel", str(e),
-                                       getattr(decl, "span", None))) from None
     out.scope = sc
     return out
 
@@ -564,5 +546,6 @@ def elab_expr_in(sc: Scope, text: str):
     p = S.Parser(text)
     e = p.expr()
     p.eat("eof")
-    tm = elab_tm(e, sc)
-    return tm, infer_tm(sc.ctx, tm)
+    with _diagnosed(None):
+        tm = elab_tm(e, sc)
+        return tm, infer_tm(sc.ctx, tm)

@@ -11,6 +11,7 @@ registered here.
 
 from __future__ import annotations
 
+from . import pretty
 from .syntax import (
     POS, NEG, Context, TmEntry, TyEntry, Telescope, TelAd, Inst,
     Type, Base, TyVarRef, Ind, Term, Var, Con, Cast, Adapter, Post, IndAd,
@@ -19,7 +20,7 @@ from .syntax import (
     extend_tel, shift, id_sub, vinst,
 )
 from .normalize import (
-    KernelError, apply, apply_tel, pi_tel, replayed_cache, ad_src, ad_tgt,
+    KernelError, apply, pi_tel, replayed_cache, ad_src, ad_tgt,
 )
 from .transform import (
     push_tel, cast_inst, trans_source, trans_target, free_is_source,
@@ -44,7 +45,7 @@ def con_args_tel(d: IndDesc, ci: int, params: Sub) -> Telescope:
     """Argument telescope of constructor ``ci`` at the parameters
     ``params``.  Every cell of a list has the same parameters, so a check
     or conversion of the list instantiates the telescope once."""
-    return apply_tel(con_data_tied(d, ci), params)
+    return apply(con_data_tied(d, ci), params)
 
 
 def constr_type(name: str, ci: int) -> tuple[Context, Type]:
@@ -274,8 +275,6 @@ def derive_rule_doc(name: str) -> dict:
     """Specialize the generic adapter typing rule at one datatype and
     compute the per-constructor cast equations, as printable strings and
     structured data.  Everything is derived by the engine itself."""
-    from . import pretty
-
     d = desc(name)
     doc: dict = {"name": name}
 
@@ -326,7 +325,7 @@ def derive_rule_doc(name: str) -> dict:
             n_tm += 1
 
     # the conclusion is stated at one fresh variable per index
-    idx_tel = apply_tel(d.index_tel, p_src)
+    idx_tel = apply(d.index_tel, p_src)
     idx_ctx = extend_tel(ctx, POS, idx_tel)
     idx_names = names + [f"i{k}" for k in range(len(idx_tel))]
     full_ad = ind_adapter(name, shift(mu, len(idx_tel), 0), vinst(idx_tel))

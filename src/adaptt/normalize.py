@@ -189,7 +189,9 @@ def _open(x, terms, k, d):
 
 def apply(x, sub: Sub):
     """Push a substitution spine through any syntax value, resolving
-    variables against the spine and computing any redexes this creates."""
+    variables against the spine and computing any redexes this creates.
+    A bare tuple is a telescope: entry k sees k extra bound term
+    variables."""
     return _ap(x, *_split_spine(sub), 0)
 
 
@@ -219,11 +221,6 @@ def _ap(x, tms, tys, d):
     if cls is Pi or cls is Sig or cls is Lam:
         note("SUB_PUSH")
     return map_scoped(x, _ap, (tms, tys), d, SMART)
-
-
-def apply_tel(tel: Telescope, sub: Sub) -> Telescope:
-    """Substitute a telescope; entry k sees k extra bound term variables."""
-    return _ap(tel, *_split_spine(sub), 0)
 
 
 def lift_block(spine, k: int):
@@ -427,6 +424,8 @@ _SEGMENT = {Lam: "body", App: "app", Cast: "cast"}
 
 
 def _nf(x, _depth=0):
+    # ``_depth`` is the binder depth ``map_scoped`` hands each child; a
+    # normal form does not depend on it
     cls = type(x)
     if cls is Pi:
         with at("dom"):
@@ -488,7 +487,7 @@ def conv_ty(ctx: Context, a: Type, b: Type) -> bool:
             dd = desc(d1)
             if not conv_sub(ctx, dd.params_ctx, p1, p2):
                 return False
-            tel = apply_tel(dd.index_tel, p1)
+            tel = apply(dd.index_tel, p1)
             return conv_inst(ctx, tel, i1, i2)
         case _:
             return False

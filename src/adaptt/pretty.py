@@ -43,23 +43,25 @@ class Env:
         n = name or self.fresh(kind)
         return Env(self.pairs + [(kind, n)]), n
 
-    def tm_name(self, index: int) -> str:
-        seen = 0
-        for kind, n in reversed(self.pairs):
-            if kind == "tm":
-                if seen == index:
-                    return n
-                seen += 1
-        return f"?v{index}"
+    def binders(self, arity: int, name: str | None = None
+                ) -> tuple[Env, list[str]]:
+        """Push ``arity`` term binders, fresh or all named ``name``."""
+        env, names = self, []
+        for _ in range(arity):
+            env, n = env.push("tm", name)
+            names.append(n)
+        return env, names
 
-    def ty_name(self, index: int) -> str:
+    def name(self, kind: str, index: int) -> str:
+        """Name of the ``kind`` entry at de Bruijn ``index`` (indices
+        count entries of that kind only)."""
         seen = 0
-        for kind, n in reversed(self.pairs):
-            if kind == "ty":
+        for k, n in reversed(self.pairs):
+            if k == kind:
                 if seen == index:
                     return n
                 seen += 1
-        return f"?T{index}"
+        return f"?{'v' if kind == 'tm' else 'T'}{index}"
 
 
 def ctx_names(ctx: Context) -> list[str]:
@@ -95,9 +97,9 @@ def render(x, env: Env, level: int = LOW) -> str:
         case Base(name):
             return name
         case Var(i):
-            return env.tm_name(i)
+            return env.name("tm", i)
         case TyVarRef(j, inst):
-            head = env.ty_name(j)
+            head = env.name("ty", j)
             if not inst:
                 return head
             args = " ".join(render(t, env, ATOM) for t in inst)
@@ -173,17 +175,9 @@ def render(x, env: Env, level: int = LOW) -> str:
 
 
 def _binder_comp(ad, arity: int, env: Env) -> str:
-    used = any(_occurs(ad, i) for i in range(arity))
-    if arity == 0 or not used:
-        env2 = env
-        for _ in range(arity):
-            env2, _n = env2.push("tm", "_")
-        return render(ad, env2, LOW)
-    env2 = env
-    names = []
-    for _ in range(arity):
-        env2, n = env2.push("tm")
-        names.append(n)
+    if not any(_occurs(ad, i) for i in range(arity)):
+        return render(ad, env.binders(arity, "_")[0], LOW)
+    env2, names = env.binders(arity)
     return f"{' '.join(names)} => {render(ad, env2, LOW)}"
 
 
@@ -198,14 +192,10 @@ def _spine_str(c, env: Env) -> str:
     ty = c.ty
     if (isinstance(ty, TyVarRef)
             and ty.inst == tuple(Var(c.arity - 1 - m) for m in range(c.arity))):
-        return env.ty_name(ty.index)
+        return env.name("ty", ty.index)
     if not any(_occurs(ty, i) for i in range(c.arity)):
         return render(shift(ty, -c.arity, 0, c_tm=c.arity), env, ATOM)
-    env2 = env
-    names = []
-    for _ in range(c.arity):
-        env2, n = env2.push("tm")
-        names.append(n)
+    env2, names = env.binders(c.arity)
     return f"({' '.join(names)} => {render(ty, env2, LOW)})"
 
 

@@ -47,7 +47,7 @@ from .syntax import (
     dual_ctx, extend_tm, extend_tel, map_scoped, shift, desc, entry_position,
 )
 from .normalize import (
-    KernelError, SMART, apply, apply_tel, lift_block,
+    KernelError, SMART, apply, lift_block,
     open_tm_block, cast, compose_ad, ad_end, ad_src, ad_tgt, is_id_ad,
     trans_is_identity, note, conv_tm, conv_ad,
 )
@@ -97,7 +97,7 @@ def spine_slots(ctx: Context, tgt: Context, spine: Sub | Trans):
             yield entry, comp, dual_ctx(ctx, entry.dir), apply(entry.ty, pre)
         else:
             yield (entry, comp,
-                   comp_ctx(ctx, entry, apply_tel(entry.tel, pre)), None)
+                   comp_ctx(ctx, entry, apply(entry.tel, pre)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,7 @@ def whisker_left(rho: Sub, rho_tgt: Context, tr: Trans, mid_ctx: Context) -> Tra
             comps.append(KTm(apply(c.tm, free)))
         else:
             ar = c.arity
-            tel_here = apply_tel(entry.tel, Sub(rho.comps[:k]))
+            tel_here = apply(entry.tel, Sub(rho.comps[:k]))
             ad = push_ty(c.ty, lift_block(tr, ar),
                          comp_ctx(mid_ctx, entry, tel_here))
             other = apply(c.ty, lift_block(forced, ar))

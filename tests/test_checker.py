@@ -136,9 +136,9 @@ def test_check_telad():
 
 
 def apply_tel_here(tel, base):
-    from adaptt.normalize import apply_tel
+    from adaptt.normalize import apply
     from adaptt.syntax import Sub, STy
-    return apply_tel(tel, Sub((STy(base, 0),)))
+    return apply(tel, Sub((STy(base, 0),)))
 
 
 def test_check_desc_builtins():

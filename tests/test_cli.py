@@ -90,6 +90,15 @@ def test_norm_evaluates_in_scope():
     assert "cons C (a <| f <| g) (nil C)" in out
 
 
+def test_norm_kernel_error_in_the_expression_is_a_diagnostic():
+    # the cast is rejected by the kernel while the expression elaborates:
+    # a rendered diagnostic with exit 1, as for a declaration in the file
+    code, out = run(["norm", "corpus/casts.adt", "-e", "nil A <| List [[ g ]]"])
+    assert code == 1
+    assert out == ("ERROR Kernel corpus/casts.adt "
+                   "inductive cast parameter mismatch\n")
+
+
 def test_model_exit_0_and_reports():
     code, out = run(["model", "corpus/casts.adt",
                      "--bindings", "corpus/bindings_small.json"])

@@ -9,7 +9,7 @@ from adaptt.syntax import (
     Sub, STm, STy, id_sub, shift,
 )
 from adaptt.normalize import (
-    apply, apply_tel, compose_ad, cast, app, fst_, snd_,
+    apply, compose_ad, cast, app, fst_, snd_,
     pi_tel, nf, conv_ty, conv_tm, conv_ad, assert_normal,
     NormalForm, KernelError, open_tm_block, note, replayed_cache, set_trace,
 )

@@ -72,6 +72,28 @@ def test_positivity_rejected_in_arity():
     assert e.value.diag.code == "Positivity"
 
 
+@pytest.mark.parametrize("arg", [
+    "(x : (X , X : Bad X ** X)) -> Bad X",
+    "(x : (X <| Bad)) -> Bad X",
+    "(x : (X <| Bad . id X)) -> Bad X",
+    "(x : (X <| id Bad)) -> Bad X",
+    "(x : (X <| List [[ Bad ]])) -> Bad X",
+    "(x : List (y => Bad X)) -> Bad X",
+    "(x : (fun (y : Bad X) => y) X) -> Bad X",
+    "(x : fst Bad) -> Bad X",
+    "(x : Bad X ** X) -> Bad X",
+    "(x : X Bad) -> Bad X",
+], ids=["pair-annotation", "cast", "composite", "id", "push", "family",
+        "fun-domain", "fst", "star", "application"])
+def test_positivity_rejected_in_every_surface_form(arg):
+    # each form is reached only by walking that node's fields: the name
+    # hides in one field of one form, and the datatype is named nowhere
+    # else in the argument
+    with pytest.raises(E.ElabError) as e:
+        elab(f"data Bad (X : Ty+) {{ mk : {arg} }}")
+    assert e.value.diag.code == "Positivity"
+
+
 def test_branching_argument_becomes_rec_desc():
     out = elab("""
     data Rose (X : Ty+) (Y : Ty-) {
