@@ -2,13 +2,13 @@
 
 Exit status: 0 success, 1 type or conversion error, 2 parse error,
 3 oracle failure, 4 usage error, 5 input nested too deeply.  An error in
-a ``norm -e`` expression is a diagnostic like one in the file: a kernel
-failure while it elaborates prints ``ERROR Kernel <file> <reason>`` and
-gives 1.  A reader that closes stdout early (``adaptt ... | head -1``)
-also gives 1, with nothing on stderr: the rest of the output is
-discarded.  A bare ``adaptt`` (no command) prints the help and gives 4,
-also when its reader is gone (``adaptt | true``), again with nothing on
-stderr.
+a ``norm -e`` expression is a diagnostic like one in the file, placed at
+``-e:LINE:COL``; a kernel failure there has no place and prints
+``ERROR Kernel <file> <reason>``, exit 1.  A reader that closes stdout
+early (``adaptt ... | head -1``) also gives 1, with nothing on stderr:
+the rest of the output is discarded.  A bare ``adaptt`` (no command)
+prints the help and gives 4, also when its reader is gone
+(``adaptt | true``), again with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -49,6 +49,16 @@ def _load(path: str):
     return surface.parse(_read(path))
 
 
+def _report(e: ParseError | CheckError, where: str) -> int:
+    """Print the ``ERROR`` line of a parse error or a diagnostic placed in
+    ``where``; returns the exit status."""
+    if isinstance(e, ParseError):
+        print(f"ERROR Parse {where}:{e.line}:{e.col} {e.message}")
+        return PARSE_ERROR
+    print(e.diag.render(where))
+    return TYPE_ERROR
+
+
 def cmd_check(args) -> int:
     out = elaborate.elab_file(_load(args.file))
     failures = 0
@@ -69,7 +79,11 @@ def cmd_check(args) -> int:
 
 def cmd_norm(args) -> int:
     sc = elaborate.elab_file(_load(args.file)).scope
-    tm, ty = elaborate.elab_expr_in(sc, args.expr)
+    try:
+        tm, ty = elaborate.elab_expr_in(sc, args.expr)
+    except (ParseError, CheckError) as e:
+        placed = isinstance(e, ParseError) or e.diag.span
+        return _report(e, "-e" if placed else args.file)
     names = list(sc.names)
     print(pretty.tm_string(sc.ctx, normalize.nf(tm).value, names))
     print(f": {pretty.ty_string(sc.ctx, ty, names)}")
@@ -77,12 +91,11 @@ def cmd_norm(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    try:
-        elaborate.elab_file(_load(args.file))
-        doc = derive_rule_doc(args.name)
-    except KeyError as e:
-        print(f"ERROR UnknownDatatype {e}")
+    elaborate.elab_file(_load(args.file))
+    if args.name not in SESSION.get().descs:
+        print(f"ERROR UnknownDatatype {args.file} {args.name}")
         return USAGE
+    doc = derive_rule_doc(args.name)
     if args.json:
         print(json.dumps(doc, indent=2))
         return OK
@@ -227,12 +240,8 @@ def _run(handler, args) -> int:
     SESSION.set(Session(dict(_STOCK), sink))
     try:
         return handler(args)
-    except ParseError as e:
-        print(f"ERROR Parse {args.file}:{e.line}:{e.col} {e.message}")
-        return PARSE_ERROR
-    except CheckError as e:
-        print(e.diag.render(args.file))
-        return TYPE_ERROR
+    except (ParseError, CheckError) as e:
+        return _report(e, args.file)
     except RecursionError:
         print(f"ERROR TooDeep {args.file} input nested too deeply")
         return TOO_DEEP

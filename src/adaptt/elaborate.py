@@ -4,7 +4,8 @@ Constructor declarations written as arrow telescopes are compiled to the
 signature record form: an argument whose (possibly binder-prefixed) head
 is the datatype being declared becomes a recursive-argument description;
 the datatype name may not occur anywhere else (strict positivity is the
-grammar).  All outputs are checked.
+grammar).  All outputs are checked.  Each subexpression is elaborated in
+the context the checker reads it in (``Scope.dual``, ``Scope.component``).
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .normalize import (
 from . import pretty
 from .inductive import register
 from .pretty import _occurs
-from .transform import free_is_ad_source
+from .transform import comp_ctx, free_is_ad_source
 from .syntax import (
-    POS, NEG, Context, TmEntry, TyEntry, Telescope,
+    POS, NEG, Dir, Context, TmEntry, TyEntry, Telescope,
     Base, TyVarRef, Pi, Sig, Ind, Var, Lam, Pair, Con,
     AdId, Post, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd,
@@ -51,22 +52,33 @@ class Scope:
     defs: dict[str, tuple] = field(default_factory=dict)  # name -> (tm, ty)
     ctx: Context = ()
     names: tuple[str, ...] = ()
+    _dual: Scope | None = field(default=None, repr=False, compare=False)
+
+    def _over(self, ctx: Context, names: tuple[str, ...]) -> "Scope":
+        return Scope(self.bases, self.posts, self.constructors, self.defs,
+                     ctx, names)
 
     def push(self, name: str, entry) -> "Scope":
-        return Scope(self.bases, self.posts, self.constructors, self.defs,
-                     self.ctx + (entry,), self.names + (name,))
+        return self._over(self.ctx + (entry,), self.names + (name,))
 
     def closed(self) -> "Scope":
         """The file-level names alone, with an empty context."""
-        return Scope(self.bases, self.posts, self.constructors, self.defs)
+        return self._over((), ())
 
-    def push_placeholders(self, names) -> "Scope":
-        """Binders whose types are not written: a placeholder entry
-        carries the name, indices are all the elaborator needs."""
-        sc = self
-        for n in names:
-            sc = sc.push(n, TmEntry(POS, Base("_")))
-        return sc
+    def dual(self, d: Dir = NEG) -> "Scope":
+        """The same names over ``dual_ctx(ctx, d)``, computed once."""
+        if d is NEG and self._dual is None:
+            self._dual = self._over(dual_ctx(self.ctx), self.names)
+            self._dual._dual = self
+        return self if d is POS else self._dual
+
+    def component(self, entry: TyEntry, binders) -> "Scope":
+        """A family or adapter component's scope for ``entry``; the
+        binders' types are not written, so they get placeholders."""
+        if not binders:     # comp_ctx is then dual_ctx: reuse the kept dual
+            return self.dual(entry.dir)
+        ctx = comp_ctx(self.ctx, entry, (Base("_"),) * len(binders))
+        return self._over(ctx, self.names + tuple(binders))
 
     def lookup(self, name: str, cls) -> tuple[int, TmEntry | TyEntry] | None:
         """De Bruijn index and entry of the innermost ``cls`` entry named
@@ -101,7 +113,7 @@ def elab_ty(e: S.SExpr, sc: Scope):
                 raise _err("Syntax", "expected a type head", e.span)
             return _elab_ty_head(head, args, sc)
         case S.SArrow(binder, dom, cod, _):
-            dom_t = elab_ty(dom, sc)
+            dom_t = elab_ty(dom, sc.dual())
             sc2 = sc.push(binder or "_", TmEntry(NEG, dom_t))
             return Pi(dom_t, elab_ty(cod, sc2))
         case S.SStar(binder, fst, snd, _):
@@ -136,7 +148,8 @@ def _elab_ty_head(head: S.SName, args: list[S.SExpr], sc: Scope):
             raise _err("ArityMismatch",
                        f"type variable {name} expects {len(ent.tel)} arguments",
                        head.span)
-        return TyVarRef(j, tuple(elab_tm(a, sc) for a in args))
+        isc = sc.dual(ent.tel_dir)
+        return TyVarRef(j, tuple(elab_tm(a, isc) for a in args))
     raise _err("UnboundVariable", f"unknown type {name}", head.span)
 
 
@@ -144,21 +157,22 @@ def _elab_param_spine(params_ctx: Context, args: list[S.SExpr], sc: Scope) -> Su
     comps = []
     for entry, a in zip(params_ctx, args):
         if isinstance(entry, TmEntry):
-            comps.append(STm(elab_tm(a, sc)))
+            comps.append(STm(elab_tm(a, sc.dual(entry.dir))))
         else:
-            comps.append(_elab_family(a, len(entry.tel), sc))
+            comps.append(_elab_family(a, entry, sc))
     return Sub(tuple(comps))
 
 
-def _elab_family(a: S.SExpr, arity: int, sc: Scope) -> STy:
-    """A type-family argument: an in-scope type variable of the right
-    arity (eta-expanded), an explicit binder form, or a constant type."""
+def _elab_family(a: S.SExpr, entry: TyEntry, sc: Scope) -> STy:
+    """A type-family argument for ``entry``: a type variable of its arity
+    (eta-expanded), an explicit binder form, or a constant type."""
+    arity = len(entry.tel)
     if isinstance(a, S.SFam):
         if len(a.binders) != arity:
             raise _err("ArityMismatch",
                        f"family binds {len(a.binders)} of {arity} variables",
                        a.span)
-        return STy(elab_ty(a.body, sc.push_placeholders(a.binders)), arity)
+        return STy(elab_ty(a.body, sc.component(entry, a.binders)), arity)
     if isinstance(a, S.SName):
         hit = sc.lookup(a.name, TyEntry)
         if hit is not None:
@@ -167,53 +181,52 @@ def _elab_family(a: S.SExpr, arity: int, sc: Scope) -> STy:
                 raise _err("ArityMismatch",
                            f"type variable {a.name} has the wrong arity", a.span)
             return STy(TyVarRef(j, vinst(ent.tel)), arity)
-    ty = elab_ty(a, sc)
+    ty = elab_ty(a, sc.component(entry, ()))
     return STy(shift(ty, arity, 0), arity)
 
 
-def elab_tm(e: S.SExpr, sc: Scope, pol=POS):
+def elab_tm(e: S.SExpr, sc: Scope):
     match e:
         case S.SName(name, span):
             hit = sc.lookup(name, TmEntry)
             if hit is not None:
                 return Var(hit[0])
             if name in sc.constructors:
-                return _elab_con(e, [], sc, pol)
+                return _elab_con(e, [], sc)
             if name in sc.defs:
                 return sc.defs[name][0]
             raise _err("UnboundVariable", f"unknown term {name}", span)
         case S.SApp(_, _, _):
             head, args = _head_spine(e)
             if isinstance(head, S.SName) and head.name in sc.constructors:
-                return _elab_con(head, args, sc, pol)
-            fn = elab_tm(head, sc, pol)
+                return _elab_con(head, args, sc)
+            fn = elab_tm(head, sc)
             for a in args:
-                fn = mk_app(fn, elab_tm(a, sc, pol * NEG))
+                fn = mk_app(fn, elab_tm(a, sc.dual()))
             return fn
         case S.SFun(binder, dom, body, _):
-            dom_t = elab_ty(dom, sc)
+            dom_t = elab_ty(dom, sc.dual())
             sc2 = sc.push(binder, TmEntry(NEG, dom_t))
-            return Lam(dom_t, elab_tm(body, sc2, pol))
+            return Lam(dom_t, elab_tm(body, sc2))
         case S.SPair(fst, snd, ty, span):
             ty_t = elab_ty(ty, sc)
             if not isinstance(ty_t, Sig):
                 raise _err("ClassifierMismatch",
                            "pair annotation must be a pair type", span)
-            return Pair(ty_t, elab_tm(fst, sc, pol), elab_tm(snd, sc, pol))
+            return Pair(ty_t, elab_tm(fst, sc), elab_tm(snd, sc))
         case S.SFst(arg, _):
-            return mk_fst(elab_tm(arg, sc, pol))
+            return mk_fst(elab_tm(arg, sc))
         case S.SSnd(arg, _):
-            return mk_snd(elab_tm(arg, sc, pol))
+            return mk_snd(elab_tm(arg, sc))
         case S.SCast(tm, ad, _):
-            t = elab_tm(tm, sc, pol)
-            want = infer_tm(dual_ctx(sc.ctx, pol), t)
-            a = elab_ad(ad, sc, want_src=want, pol=pol)
+            t = elab_tm(tm, sc)
+            a = elab_ad(ad, sc, want_src=infer_tm(sc.ctx, t))
             return mk_cast(t, a)
         case _:
             raise _err("Syntax", "expected a term", e.span)
 
 
-def _elab_con(head: S.SName, args: list[S.SExpr], sc: Scope, pol=POS):
+def _elab_con(head: S.SName, args: list[S.SExpr], sc: Scope):
     dname, tag = sc.constructors[head.name]
     d = desc(dname)
     c = d.cons[tag]
@@ -223,11 +236,11 @@ def _elab_con(head: S.SName, args: list[S.SExpr], sc: Scope, pol=POS):
                    f"constructor {head.name} expects {want} arguments, "
                    f"got {len(args)}", head.span)
     params = _elab_param_spine(d.params_ctx, args[:len(d.params_ctx)], sc)
-    tms = tuple(elab_tm(a, sc, pol) for a in args[len(d.params_ctx):])
+    tms = tuple(elab_tm(a, sc) for a in args[len(d.params_ctx):])
     return Con(dname, tag, params, tms)
 
 
-def elab_ad(e: S.SExpr, sc: Scope, want_src=None, pol=POS):
+def elab_ad(e: S.SExpr, sc: Scope, want_src=None):
     match e:
         case S.SId(None, span):
             if want_src is None:
@@ -241,20 +254,20 @@ def elab_ad(e: S.SExpr, sc: Scope, want_src=None, pol=POS):
                 return sc.posts[name]
             raise _err("UnboundVariable", f"unknown adapter {name}", span)
         case S.SComp(after, before, _):
-            before_a = elab_ad(before, sc, want_src=want_src, pol=pol)
-            after_a = elab_ad(after, sc, want_src=None, pol=pol)
+            before_a = elab_ad(before, sc, want_src=want_src)
+            after_a = elab_ad(after, sc)
             return compose_ad(after_a, before_a)
         case S.SPush(head, comps, span):
-            return _elab_push(head, comps, span, sc, want_src, pol)
+            return _elab_push(head, comps, span, sc, want_src)
         case _:
             raise _err("Syntax", "expected an adapter", e.span)
 
 
-def _elab_push(head: S.SExpr, comps, span, sc: Scope, want_src, pol=POS):
+def _elab_push(head: S.SExpr, comps, span, sc: Scope, want_src):
     if not isinstance(head, S.SName):
         raise _err("Syntax", "expected a named adapter former", span)
     if head.name in ("Pi", "Sig"):
-        return _elab_pi_sig_ad(head.name, comps, span, sc, want_src, pol)
+        return _elab_pi_sig_ad(head.name, comps, span, sc, want_src)
     d = SESSION.get().descs.get(head.name)
     if d is None:
         raise _err("UnboundVariable", f"unknown datatype {head.name}", span)
@@ -268,50 +281,44 @@ def _elab_push(head: S.SExpr, comps, span, sc: Scope, want_src, pol=POS):
             if c.binders:
                 raise _err("Syntax", "term component cannot bind variables",
                            c.span)
-            out.append(KTm(elab_tm(c.body, sc, pol * entry.dir)))
+            out.append(KTm(elab_tm(c.body, sc.dual(entry.dir))))
         else:
             ar = len(entry.tel)
             if c.binders and len(c.binders) != ar:
                 raise _err("ArityMismatch",
                            f"component binds {len(c.binders)} of {ar} variables",
                            c.span)
-            sc2 = sc.push_placeholders(c.binders or ("_",) * ar)
-            ad = elab_ad(c.body, sc2, pol=pol * entry.dir)
+            ad = elab_ad(c.body, sc.component(entry, c.binders or ("_",) * ar))
             forced = ad_end(ad, not free_is_ad_source(entry))
             out.append(KAd(ad, forced, ar))
     return IndAd(head.name, Trans(tuple(out)))
 
 
-def _elab_pi_sig_ad(kind: str, comps, span, sc: Scope, want_src, pol=POS):
+def _elab_pi_sig_ad(kind: str, comps, span, sc: Scope, want_src):
     if len(comps) != 2:
         raise _err("ArityMismatch", f"{kind} adapter takes two components", span)
     c0, c1 = comps
     if c0.binders:
         raise _err("Syntax", "first component cannot bind variables", c0.span)
-    first = elab_ad(c0.body, sc,
-                    pol=pol * (NEG if kind == "Pi" else POS))
+    first = elab_ad(c0.body, sc.dual() if kind == "Pi" else sc)
     if len(c1.binders) > 1:
         raise _err("ArityMismatch", "second component binds one variable",
                    c1.span)
     binder = c1.binders[0] if c1.binders else "_"
     if kind == "Pi":
         new_dom = ad_src(first)
-        sc2 = sc.push(binder, TmEntry(NEG, new_dom))
-        second = elab_ad(c1.body, sc2, pol=pol)
+        second = elab_ad(c1.body, sc.push(binder, TmEntry(NEG, new_dom)))
         tgt = Pi(new_dom, ad_tgt(second))
-        if want_src is not None and isinstance(want_src, Pi):
-            src = want_src
-        else:
-            cod_src = ad_src(second)
-            if _occurs(cod_src, 0):
+        src = want_src
+        if not isinstance(src, Pi):
+            src = Pi(ad_tgt(first), ad_src(second))
+            if _occurs(src.cod, 0):
                 raise _err("Syntax",
                            "cannot infer the source of this function adapter; "
                            "cast position provides it", span)
-            src = Pi(ad_tgt(first), cod_src)
         return PiAd(first, second, src, tgt)
     src_fst = ad_src(first)
-    sc2 = sc.push(binder, TmEntry(POS, src_fst))
-    second = elab_ad(c1.body, sc2, pol=pol)
+    second = elab_ad(c1.body, sc.push(binder, TmEntry(POS, src_fst)))
     src = Sig(src_fst, ad_src(second))
     if want_src is not None and not conv_ty(sc.ctx, src, want_src):
         raise _err("ClassifierMismatch", "pair adapter source mismatch", span)
@@ -358,23 +365,22 @@ def elab_data(decl: S.DData, sc: Scope) -> IndDesc:
         if isinstance(p, S.PTmParam):
             psc = psc.push(p.name, TmEntry(POS, elab_ty(p.ty, psc)))
         else:
-            tel, _ = _elab_tel(p.tele, psc, POS)
-            d = POS if p.dir == "+" else NEG
-            psc = psc.push(p.name, TyEntry(d, POS, tel))
-    index_tel, _ = _elab_tel(decl.indices, psc, POS)
+            tel, _ = _elab_tel(p.tele, psc)
+            psc = psc.push(p.name, TyEntry(Dir(p.dir), POS, tel))
+    index_tel, _ = _elab_tel(decl.indices, psc)
     cons = tuple(_elab_con_decl(decl, con, psc) for con in decl.cons)
     return IndDesc(decl.name, psc.ctx, index_tel, cons)
 
 
-def _elab_tel(binders, sc: Scope, dir) -> tuple[Telescope, Scope]:
+def _elab_tel(binders, sc: Scope) -> tuple[Telescope, Scope]:
     """Elaborate ``(name, type)`` binders left to right, each type in the
-    scope of the ones before it as ``dir`` term entries (an unnamed
+    scope of the ones before it as covariant term entries (an unnamed
     binder is ``_``); returns the telescope and the extended scope."""
     tel = []
     for name, ty in binders:
         t = elab_ty(ty, sc)
         tel.append(t)
-        sc = sc.push(name or "_", TmEntry(dir, t))
+        sc = sc.push(name or "_", TmEntry(POS, t))
     return tuple(tel), sc
 
 
@@ -393,9 +399,10 @@ def _elab_con_decl(decl: S.DData, con: S.SConDecl, psc: Scope) -> ConDesc:
                 raise _err("Positivity",
                            f"{self_name} occurs in a branching arity", con.span)
             seen_rec = True
-            arit, asc = _elab_tel(binders, nsc, NEG)
-            recs.append(RecDesc(arit, _elab_self_result(decl, hargs, asc,
-                                                        con.span)))
+            # read in the dual; dualized back, its binders are contravariant
+            arit, asc = _elab_tel(binders, nsc.dual())
+            recs.append(RecDesc(arit, _elab_self_result(decl, hargs,
+                                                        asc.dual(), con.span)))
         else:
             if _mentions(arg_ty, self_name):
                 raise _err("Positivity",
@@ -477,9 +484,9 @@ def elab_file(decls: list[S.Decl]) -> Elaborated:
                     check_ty((), t)
                     sc.posts[name] = Post(name, s, t)
                 case S.DVar(name, ty, span, neg):
-                    t = elab_ty(ty, sc)
                     d = NEG if neg else POS
-                    check_ty(dual_ctx(sc.ctx, d), t)
+                    t = elab_ty(ty, sc.dual(d))
+                    check_ty(sc.dual(d).ctx, t)
                     sc = sc.push(name, TmEntry(d, t))
                 case S.DDef(name, ty, tm, span):
                     _fresh(sc, name, span)
@@ -487,8 +494,7 @@ def elab_file(decls: list[S.Decl]) -> Elaborated:
                     t = elab_ty(ty, closed)
                     check_ty((), t)
                     m = elab_tm(tm, closed)
-                    got = infer_tm((), m)
-                    if not conv_ty((), got, t):
+                    if not conv_ty((), infer_tm((), m), t):
                         raise _err("ClassifierMismatch",
                                    f"definition {name} does not have its "
                                    f"declared type", span)
@@ -521,8 +527,7 @@ def elab_file(decls: list[S.Decl]) -> Elaborated:
                     lv = elab_tm(lhs, sc)
                     rv = elab_tm(rhs, sc)
                     for v in (lv, rv):
-                        got = infer_tm(sc.ctx, v)
-                        if not conv_ty(sc.ctx, got, t):
+                        if not conv_ty(sc.ctx, infer_tm(sc.ctx, v), t):
                             raise _err("ClassifierMismatch",
                                        "equation side has the wrong type", span)
                     out.asserts.append((sc.ctx, list(sc.names), lv, rv, t, span))

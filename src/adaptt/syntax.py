@@ -30,7 +30,7 @@ Representation choices that the rest of the kernel relies on:
 
 from __future__ import annotations
 
-import weakref
+from weakref import KeyedRef
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -43,29 +43,14 @@ from typing import Union
 # ---------------------------------------------------------------------------
 
 
-class _Entry(weakref.ref):
-    """Weak reference to an interned node that carries the node's table
-    key, so the callback fired when the node dies can drop the entry."""
-
-    __slots__ = ("key",)
-
-    def __new__(cls, node, key):
-        self = super().__new__(cls, node, _drop)
-        self.key = key
-        return self
-
-    def __init__(self, node, key):
-        super().__init__(node, _drop)
-
-
 #: The intern table, shared by every node class: ``(cls, *fields)`` to a
-#: weak reference to the one live node with those fields.  It is
-#: process-wide because identity equality needs one canonical node per
-#: value, and the stock datatype descriptions outlive any single file.
-INTERNED: dict[tuple, _Entry] = {}
+#: weak reference, carrying that key for ``_drop``, to the one live node
+#: with those fields.  Process-wide: identity equality needs one canonical
+#: node per value, and the stock datatype descriptions outlive any file.
+INTERNED: dict[tuple, KeyedRef] = {}
 
 
-def _drop(entry: _Entry, table=INTERNED) -> None:
+def _drop(entry: KeyedRef, table=INTERNED) -> None:
     # a node rebuilt after its predecessor died but before this callback
     # ran owns the key now; leave its entry alone.  The table is bound at
     # definition time because module globals are gone at interpreter exit.
@@ -83,7 +68,7 @@ def __new__(cls, {params}):
             return node
     node = new(cls)
 {sets}
-    table[key] = Entry(node, key)
+    table[key] = ref(node, drop, key)
     return node
 """
 
@@ -97,8 +82,8 @@ def interned(cls):
     src = _NEW_TEMPLATE.format(
         params=", ".join(names),
         sets="\n".join(f"    set(node, {n!r}, {n})" for n in names))
-    env = {"lookup": INTERNED.get, "table": INTERNED, "Entry": _Entry,
-           "new": object.__new__, "set": object.__setattr__}
+    env = {"lookup": INTERNED.get, "table": INTERNED, "ref": KeyedRef,
+           "drop": _drop, "new": object.__new__, "set": object.__setattr__}
     exec(src, env)
     cls.__new__ = staticmethod(env["__new__"])
     cls._fv = None      # free-variable bounds, filled in by ``fv_bounds``

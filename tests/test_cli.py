@@ -99,6 +99,56 @@ def test_norm_kernel_error_in_the_expression_is_a_diagnostic():
                    "inductive cast parameter mismatch\n")
 
 
+@pytest.mark.parametrize("expr, out", [
+    ("zzz", "ERROR UnboundVariable -e:1:1 unknown term zzz\n"),
+    ("((", "ERROR Parse -e:1:3 expected an expression, "
+           "found 'end of input'\n"),
+])
+def test_norm_places_an_error_in_the_expression_text(expr, out):
+    code, got = run(["norm", "corpus/casts.adt", "-e", expr])
+    assert code == (2 if out.startswith("ERROR Parse") else 1)
+    assert got == out
+
+
+def test_derive_of_an_unknown_datatype_is_a_usage_diagnostic():
+    code, out = run(["derive", "corpus/prelude.adt", "Foo"])
+    assert code == 4
+    assert out == "ERROR UnknownDatatype corpus/prelude.adt Foo\n"
+
+
+#: a contravariant variable ``c``: it may be a cast subject only where a
+#: type former reads its argument in the dual context
+_COVAR = ("base A ; base B ; postulate adapter f : A => B ; "
+          "covar c : A ;\n")
+_CAST_ID = "Id B (c <| f) (c <| f)"
+#: ``W``'s branching family is contravariant, so its component is dual
+_W = f"W A (x => {_CAST_ID})"
+
+
+@pytest.mark.parametrize("decl", [
+    f"covar d : {_CAST_ID} ;",
+    f"var h : {_CAST_ID} -> Nat ;",
+    f"check fun (x : {_CAST_ID}) => zero : {_CAST_ID} -> Nat ;",
+    f"var w : {_W} ;",
+    f"var w : {_W} ; check w <| W [[ id A > x => id ({_CAST_ID}) ]] : {_W} ;",
+])
+def test_a_dual_read_cast_subject_is_accepted(decl, tmp_path):
+    p = tmp_path / "dual.adt"
+    p.write_text(_COVAR + decl + "\n")
+    code, out = run(["check", str(p)])
+    assert code == 0, out
+
+
+def test_a_wrong_domain_read_in_the_dual_is_a_mismatch(tmp_path):
+    p = tmp_path / "dual.adt"
+    p.write_text(_COVAR + "check fun (x : Id A c c) => zero "
+                 f": {_CAST_ID} -> Nat ;\n")
+    code, out = run(["check", str(p)])
+    assert code == 1
+    assert out == (f"ERROR ClassifierMismatch {p}:2:1 expected {_CAST_ID} "
+                   "-> Nat got Id A c c -> Nat (check failed)\n")
+
+
 def test_model_exit_0_and_reports():
     code, out = run(["model", "corpus/casts.adt",
                      "--bindings", "corpus/bindings_small.json"])

@@ -114,6 +114,23 @@ def test_w_branching_with_dependency():
     assert con.rec[0].arit == (TyVarRef(0, (Var(0),)),)
 
 
+def test_branching_arity_is_read_in_the_dual():
+    # the arity is read in the dual context and an application argument
+    # in the dual of that, so the covariant argument ``a`` may be a cast
+    # subject inside an argument there, as the checker reads it
+    elab("""
+    base A ; base B ;
+    postulate adapter f : A => B ;
+    def g : B -> Nat := fun (b : B) => zero ;
+    data Gated {
+      stop : Gated ;
+      gate : (a : A) (r : (y : Id Nat (g (a <| f)) zero) -> Gated) -> Gated
+    }
+    """)
+    _, gate = desc("Gated").cons
+    assert len(gate.nrec) == len(gate.rec) == 1
+
+
 def test_scope_error():
     with pytest.raises(E.ElabError) as e:
         elab("base A ; var a : A ; check b : A ;")
