@@ -5,6 +5,11 @@ every classifier equality demanded by a rule premise is discharged by
 conversion, and variable rules only allow access to covariant entries
 (contravariant positions are reached through explicitly dualized
 contexts, which the traversal produces as it descends).
+
+``infer_tm``, ``check_ty`` and ``check_sub`` keep their successes in the
+session's memo (``normalize.session_memo``), so a judgment on the same
+interned context and syntax is derived once per session; a failure is
+derived again, with the same diagnostic.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .syntax import (
 )
 from .normalize import (
     apply, open_tm_block, conv_ty, fst_, ad_src, ad_tgt,
-    tm_entry_type, _entry_tel_here,
+    tm_entry_type, _entry_tel_here, session_memo,
 )
 from .transform import (
     free_is_ad_source, spine_slots, cast_block_vars, _mid_telad,
@@ -104,6 +109,7 @@ def check_inst(ctx: Context, inst: Inst, tel: Telescope) -> None:
 # ---------------------------------------------------------------------------
 
 
+@session_memo
 def check_ty(ctx: Context, ty: Type) -> None:
     match ty:
         case Base(_):
@@ -138,6 +144,7 @@ def check_ty(ctx: Context, ty: Type) -> None:
 # ---------------------------------------------------------------------------
 
 
+@session_memo
 def infer_tm(ctx: Context, t: Term) -> Type:
     match t:
         case Var(i):
@@ -276,6 +283,7 @@ def check_telad(ctx: Context, ads, src_tel: Telescope, tgt_tel: Telescope) -> No
 # ---------------------------------------------------------------------------
 
 
+@session_memo
 def check_sub(ctx: Context, sub: Sub, tgt: Context) -> None:
     if len(sub.comps) != len(tgt):
         _fail("ArityMismatch",

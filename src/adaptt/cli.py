@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
 Exit status: 0 success, 1 type or conversion error, 2 parse error,
-3 oracle failure, 4 usage error, 5 input nested too deeply.  An error in
-a ``norm -e`` expression is a diagnostic like one in the file, placed at
+3 oracle failure, 4 usage error, 5 resource limit (input nested too
+deeply, or too large for the available memory).  An error in a
+``norm -e`` expression is a diagnostic like one in the file, placed at
 ``-e:LINE:COL``; a kernel failure there has no place and prints
 ``ERROR Kernel <file> <reason>``, exit 1.  A reader that closes stdout
 early (``adaptt ... | head -1``) also gives 1, with nothing on stderr:
@@ -30,7 +31,7 @@ TYPE_ERROR = 1
 PARSE_ERROR = 2
 ORACLE_FAILURE = 3
 USAGE = 4
-TOO_DEEP = 5
+RESOURCE_LIMIT = 5
 
 #: the stock datatypes, checked at import; each command starts from a copy
 _STOCK = {d.name: d for d in builtin_descs()}
@@ -238,13 +239,17 @@ def _run(handler, args) -> int:
     if args.trace or os.environ.get("ADAPTT_TRACE"):
         sink = lambda rule, path: print(f"RULE {rule} AT {path}")
     SESSION.set(Session(dict(_STOCK), sink))
+    where = getattr(args, "file", args.cmd)     # ``selftest`` reads no file
     try:
         return handler(args)
     except (ParseError, CheckError) as e:
-        return _report(e, args.file)
+        return _report(e, where)
     except RecursionError:
-        print(f"ERROR TooDeep {args.file} input nested too deeply")
-        return TOO_DEEP
+        print(f"ERROR TooDeep {where} input nested too deeply")
+        return RESOURCE_LIMIT
+    except MemoryError:
+        print(f"ERROR TooLarge {where} input too large for available memory")
+        return RESOURCE_LIMIT
     except BrokenPipeError:
         raise       # a closed stdout, not an unreadable input: see ``main``
     except FileNotFoundError as e:

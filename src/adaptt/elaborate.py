@@ -452,16 +452,16 @@ class Elaborated:
 
 
 @contextmanager
-def _diagnosed(span):
+def _diagnosed(span, kernel_span):
     """The diagnostic boundary of one declaration or expression: a check
     failure without a place gets ``span``, a kernel failure becomes a
-    ``Kernel`` diagnostic at ``span``."""
+    ``Kernel`` diagnostic at ``kernel_span``."""
     try:
         yield
     except CheckError as e:
         raise e.with_span(span) from None
     except KernelError as e:
-        raise ElabError(Diagnostic("Kernel", str(e), span)) from None
+        raise ElabError(Diagnostic("Kernel", str(e), kernel_span)) from None
 
 
 def elab_file(decls: list[S.Decl]) -> Elaborated:
@@ -471,7 +471,7 @@ def elab_file(decls: list[S.Decl]) -> Elaborated:
             sc.constructors.setdefault(c.name, (dname, i))
     out = Elaborated(sc)
     for decl in decls:
-        with _diagnosed(decl.span):
+        with _diagnosed(decl.span, decl.span):
             match decl:
                 case S.DBase(name, span):
                     _fresh(sc, name, span)
@@ -551,6 +551,7 @@ def elab_expr_in(sc: Scope, text: str):
     p = S.Parser(text)
     e = p.expr()
     p.eat("eof")
-    with _diagnosed(None):
+    # a kernel failure in the expression has no place in its text
+    with _diagnosed(e.span, None):
         tm = elab_tm(e, sc)
         return tm, infer_tm(sc.ctx, tm)

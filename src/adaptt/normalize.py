@@ -24,7 +24,8 @@ its equation, is in ``docs/rewrite-rules.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import wraps
+from operator import attrgetter
 
 from .syntax import (
     POS, NEG, Context, TmEntry, TyEntry, Telescope, Inst,
@@ -88,9 +89,11 @@ def set_trace(sink) -> None:
 
 
 def note(rule: str) -> None:
+    assert rule in RULES, rule
     s = SESSION.get()
-    if s.sink is not None:
-        assert rule in RULES, rule
+    if s.record is not None:
+        s.record.append(rule)
+    elif s.sink is not None:
         s.sink(rule, "/".join(s.path) or ".")
 
 
@@ -107,46 +110,105 @@ class at:
         SESSION.get().path.pop()
 
 
-def _replay(rules) -> None:
-    s = SESSION.get()
-    if s.sink is not None:
-        path = "/".join(s.path) or "."
-        for rule in rules:
-            s.sink(rule, path)
+# A record is what a cached computation reported: a list whose items are
+# rule names and the records of the cached calls it made, in order, each
+# of those appended by reference.  Nesting copies nothing; the sink reads
+# the outermost record in one walk.  Cached computations never enter an
+# ``at`` marker, so every step in a record shares the caller's path.
+
+
+def _replay(s, record: list) -> None:
+    """Report a finished record: into the record being made, if a cached
+    computation is running, else to the sink at the current path."""
+    if s.record is not None:
+        s.record.append(record)
+        return
+    sink = s.sink
+    if sink is None:
+        return
+    path = "/".join(s.path) or "."
+    stack = [iter(record)]
+    while stack:
+        for item in stack[-1]:
+            if type(item) is str:
+                sink(item, path)
+            else:
+                stack.append(iter(item))
+                break
+        else:
+            stack.pop()
+
+
+def _replaying(fn, table_of):
+    """``fn`` with its successes kept in the table ``table_of(session)``,
+    keyed by ``fn`` and the arguments, each with its record.  Every call,
+    hit or miss, reports the record, so a trace and its rule counts are
+    those of the uncached program, whatever ran earlier.  A failure is not
+    kept: its steps are reported as made, and a retry makes them again.
+    The wrapper is the one frame this adds to a recursion through ``fn``."""
+    @wraps(fn)
+    def cached(*args):
+        s = SESSION.get()
+        table = table_of(s)
+        key = (fn, *args)
+        hit = table.get(key)
+        if hit is not None:
+            out, record = hit
+            if record:
+                _replay(s, record)
+            return out
+        outer = s.record
+        s.record = record = []
+        try:
+            out = fn(*args)
+        finally:
+            s.record = outer
+            if record:
+                _replay(s, record)
+        table[key] = out, record
+        return out
+    return cached
+
+
+def session_memo(fn):
+    """Keep ``fn``'s successes in the current session's memo.  For a
+    judgment or computation that reads the datatype table by name, which
+    belongs to the session; syntax is hash-consed, so equal arguments are
+    one key."""
+    return _replaying(fn, attrgetter("memo"))
+
+
+class _Bounded(dict):
+    """Process-wide table of a ``replayed_cache``: at most ``maxsize``
+    entries, the oldest dropped first, its lookups counted."""
+
+    def __init__(self, maxsize: int | None):
+        super().__init__()
+        self.maxsize, self.hits, self.misses = maxsize, 0, 0
+
+    def get(self, key):
+        hit = super().get(key)
+        if hit is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return hit
+
+    def __setitem__(self, key, value):
+        if self.maxsize is not None and len(self) >= self.maxsize:
+            del self[next(iter(self))]
+        super().__setitem__(key, value)
 
 
 def replayed_cache(maxsize: int | None):
-    """``lru_cache`` for a kernel computation that reports rewrite steps.
-
-    The computation runs with a sink that records the rule names it
-    emits; every call, hit or miss, replays them to the current sink.  A
-    trace and its rule counts are therefore those of the uncached program,
-    whatever ran earlier in the process.  Cached computations never enter
-    an ``at`` marker, so the replayed notes share the caller's path.  The
-    session's sink is swapped here directly, not through ``set_trace``, so
-    that a wrapper around ``set_trace`` never sees the recording sink."""
+    """The recording of ``session_memo`` over a process-wide table, for a
+    computation keyed by a datatype description itself, whose results
+    therefore outlive a session; ``cache_info()`` gives the hit and miss
+    counts."""
     def decorate(fn):
-        @lru_cache(maxsize=maxsize)
-        def recorded(*args):
-            s = SESSION.get()
-            rules: list[str] = []
-            outer, s.sink = s.sink, lambda rule, _path: rules.append(rule)
-            try:
-                out = fn(*args)
-            except BaseException:
-                # a failed computation is not cached: report its steps now
-                s.sink = outer
-                _replay(rules)
-                raise
-            s.sink = outer
-            return out, tuple(rules)
-
-        @wraps(fn)
-        def cached(*args):
-            out, rules = recorded(*args)
-            _replay(rules)
-            return out
-        cached.cache_info = recorded.cache_info
+        table = _Bounded(maxsize)
+        cached = _replaying(fn, lambda _s: table)
+        cached.cache_info = lambda: table
         return cached
     return decorate
 

@@ -372,6 +372,10 @@ class TmEntry:
     dir: Dir
     ty: Type
 
+    @cached_property
+    def dual(self) -> TmEntry:
+        return TmEntry(self.dir.flip, self.ty)
+
 
 @interned
 class TyEntry:
@@ -381,6 +385,10 @@ class TyEntry:
     tel_dir: Dir
     tel: Telescope
 
+    @cached_property
+    def dual(self) -> TyEntry:
+        return TyEntry(self.dir.flip, self.tel_dir.flip, self.tel)
+
 
 CtxEntry = Union[TmEntry, TyEntry]
 Context = tuple[CtxEntry, ...]
@@ -388,16 +396,12 @@ Context = tuple[CtxEntry, ...]
 EMPTY: Context = ()
 
 
-def dual_entry(e: CtxEntry) -> CtxEntry:
-    if isinstance(e, TmEntry):
-        return TmEntry(e.dir.flip, e.ty)
-    return TyEntry(e.dir.flip, e.tel_dir.flip, e.tel)
-
-
 def dual_ctx(ctx: Context, d: Dir = NEG) -> Context:
+    """``ctx`` read at direction ``d``: at ``NEG``, every entry flipped.
+    Each entry builds its dual once and keeps it."""
     if d is POS:
         return ctx
-    return tuple(dual_entry(e) for e in ctx)
+    return tuple([e.dual for e in ctx])
 
 
 def extend_tm(ctx: Context, d: Dir, ty: Type) -> Context:
@@ -644,11 +648,16 @@ class IndDesc:
 @dataclass
 class Session:
     """State of one command: the datatype table by name, the trace sink
-    (called with rule name and path per rewrite step, or None) and the
-    stack of trace-path segments."""
+    (called with rule name and path per rewrite step, or None), the stack
+    of trace-path segments, the judgment memo (``normalize.session_memo``)
+    and the record that rewrite steps go to while a memoized computation
+    runs (None outside one).  Judgments read the datatype table by name,
+    so their memo lives and dies with it."""
     descs: dict[str, IndDesc]
     sink: object = None
     path: list[str] = field(default_factory=list)
+    memo: dict = field(default_factory=dict)
+    record: list | None = None
 
 
 #: the current session; by default the root one, which holds the stock

@@ -49,7 +49,7 @@ from .syntax import (
 from .normalize import (
     KernelError, SMART, apply, lift_block,
     open_tm_block, cast, compose_ad, ad_end, ad_src, ad_tgt, is_id_ad,
-    trans_is_identity, note, conv_tm, conv_ad,
+    trans_is_identity, note, conv_tm, conv_ad, session_memo,
 )
 
 
@@ -106,13 +106,14 @@ def spine_slots(ctx: Context, tgt: Context, spine: Sub | Trans):
 
 
 def trans_source(tgt_ctx: Context, tr: Trans) -> Sub:
-    return _endpoint(tgt_ctx, tr, want_src=True)
+    return _endpoint(tgt_ctx, tr, True)
 
 
 def trans_target(tgt_ctx: Context, tr: Trans) -> Sub:
-    return _endpoint(tgt_ctx, tr, want_src=False)
+    return _endpoint(tgt_ctx, tr, False)
 
 
+@session_memo
 def _endpoint(tgt_ctx: Context, tr: Trans, want_src: bool) -> Sub:
     if len(tr.comps) != len(tgt_ctx):
         raise KernelError("transformation spine does not match its context")

@@ -103,11 +103,28 @@ def test_norm_kernel_error_in_the_expression_is_a_diagnostic():
     ("zzz", "ERROR UnboundVariable -e:1:1 unknown term zzz\n"),
     ("((", "ERROR Parse -e:1:3 expected an expression, "
            "found 'end of input'\n"),
+    ("h b'", "ERROR ClassifierMismatch -e:1:1 expected Nat got B "
+             "(function argument has the wrong type)\n"),
+    ("fst a", "ERROR ClassifierMismatch -e:1:1 expected a pair type got A "
+              "(projection of a non-pair)\n"),
 ])
 def test_norm_places_an_error_in_the_expression_text(expr, out):
     code, got = run(["norm", "corpus/casts.adt", "-e", expr])
     assert code == (2 if out.startswith("ERROR Parse") else 1)
     assert got == out
+
+
+@pytest.mark.parametrize("argv", [["check", "corpus/casts.adt"],
+                                  ["selftest"]])
+def test_memory_exhaustion_is_a_resource_limit_diagnostic(argv, monkeypatch):
+    # a stand-in handler raises it: memory is never really exhausted here
+    def exhausted(args):
+        raise MemoryError
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", exhausted)
+    code, out = run(argv)
+    assert code == 5
+    assert out == (f"ERROR TooLarge {argv[-1]} "
+                   "input too large for available memory\n")
 
 
 def test_derive_of_an_unknown_datatype_is_a_usage_diagnostic():
