@@ -236,7 +236,7 @@ def _run(handler, args) -> int:
     """The one error boundary, in a fresh session: the stock datatypes,
     and the ``RULE`` printer under ``--trace``, else the caller's sink."""
     sink = SESSION.get().sink
-    if args.trace or os.environ.get("ADAPTT_TRACE"):
+    if args.trace:
         sink = lambda rule, path: print(f"RULE {rule} AT {path}")
     SESSION.set(Session(dict(_STOCK), sink))
     where = getattr(args, "file", args.cmd)     # ``selftest`` reads no file

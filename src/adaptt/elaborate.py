@@ -16,16 +16,16 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from . import surface as S
 from .check import CheckError, Diagnostic, check_ty, infer_tm
 from .normalize import (
-    compose_ad, conv_ty, ad_end, ad_src, ad_tgt, cast as mk_cast,
+    apply, compose_ad, conv_ty, ad_end, ad_src, ad_tgt, cast as mk_cast,
     app as mk_app, fst_ as mk_fst, snd_ as mk_snd, KernelError,
 )
 from . import pretty
 from .inductive import register
 from .pretty import _occurs
-from .transform import comp_ctx, free_is_ad_source
+from .transform import comp_ctx, free_is_ad_source, spine_prefix
 from .syntax import (
     POS, NEG, Dir, Context, TmEntry, TyEntry, Telescope,
-    Base, TyVarRef, Pi, Sig, Ind, Var, Lam, Pair, Con,
+    Term, Base, TyVarRef, Pi, Sig, Ind, Var, Lam, Pair, Con,
     AdId, Post, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd,
     RecDesc, ConDesc, IndDesc, SESSION, desc,
@@ -49,7 +49,7 @@ class Scope:
     bases: dict[str, Base] = field(default_factory=dict)
     posts: dict[str, Post] = field(default_factory=dict)
     constructors: dict[str, tuple[str, int]] = field(default_factory=dict)
-    defs: dict[str, tuple] = field(default_factory=dict)  # name -> (tm, ty)
+    defs: dict[str, Term] = field(default_factory=dict)
     ctx: Context = ()
     names: tuple[str, ...] = ()
     _dual: Scope | None = field(default=None, repr=False, compare=False)
@@ -72,13 +72,15 @@ class Scope:
             self._dual._dual = self
         return self if d is POS else self._dual
 
-    def component(self, entry: TyEntry, binders) -> "Scope":
-        """A family or adapter component's scope for ``entry``; the
-        binders' types are not written, so they get placeholders."""
+    def component(self, tgt: Context, prefix: Sub | Trans, binders) -> "Scope":
+        """The scope of the component after ``prefix`` in a spine into
+        ``tgt``: ``binders`` name the entry's telescope, read as
+        ``spine_slots`` reads it."""
+        entry = tgt[len(prefix.comps)]
         if not binders:     # comp_ctx is then dual_ctx: reuse the kept dual
             return self.dual(entry.dir)
-        ctx = comp_ctx(self.ctx, entry, (Base("_"),) * len(binders))
-        return self._over(ctx, self.names + tuple(binders))
+        tel = apply(entry.tel, spine_prefix(tgt, prefix))
+        return self._over(comp_ctx(self.ctx, entry, tel), self.names + binders)
 
     def lookup(self, name: str, cls) -> tuple[int, TmEntry | TyEntry] | None:
         """De Bruijn index and entry of the innermost ``cls`` entry named
@@ -159,20 +161,22 @@ def _elab_param_spine(params_ctx: Context, args: list[S.SExpr], sc: Scope) -> Su
         if isinstance(entry, TmEntry):
             comps.append(STm(elab_tm(a, sc.dual(entry.dir))))
         else:
-            comps.append(_elab_family(a, entry, sc))
+            comps.append(_elab_family(a, params_ctx, Sub(tuple(comps)), sc))
     return Sub(tuple(comps))
 
 
-def _elab_family(a: S.SExpr, entry: TyEntry, sc: Scope) -> STy:
-    """A type-family argument for ``entry``: a type variable of its arity
-    (eta-expanded), an explicit binder form, or a constant type."""
+def _elab_family(a: S.SExpr, tgt: Context, prefix: Sub, sc: Scope) -> STy:
+    """A type-family argument for the entry of ``tgt`` after ``prefix``:
+    a type variable of its arity (eta-expanded), an explicit binder form,
+    or a constant type."""
+    entry = tgt[len(prefix.comps)]
     arity = len(entry.tel)
     if isinstance(a, S.SFam):
         if len(a.binders) != arity:
             raise _err("ArityMismatch",
                        f"family binds {len(a.binders)} of {arity} variables",
                        a.span)
-        return STy(elab_ty(a.body, sc.component(entry, a.binders)), arity)
+        return STy(elab_ty(a.body, sc.component(tgt, prefix, a.binders)), arity)
     if isinstance(a, S.SName):
         hit = sc.lookup(a.name, TyEntry)
         if hit is not None:
@@ -181,7 +185,7 @@ def _elab_family(a: S.SExpr, entry: TyEntry, sc: Scope) -> STy:
                 raise _err("ArityMismatch",
                            f"type variable {a.name} has the wrong arity", a.span)
             return STy(TyVarRef(j, vinst(ent.tel)), arity)
-    ty = elab_ty(a, sc.component(entry, ()))
+    ty = elab_ty(a, sc.dual(entry.dir))
     return STy(shift(ty, arity, 0), arity)
 
 
@@ -194,7 +198,7 @@ def elab_tm(e: S.SExpr, sc: Scope):
             if name in sc.constructors:
                 return _elab_con(e, [], sc)
             if name in sc.defs:
-                return sc.defs[name][0]
+                return sc.defs[name]
             raise _err("UnboundVariable", f"unknown term {name}", span)
         case S.SApp(_, _, _):
             head, args = _head_spine(e)
@@ -288,7 +292,9 @@ def _elab_push(head: S.SExpr, comps, span, sc: Scope, want_src):
                 raise _err("ArityMismatch",
                            f"component binds {len(c.binders)} of {ar} variables",
                            c.span)
-            ad = elab_ad(c.body, sc.component(entry, c.binders or ("_",) * ar))
+            csc = sc.component(d.full_ctx, Trans(tuple(out)),
+                               c.binders or ("_",) * ar)
+            ad = elab_ad(c.body, csc)
             forced = ad_end(ad, not free_is_ad_source(entry))
             out.append(KAd(ad, forced, ar))
     return IndAd(head.name, Trans(tuple(out)))
@@ -498,7 +504,7 @@ def elab_file(decls: list[S.Decl]) -> Elaborated:
                         raise _err("ClassifierMismatch",
                                    f"definition {name} does not have its "
                                    f"declared type", span)
-                    sc.defs[name] = (m, t)
+                    sc.defs[name] = m
                 case S.DData(_, _, _, _, span):
                     d = elab_data(decl, sc)
                     try:

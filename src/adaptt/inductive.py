@@ -40,7 +40,7 @@ def con_data_tied(d: IndDesc, ci: int) -> Telescope:
     return tuple(tel)
 
 
-@replayed_cache(maxsize=1024)
+@replayed_cache
 def con_args_tel(d: IndDesc, ci: int, params: Sub) -> Telescope:
     """Argument telescope of constructor ``ci`` at the parameters
     ``params``.  Every cell of a list has the same parameters, so a check
@@ -100,7 +100,7 @@ def cast_con(tm: Con, tr: Trans) -> Term:
     return Con(tm.desc, tm.tag, params, cast_inst(tm.args, alpha))
 
 
-@replayed_cache(maxsize=1024)
+@replayed_cache
 def _con_adapter(d: IndDesc, ci: int, mu: Trans) -> tuple[TelAd, Sub]:
     """Argument telescope adapter of constructor ``ci`` under the
     parameter transformation ``mu``, and the target parameters.  Every
@@ -137,8 +137,7 @@ def register(d: IndDesc) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _ty_param(dir=POS, tel: Telescope = ()) -> TyEntry:
-    return TyEntry(dir, POS, tel)
+_TY_PARAM = TyEntry(POS, POS, ())
 
 
 NAT = "Nat"
@@ -166,7 +165,7 @@ def builtin_descs() -> tuple[IndDesc, ...]:
         NAT, (), (),
         (ConDesc("zero", (), (), ()),
          ConDesc("succ", (), (RecDesc((), ()),), ())))
-    one_param: Context = (_ty_param(),)
+    one_param: Context = (_TY_PARAM,)
     list_d = IndDesc(
         LIST, one_param, (),
         (ConDesc("nil", (), (), ()),
@@ -178,15 +177,15 @@ def builtin_descs() -> tuple[IndDesc, ...]:
                  (RecDesc((), (Var(0),)),),
                  (nat_succ(Var(0)),))))
     sum_d = IndDesc(
-        SUM, (_ty_param(), _ty_param()), (),
+        SUM, (_TY_PARAM, _TY_PARAM), (),
         (ConDesc("inl", (TyVarRef(1, ()),), (), ()),
          ConDesc("inr", (TyVarRef(0, ()),), (), ())))
     w_d = IndDesc(
-        W, (_ty_param(), TyEntry(NEG, POS, (TyVarRef(0, ()),))), (),
+        W, (_TY_PARAM, TyEntry(NEG, POS, (TyVarRef(0, ()),))), (),
         (ConDesc("sup", (TyVarRef(1, ()),),
                  (RecDesc((TyVarRef(0, (Var(0),)),), ()),), ()),))
     id_d = IndDesc(
-        ID, (_ty_param(), TmEntry(POS, TyVarRef(0, ()))),
+        ID, (_TY_PARAM, TmEntry(POS, TyVarRef(0, ()))),
         (TyVarRef(0, ()),),
         (ConDesc("refl", (), (), (Var(0),)),))
     return (nat_d, list_d, vec_d, sum_d, w_d, id_d)

@@ -179,12 +179,10 @@ def session_memo(fn):
 
 
 class _Bounded(dict):
-    """Process-wide table of a ``replayed_cache``: at most ``maxsize``
+    """Process-wide table of a ``replayed_cache``: at most ``SIZE``
     entries, the oldest dropped first, its lookups counted."""
 
-    def __init__(self, maxsize: int | None):
-        super().__init__()
-        self.maxsize, self.hits, self.misses = maxsize, 0, 0
+    SIZE, hits, misses = 1024, 0, 0
 
     def get(self, key):
         hit = super().get(key)
@@ -195,22 +193,20 @@ class _Bounded(dict):
         return hit
 
     def __setitem__(self, key, value):
-        if self.maxsize is not None and len(self) >= self.maxsize:
+        if len(self) >= self.SIZE:
             del self[next(iter(self))]
         super().__setitem__(key, value)
 
 
-def replayed_cache(maxsize: int | None):
+def replayed_cache(fn):
     """The recording of ``session_memo`` over a process-wide table, for a
     computation keyed by a datatype description itself, whose results
     therefore outlive a session; ``cache_info()`` gives the hit and miss
     counts."""
-    def decorate(fn):
-        table = _Bounded(maxsize)
-        cached = _replaying(fn, lambda _s: table)
-        cached.cache_info = lambda: table
-        return cached
-    return decorate
+    table = _Bounded()
+    cached = _replaying(fn, lambda _s: table)
+    cached.cache_info = lambda: table
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -629,15 +625,25 @@ def conv_neutral(ctx: Context, x: Term, y: Term):
             if not isinstance(pty, Sig):
                 return None
             return open_tm_block(pty.snd, (fst_(p1),))
-        case (Cast(t1, a1), Cast(t2, a2)):
-            if conv_ad(ctx, a1, a2) is None:
+        case (Cast(), _) | (_, Cast()):
+            # a cast tower is compared as the composite of its links, so
+            # the functor laws hold on neutral subjects too
+            (t1, l1), (t2, l2) = _tower(x), _tower(y)
+            src = ad_src((l1 or l2)[0])
+            c1, c2 = (compose_parts(l) if l else AdId(src) for l in (l1, l2))
+            if conv_ad(ctx, c1, c2) is None or not conv_tm(ctx, src, t1, t2):
                 return None
-            s1 = ad_src(a1)
-            if not conv_tm(ctx, s1, t1, t2):
-                return None
-            return ad_tgt(a1)
+            return ad_tgt(c1)
         case _:
             return None
+
+
+def _tower(t: Term) -> tuple[Term, tuple[Adapter, ...]]:
+    """A term's subject under its casts, and their links innermost first."""
+    links = ()
+    while type(t) is Cast:
+        t, links = t.tm, (t.ad,) + links
+    return t, links
 
 
 def conv_sub(ctx: Context, tgt: Context, s1: Sub, s2: Sub) -> bool:
@@ -678,24 +684,15 @@ def conv_ad(ctx: Context, f: Adapter, g: Adapter):
     pf = transform.fuse_chain(ctx, parts_of(f))
     pg = transform.fuse_chain(ctx, parts_of(g))
     if len(pf) != len(pg):
-        if not pf and len(pg) == 1 and is_id_ad(pg[0]):
-            return True
-        if not pg and len(pf) == 1 and is_id_ad(pf[0]):
-            return True
         return None
     if not pf:
         return conv_ty(ctx, ad_src(f), ad_src(g)) or None
-    for a, b in zip(pf, pg):
-        if not _conv_atomic(ctx, a, b):
-            return None
-    return True
+    return all(_conv_atomic(ctx, a, b) for a, b in zip(pf, pg)) or None
 
 
 def _conv_atomic(ctx: Context, a: Adapter, b: Adapter) -> bool:
     if a is b:
         return True
-    if is_id_ad(a) and is_id_ad(b):
-        return conv_ty(ctx, ad_src(a), ad_src(b))
     match (a, b):
         case (Post(n1, _, _), Post(n2, _, _)):
             return n1 == n2

@@ -150,8 +150,8 @@ def render(x, env: Env, level: int = LOW) -> str:
             items += [render(t, env, ATOM) for t in args]
             s = cname if not items else f"{cname} {' '.join(items)}"
             return _wrap(s, APP if items else ATOM, level)
-        case AdId(_):
-            return "id"
+        case AdId(ty):
+            return _wrap(f"id {render(ty, env, ATOM)}", APP, level)
         case Post(name, _, _):
             return name
         case Chain(parts):

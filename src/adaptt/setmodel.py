@@ -27,7 +27,7 @@ from .syntax import (
     POS, NEG, Dir, Context, TmEntry, TyEntry,
     Base, TyVarRef, Pi, Sig, Ind, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     AdId, Chain, Post, PiAd, SigAd, IndAd, Sub, STm, STy, Trans, KTm, KAd,
-    desc, ty_count,
+    desc, tm_count, ty_count,
 )
 
 
@@ -588,7 +588,7 @@ def sem_eq(x, y) -> bool:
     return x == y
 
 
-def free_tm_vars(x, depth: int = 0) -> set[int]:
+def free_tm_vars(x) -> set[int]:
     """Free term-variable indices of any syntax value."""
     out: set[int] = set()
 
@@ -641,14 +641,14 @@ def free_tm_vars(x, depth: int = 0) -> set[int]:
                     go(t, d + k)
             case _:
                 pass
-    go(x, depth)
+    go(x, 0)
     return out
 
 
 def needed_entries(ctx: Context, roots: set[int]) -> set[int]:
     """Close a set of needed term variables under their types' own
     dependencies.  Indices count term entries from the inside."""
-    n = sum(1 for e in ctx if isinstance(e, TmEntry))
+    n = tm_count(ctx)
     need = set(roots)
     changed = True
     positions = [k for k, e in enumerate(ctx) if isinstance(e, TmEntry)]
@@ -657,7 +657,7 @@ def needed_entries(ctx: Context, roots: set[int]) -> set[int]:
         for idx in list(need):
             pos = positions[n - 1 - idx]
             entry = ctx[pos]
-            inner_tms = sum(1 for e in ctx[pos + 1:] if isinstance(e, TmEntry))
+            inner_tms = tm_count(ctx[pos + 1:])
             for j in free_tm_vars(entry.ty):
                 k = j + inner_tms + 1
                 if k < n and k not in need:
@@ -679,7 +679,7 @@ def enumerate_envs(evalr: Evaluator, ctx: Context, used: set[int] | None = None)
     indices, innermost = 0) are filled with an inert placeholder."""
     if used is not None:
         used = needed_entries(ctx, used)
-    n_tm = sum(1 for e in ctx if isinstance(e, TmEntry))
+    n_tm = tm_count(ctx)
     envs = [[]]
     seen_tm = 0
     for entry in ctx:

@@ -91,13 +91,10 @@ def interned(cls):
 
 
 class Dir(Enum):
-    """Direction (variance) flag; the two-element group."""
+    """Direction (variance) flag: covariant or contravariant."""
 
     POS = "+"
     NEG = "-"
-
-    def __mul__(self, other: Dir) -> Dir:
-        return POS if self is other else NEG
 
     @property
     def flip(self) -> Dir:
@@ -317,9 +314,6 @@ SubComp = Union[STm, STy]
 class Sub:
     comps: tuple[SubComp, ...]
 
-    def __len__(self) -> int:
-        return len(self.comps)
-
 
 @interned
 class KTm:
@@ -350,9 +344,6 @@ TransComp = Union[KTm, KAd]
 @interned
 class Trans:
     comps: tuple[TransComp, ...]
-
-    def __len__(self) -> int:
-        return len(self.comps)
 
 
 Telescope = tuple[Type, ...]

@@ -89,15 +89,22 @@ def spine_slots(ctx: Context, tgt: Context, spine: Sub | Trans):
     the spine's length and its component sorts themselves."""
     comps = spine.comps
     for k, (entry, comp) in enumerate(zip(tgt, comps)):
-        if type(spine) is Sub:
-            pre = Sub(comps[:k])
-        else:
-            pre = _endpoint(tgt[:k], Trans(comps[:k]), free_is_source(entry))
+        pre = spine_prefix(tgt, type(spine)(comps[:k]))
         if type(entry) is TmEntry:
             yield entry, comp, dual_ctx(ctx, entry.dir), apply(entry.ty, pre)
         else:
             yield (entry, comp,
                    comp_ctx(ctx, entry, apply(entry.tel, pre)), None)
+
+
+def spine_prefix(tgt: Context, prefix: Sub | Trans) -> Sub:
+    """The substitution entry k of ``tgt`` is read under, for the first k
+    components ``prefix`` of a spine into ``tgt``: the prefix itself, or
+    a transformation's endpoint on the entry's free side."""
+    if type(prefix) is Sub:
+        return prefix
+    k = len(prefix.comps)
+    return _endpoint(tgt[:k], prefix, free_is_source(tgt[k]))
 
 
 # ---------------------------------------------------------------------------

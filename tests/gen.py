@@ -2,7 +2,10 @@
 
 The universe: three base types in an adapter cycle (so a ground adapter
 exists between any two of them), the stock datatypes over that universe,
-and an ambient context with one covariant variable per base type.
+and an ambient context with one covariant and one contravariant variable
+per base type.  The base types, the cycle, the context and the variable
+and path builders are those of the benchmark's oracle workload
+(``perfbench/gen.py``), so the tests and the benchmark share one universe.
 
 Everything is deterministic given the seed, so suite sizes in the
 acceptance criteria are exact counts rather than sampling budgets.
@@ -14,53 +17,18 @@ import random
 
 import adaptt  # noqa: F401
 from adaptt.syntax import (
-    POS, NEG, Context, TmEntry, TyEntry, Base, TyVarRef, Pi, Sig, Ind,
-    Var, Lam, Pair, Con, Cast, AdId, Post, Sub, STm, STy, Trans, KTm, KAd,
-    shift,
+    Base, TyVarRef, Pi, Sig, Ind, Lam, Pair, Con, Sub, STy, Trans, KAd, shift,
 )
-from adaptt.normalize import compose_ad
-from adaptt.inductive import nat, nat_zero, nat_succ
+from adaptt.inductive import nat_zero, nat_succ
 from adaptt import setmodel
-
-BASES = ("A", "B", "C")
-A, B, C = (Base(n) for n in BASES)
-
-#: the adapter cycle: one postulate per edge A->B->C->A
-STEP = {
-    "A": Post("f", A, B),
-    "B": Post("g", B, C),
-    "C": Post("h", C, A),
-}
-
-#: ambient context: one covariant variable per base type (a, b, c) and
-#: one contravariant variable per base type (for application arguments)
-AMBIENT: Context = (
-    TmEntry(POS, A), TmEntry(POS, B), TmEntry(POS, C),
-    TmEntry(NEG, A), TmEntry(NEG, B), TmEntry(NEG, C),
+from perfbench.gen import (  # noqa: F401  (re-exported to the tests)
+    A, B, C, BASES, STEP, neg_var, path_adapter, pos_var,
+    ORACLE_CTX as AMBIENT,
 )
+
+#: names of the ambient context's variables: one covariant variable per
+#: base type (a, b, c), then one contravariant one (for arguments)
 AMBIENT_NAMES = ["a", "b", "c", "na", "nb", "nc"]
-
-
-def pos_var(base_name: str) -> Var:
-    # a=5, b=4, c=3 (indices from the inside)
-    return Var(5 - BASES.index(base_name))
-
-
-def neg_var(base_name: str) -> Var:
-    return Var(2 - BASES.index(base_name))
-
-
-def path_adapter(src: str, tgt: str):
-    """Ground adapter src => tgt along the cycle (identity when equal)."""
-    if src == tgt:
-        return AdId(Base(src))
-    ad = None
-    cur = src
-    while cur != tgt:
-        step = STEP[cur]
-        ad = step if ad is None else compose_ad(step, ad)
-        cur = step.tgt_ty.name
-    return ad
 
 
 class Gen:

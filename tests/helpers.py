@@ -1,28 +1,23 @@
 """Shared fixtures: a small universe of postulated base types and ground
-adapters, plus builders for the stock datatypes at concrete arguments."""
+adapters, plus builders for the stock datatypes at concrete arguments.
+The base types A, B, C, their first two adapters and the List builders
+are the benchmark generators' own."""
 
 from __future__ import annotations
 
 import adaptt  # noqa: F401  (registers the stock datatypes)
-from adaptt.syntax import (
-    POS, NEG, TmEntry, TyEntry, Base, TyVarRef, Pi, Sig, Ind, Var, Con,
-    Post, Sub, STm, STy, Trans, KTm, KAd, RecDesc, ConDesc, IndDesc,
+from adaptt.syntax import Base, Ind, Post, Sub, STm, STy, Trans, KAd
+from perfbench.gen import (  # noqa: F401  (re-exported to the tests)
+    A, B, C, STEP, cons, list_ad, list_ty, nil,
 )
 
-A = Base("A")
-B = Base("B")
-C = Base("C")
 D = Base("D")
 
-f_AB = Post("f", A, B)
-g_BC = Post("g", B, C)
+f_AB = STEP["A"]
+g_BC = STEP["B"]
 h_CD = Post("h", C, D)
 q_DC = Post("q", D, C)
 r_CB = Post("r", C, B)
-
-
-def list_of(ty):
-    return Ind("List", Sub((STy(ty, 0),)), ())
 
 
 def vec_of(ty, n):
@@ -41,22 +36,9 @@ def id_of(x, a, b):
     return Ind("Id", Sub((STy(x, 0), STm(a))), (b,))
 
 
-def nil(ty):
-    return Con("List", 0, Sub((STy(ty, 0),)), ())
-
-
-def cons(ty, head, tail):
-    return Con("List", 1, Sub((STy(ty, 0),)), (head, tail))
-
-
 def mu1(ad, forced):
     """One-type-parameter transformation spine."""
     return Trans((KAd(ad, forced, 0),))
-
-
-def list_ad(ad, forced):
-    from adaptt.inductive import ind_adapter
-    return ind_adapter("List", mu1(ad, forced), ())
 
 
 def register_tree():

@@ -13,7 +13,7 @@ from adaptt.check import (
     infer_tm, CheckError,
 )
 from adaptt.normalize import conv_ty, nf, cast, app
-from helpers import A, B, C, f_AB, g_BC, list_of, cons, mu1, list_ad
+from helpers import A, B, C, f_AB, g_BC, list_ty, cons, mu1, list_ad
 
 
 X_CTX = (TyEntry(POS, POS, ()),)
@@ -77,9 +77,9 @@ def test_cast_checks_source():
 
 
 def test_constructor_inference():
-    ctx = (TmEntry(POS, A), TmEntry(POS, list_of(A)))
+    ctx = (TmEntry(POS, A), TmEntry(POS, list_ty(A)))
     got = infer_tm(ctx, cons(A, Var(1), Var(0)))
-    assert conv_ty(ctx, got, list_of(A))
+    assert conv_ty(ctx, got, list_ty(A))
 
 
 def test_constructor_arity():
@@ -105,7 +105,7 @@ def test_check_pi_adapter():
 def test_check_ind_adapter():
     ad = list_ad(f_AB, B)
     s, t = check_ad((), ad)
-    assert s == list_of(A) and t == list_of(B)
+    assert s == list_ty(A) and t == list_ty(B)
 
 
 def test_check_sub_arity():
@@ -157,7 +157,7 @@ def test_check_desc_rejects_bad_index():
 
 def test_subject_reduction_samples():
     # if  ctx |- t : T  then  ctx |- nf(t) : T (up to conversion)
-    ctx = (TmEntry(NEG, A), TmEntry(POS, A), TmEntry(POS, list_of(A)))
+    ctx = (TmEntry(NEG, A), TmEntry(POS, A), TmEntry(POS, list_ty(A)))
     samples = [
         App(Lam(A, shift(cons(A, Var(1), Var(0)), 1, 0)), Var(2)),
         Cast(cons(A, Var(1), Var(0)), list_ad(f_AB, B)),

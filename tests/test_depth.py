@@ -14,12 +14,10 @@ import random
 import subprocess
 import sys
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(ROOT) not in sys.path:   # perfbench/ sits beside src/
-    sys.path.insert(0, str(ROOT))
+from adaptt import cli
+from perfbench.gen import surface_file
 
-from adaptt import cli  # noqa: E402
-from perfbench.gen import surface_file  # noqa: E402
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_256_cell_surface_file_checks(tmp_path):

@@ -1,9 +1,5 @@
 """Edge cases across modules: degenerate datatypes, deep values through
-the model, stuck casts at function types, environment-variable tracing."""
-
-import io
-import os
-import contextlib
+the model, stuck casts at function types."""
 
 from adaptt.syntax import (
     POS, NEG, TmEntry, Base, TyVarRef, Pi, Ind, Var, Cast, Con, App,
@@ -61,22 +57,6 @@ def test_nat_adapter_is_identity_on_terms():
     ad = ind_adapter("Nat", Trans(()), ())
     t = nat_succ(nat_succ(nat_zero()))
     assert conv_tm((), nat(), cast(t, ad), t)
-
-
-def test_trace_env_var(tmp_path):
-    from adaptt import cli
-    p = tmp_path / "t.adt"
-    p.write_text("base A ; base B ; postulate adapter f : A => B ;\n"
-                 "var a : A ;\nnormalize a <| f <| id ;\n")
-    os.environ["ADAPTT_TRACE"] = "1"
-    try:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = cli.main(["check", str(p)])
-        assert code == 0
-        assert any(l.startswith("RULE ") for l in buf.getvalue().splitlines())
-    finally:
-        del os.environ["ADAPTT_TRACE"]
 
 
 def test_nf_on_hand_built_redex_tower():

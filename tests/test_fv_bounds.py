@@ -17,7 +17,7 @@ from adaptt.syntax import (
     RecDesc, ConDesc, IndDesc, TmEntry, TyEntry, SHAPE, ARITY, SEQ,
     fv_bounds, shift,
 )
-from helpers import A, B, cons, list_of, nil
+from helpers import A, B, cons, list_ty, nil
 
 leaves = st.one_of(
     st.builds(Var, st.integers(0, 4)),
@@ -130,8 +130,8 @@ def test_closed_nodes_come_back_untouched_and_silent():
         assert shift(xs, 3, 2) is xs
         assert shift(under_one, 1, 0, c_tm=1) is under_one
         assert open_tm_block(xs, (Var(7),)) is xs
-        assert open_tm_block(Pi(A, list_of(A)), (Var(7), Var(8))) \
-            is Pi(A, list_of(A))
+        assert open_tm_block(Pi(A, list_ty(A)), (Var(7), Var(8))) \
+            is Pi(A, list_ty(A))
     finally:
         set_trace(None)
     assert seen == []

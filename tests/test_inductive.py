@@ -15,7 +15,7 @@ from adaptt.inductive import (
     generic_con, result_indices, nat, nat_zero, nat_succ,
 )
 from helpers import (
-    A, B, C, D, f_AB, g_BC, q_DC, list_of, vec_of, sum_of, w_of, id_of,
+    A, B, C, D, f_AB, g_BC, q_DC, list_ty, vec_of, sum_of, w_of, id_of,
     nil, cons, mu1, list_ad, register_tree,
 )
 
@@ -25,7 +25,7 @@ from helpers import (
 
 def test_con_data_list():
     d = desc("List")
-    assert con_data_tied(d, 1) == (TyVarRef(0, ()), list_of(TyVarRef(0, ())))
+    assert con_data_tied(d, 1) == (TyVarRef(0, ()), list_ty(TyVarRef(0, ())))
 
 
 def test_con_data_w():
@@ -49,7 +49,7 @@ def test_con_data_vec():
 def test_constr_type_list_nil():
     ctx, ty = constr_type("List", 0)
     assert ctx == (TyEntry(POS, POS, ()),)
-    assert ty == list_of(TyVarRef(0, ()))
+    assert ty == list_ty(TyVarRef(0, ()))
 
 
 def test_constr_type_vec_cons():
@@ -188,8 +188,8 @@ def test_identity_cast_on_constructor():
     ident = ind_adapter("List", Trans((KAd(AdId(A), A, 0),)), ())
     t = cons(A, Var(1), Var(0))
     out = cast(t, ident)
-    ctx = (TmEntry(POS, A), TmEntry(POS, list_of(A)))
-    assert conv_tm(ctx, list_of(A), out, t)
+    ctx = (TmEntry(POS, A), TmEntry(POS, list_ty(A)))
+    assert conv_tm(ctx, list_ty(A), out, t)
 
 
 def test_result_indices():

@@ -9,7 +9,7 @@ from adaptt.normalize import apply, cast, nf
 from adaptt.syntax import (
     INTERNED, Base, Cast, Pi, STm, Sub, Var, shift,
 )
-from helpers import A, B, cons, f_AB, list_ad, list_of, nil
+from helpers import A, B, cons, f_AB, list_ad, list_ty, nil
 
 
 def cell_list(n, head=Var(0), innermost=Var(0)):
@@ -22,7 +22,7 @@ def cell_list(n, head=Var(0), innermost=Var(0)):
 def test_direct_construction_is_shared():
     assert Base("A") is A
     assert cell_list(3) is cell_list(3)
-    assert list_of(A) is list_of(A)
+    assert list_ty(A) is list_ty(A)
     assert cell_list(3) is not cell_list(3, innermost=Var(1))
 
 

@@ -13,7 +13,7 @@ from adaptt.normalize import (
     pi_tel, nf, conv_ty, conv_tm, conv_ad, assert_normal,
     NormalForm, KernelError, open_tm_block, note, replayed_cache, set_trace,
 )
-from helpers import A, B, C, f_AB, g_BC, h_CD, list_of, nil, cons, list_ad, q_DC
+from helpers import A, B, C, f_AB, g_BC, h_CD, list_ty, nil, cons, list_ad, q_DC
 
 
 def ctx_ab():
@@ -238,10 +238,10 @@ def test_conv_eta_pair():
 
 
 def test_conv_distinguishes_constructors():
-    ctx = (TmEntry(POS, A), TmEntry(POS, list_of(A)))
+    ctx = (TmEntry(POS, A), TmEntry(POS, list_ty(A)))
     lhs = nil(A)
     rhs = cons(A, Var(1), Var(0))
-    assert not conv_tm(ctx, list_of(A), lhs, rhs)
+    assert not conv_tm(ctx, list_ty(A), lhs, rhs)
 
 
 def test_conv_rejects_different_postulate_casts():
@@ -285,7 +285,7 @@ def test_substitution_functoriality_randomized():
 def test_replayed_cache_reports_steps_on_hits_and_failures():
     runs = []
 
-    @replayed_cache(maxsize=None)
+    @replayed_cache
     def step(x):
         runs.append(x)
         note("BETA")

@@ -2,6 +2,7 @@
 generators' ambient context, ``pretty.tm_string`` followed by
 ``elaborate.elab_expr_in`` gives back the same interned term."""
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adaptt import surface as S, elaborate as E, pretty as P
@@ -75,3 +76,32 @@ def test_printed_term_parses_back_to_itself(tm):
     printed = P.tm_string(AMBIENT, tm, AMBIENT_NAMES)
     again, _ = E.elab_expr_in(SCOPE, printed)
     assert again is tm, printed
+
+
+#: the ambient scope with a pair and a list variable, for the printer
+#: cases random canonical terms do not reach
+EXTRA_SCOPE = E.elab_file(S.parse(
+    HEADER + "var p : A ** B ;\nvar l : List A ;\n")).scope
+
+#: source text, and how it prints: projections, adapters inside a
+#: component (a pair adapter, a chain, an identity) and dependent types
+PRINTED = {
+    "fst p": "fst p",
+    "snd p": "snd p",
+    "p <| Sig [[ f > g ]]": "p <| Sig [[ f > g ]]",
+    "l <| List [[ g . f ]]": "l <| List [[ g . f ]]",
+    "l <| List [[ id A ]]": "l <| List [[ id A ]]",
+    "fun (r : (n : Nat) -> Vec A n -> B) => a":
+        "fun (x : (x : Nat) -> Vec A x -> B) => a",
+    "(zero , vnil A : (n : Nat) ** Vec A n)":
+        "(zero , vnil A : (x : Nat) ** Vec A x)",
+}
+
+
+@pytest.mark.parametrize("text", PRINTED)
+def test_printer_cases_parse_back(text):
+    tm, _ = E.elab_expr_in(EXTRA_SCOPE, text)
+    printed = P.tm_string(EXTRA_SCOPE.ctx, tm, list(EXTRA_SCOPE.names))
+    assert printed == PRINTED[text]
+    again, _ = E.elab_expr_in(EXTRA_SCOPE, printed)
+    assert again is tm

@@ -6,22 +6,19 @@ import contextvars
 import io
 import pathlib
 import random
-import sys
 from collections import Counter
 
 import pytest
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(ROOT) not in sys.path:   # perfbench/ sits beside src/
-    sys.path.insert(0, str(ROOT))
-
-from adaptt import check, cli, normalize  # noqa: E402
-from adaptt.check import CheckError  # noqa: E402
-from adaptt.inductive import builtin_descs  # noqa: E402
-from adaptt.syntax import (  # noqa: E402
+from adaptt import check, cli, normalize
+from adaptt.check import CheckError
+from adaptt.inductive import builtin_descs
+from adaptt.syntax import (
     POS, SESSION, Session, Cast, TmEntry, Var,
 )
-from perfbench import gen  # noqa: E402
+from perfbench import gen
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 STOCK = {d.name: d for d in builtin_descs()}
 

@@ -22,7 +22,7 @@ from adaptt.setmodel import (
     ModelBinding, Evaluator, NonEnumerable, ModelError,
     VBase, VPair, VFun, VCon, sem_eq, enumerate_envs, free_tm_vars,
 )
-from helpers import A, B, C, D, f_AB, g_BC, list_of, nil, cons
+from helpers import A, B, C, D, f_AB, g_BC, list_ty, nil, cons
 from test_generic_rows import DECLARED
 
 
@@ -103,7 +103,7 @@ def test_pair_cast_componentwise():
 
 
 def test_non_enumerable_domain_reported():
-    lam = Lam(list_of(A), shift(Var(0), 1, 0))
+    lam = Lam(list_ty(A), shift(Var(0), 1, 0))
     with pytest.raises(NonEnumerable):
         ev().eval_tm([("tm", a0())], lam)
 
@@ -135,7 +135,7 @@ def test_sem_eq_separates_constructors():
 
 
 def test_enumerate_envs_with_pruning():
-    ctx = (TmEntry(POS, A), TmEntry(POS, list_of(A)), TmEntry(POS, B))
+    ctx = (TmEntry(POS, A), TmEntry(POS, list_ty(A)), TmEntry(POS, B))
     # only the A and B variables are needed: 2 * 3 environments
     envs = enumerate_envs(ev(), ctx, used={0, 2})
     assert len(envs) == 6
@@ -314,3 +314,65 @@ def test_setmodel_imports_only_syntax_from_the_package():
             found |= {a.name for a in node.names
                       if a.name.split(".")[0] == "adaptt"}
     assert found == {"syntax"}
+
+
+#: datatypes whose casts reach the rest of the semantic action: a
+#: parameter under two function arrows (so the map reads an adapter's
+#: end), a family with a dependency telescope, and term parameters and
+#: arguments whose types are themselves datatypes over the parameters
+RAW_PRELUDE = """base A ; base B ; base C ;
+postulate adapter f : A => B ;
+data K (X : Ty+) { k : (h : (X -> B) -> C) -> K X }
+data Fam (F : (n : Nat) Ty+) (j : Nat) { fam : (v : F j) -> Fam F j }
+data Q (X : Ty+) (x : X)
+  { q : (e : Id X x x) (v : Fam (n => Vec X n) zero) -> Q X x }
+var a : A ;
+var c : C ;
+"""
+
+#: (source type, term, adapter): each term is cast raw along the adapter
+RAW_CASTS = [
+    ("Vec A (succ (succ zero))",
+     "vcons A a (succ zero) (vcons A a zero (vnil A))",
+     "Vec [[ f > succ (succ zero) ]]"),
+    ("Id A a a", "refl A a", "Id [[ f > a > a ]]"),
+    ("List (List A)", "cons (List A) (cons A a (nil A)) (nil (List A))",
+     "List [[ List [[ f ]] ]]"),
+    ("(A ** A) -> A", "fun (p : A ** A) => a", "Pi [[ id (A ** A) > f ]]"),
+    ("K A", "k A (fun (h : A -> B) => c)", "K [[ f ]]"),
+    ("Q A a", "q A a (refl A a) (fam (n => Vec A n) zero (vnil A))",
+     "Q [[ f > a ]]"),
+]
+
+
+def test_model_agrees_with_conversion_on_raw_casts():
+    # the kernel computes each cast and converts it to the raw one; the
+    # model must then give the raw cast and the computed one the same
+    # value in every environment
+    from adaptt.normalize import ad_tgt, conv_tm, nf
+    binding = ModelBinding.from_json(
+        '{"types": {"A": ["a0", "a1"], "B": ["b0", "b1"], "C": ["c0", "c1"]},'
+        ' "adapters": {"f": {"A->B": {"a0": "b1", "a1": "b0"}}}}')
+
+    def go():
+        SESSION.set(Session({d.name: d for d in builtin_descs()}))
+        text = RAW_PRELUDE + "".join(
+            f"var s{i} : {ty} ;\n" for i, (ty, _, _) in enumerate(RAW_CASTS))
+        sc = elaborate.elab_file(surface.parse(text)).scope
+        e = Evaluator(binding)
+        out = []
+        for i, (_, tm, ad) in enumerate(RAW_CASTS):
+            t, _ = elaborate.elab_expr_in(sc, tm)
+            # a cast of a variable stays put, so it carries the adapter
+            ad = elaborate.elab_expr_in(sc, f"s{i} <| {ad}")[0].ad
+            raw, computed = Cast(t, ad), kcast(t, ad)
+            converts = conv_tm(sc.ctx, ad_tgt(ad), nf(raw).value, computed)
+            envs = enumerate_envs(e, sc.ctx, free_tm_vars(raw))
+            out.append((tm, converts, len(envs), all(
+                sem_eq(e.eval_tm(env, raw), e.eval_tm(env, computed))
+                for env in envs)))
+        return out
+    for tm, converts, n_envs, agrees in contextvars.copy_context().run(go):
+        assert converts, tm
+        assert n_envs == 2, tm
+        assert agrees, tm

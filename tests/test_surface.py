@@ -203,3 +203,47 @@ def test_roundtrip_data_declarations():
         text = P.data_decl_string(d)
         out = elab(text)
         assert desc(name) == d
+
+
+# -- component binders ---------------------------------------------------------
+
+#: a family whose binder ranges over pairs: a pair adapter cast on the
+#: binder must find its source in the entry's telescope
+OVER_PAIRS = """base A ;
+data P (Y : (p : (x : A) ** A) Ty+) { mk : P Y }
+var t : P (p => Id ((x : A) ** A) p p) ;
+"""
+
+
+def check_text(tmp_path, text: str):
+    import contextlib
+    import io
+    from adaptt import cli
+    path = tmp_path / "t.adt"
+    path.write_text(text, encoding="utf-8")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["check", str(path)])
+    return code, buf.getvalue().replace(str(path), "t.adt").splitlines()
+
+
+def test_family_binders_range_over_the_entry_telescope(tmp_path):
+    # a parameter spine: the binder's type is the telescope at the prefix
+    code, out = check_text(tmp_path, OVER_PAIRS + (
+        "check mk (p => Id ((x : A) ** A) (p <| Sig [[ id A > id A ]]) p)"
+        " : P (p => Id ((x : A) ** A) p p) ;\n"))
+    assert out == ["checked t.adt: 1 datatypes, 1 checks, 0 equations"]
+    assert code == 0
+
+
+def test_adapter_component_binders_range_over_the_entry_telescope(tmp_path):
+    # a push spine: the binder's type is the telescope at the prefix's
+    # free-side endpoint
+    code, out = check_text(tmp_path, OVER_PAIRS + (
+        "normalize t <| P [[ p => Id [[ id ((x : A) ** A)"
+        " > p <| Sig [[ id A > id A ]] > p ]] ]] ;\n"))
+    assert out == [
+        "NORMAL t <| P [[ x => Id [[ id (A ** A)"
+        " > x <| Sig [[ id A > id A ]] > x ]] ]]",
+        "checked t.adt: 1 datatypes, 0 checks, 0 equations"]
+    assert code == 0

@@ -12,9 +12,6 @@ from helpers import A, B
 
 
 def test_direction_group():
-    assert POS * POS is POS
-    assert NEG * NEG is POS
-    assert POS * NEG is NEG
     assert NEG.flip is POS and POS.flip is NEG
 
 

@@ -14,7 +14,7 @@ from adaptt.transform import (
     whisker_right, vcomp, id_trans, cast_block_vars,
     check_naturality_tm, check_naturality_ad, fuse_chain,
 )
-from helpers import A, B, C, f_AB, g_BC, list_of
+from helpers import A, B, C, f_AB, g_BC, list_ty
 
 
 X_CTX = (TyEntry(POS, POS, ()),)          # (X : Ty+)
@@ -26,16 +26,16 @@ def test_push_type_variable_projects_component():
 
 
 def test_push_list_wraps_component():
-    out = push_ty(list_of(TyVarRef(0, ())), MU_F, X_CTX)
+    out = push_ty(list_ty(TyVarRef(0, ())), MU_F, X_CTX)
     assert out == IndAd("List", MU_F)
-    assert ad_src(out) == list_of(A)
-    assert ad_tgt(out) == list_of(B)
+    assert ad_src(out) == list_ty(A)
+    assert ad_tgt(out) == list_ty(B)
 
 
 def test_push_identity_gives_identity():
     tr = Trans((KAd(AdId(A), A, 0),))
-    out = push_ty(list_of(TyVarRef(0, ())), tr, X_CTX)
-    assert out == AdId(list_of(A))
+    out = push_ty(list_ty(TyVarRef(0, ())), tr, X_CTX)
+    assert out == AdId(list_ty(A))
 
 
 def test_push_constant_type_gives_identity():
@@ -113,10 +113,10 @@ def test_whisker_left_by_identity_spine():
 
 def test_whisker_left_extension_by_type():
     # (<> |> List X) o mu  ->  <> |> List{{mu}}
-    rho = Sub((STy(list_of(TyVarRef(0, ())), 0),))
+    rho = Sub((STy(list_ty(TyVarRef(0, ())), 0),))
     tgt = (TyEntry(POS, POS, ()),)
     out = whisker_left(rho, tgt, MU_F, X_CTX)
-    assert out == Trans((KAd(IndAd("List", MU_F), list_of(B), 0),))
+    assert out == Trans((KAd(IndAd("List", MU_F), list_ty(B), 0),))
 
 
 # -- vertical composition ---------------------------------------------------
@@ -141,7 +141,7 @@ def test_vcomp_composes_components():
 
 def test_interchange_on_small_spines():
     # whisker then compose vs compose then whisker, on a 1-entry context
-    rho = Sub((STy(list_of(TyVarRef(0, ())), 0),))
+    rho = Sub((STy(list_ty(TyVarRef(0, ())), 0),))
     tgt = (TyEntry(POS, POS, ()),)
     nu = Trans((KAd(g_BC, C, 0),))
     lhs = whisker_left(rho, tgt, vcomp(nu, MU_F, X_CTX), X_CTX)
@@ -177,7 +177,7 @@ def test_naturality_tm_constant():
     ctx = (TmEntry(POS, A),)
     tgt = X_CTX
     from helpers import nil
-    assert check_naturality_tm(ctx, tgt, nil(C), list_of(C), MU_F)
+    assert check_naturality_tm(ctx, tgt, nil(C), list_ty(C), MU_F)
 
 
 def test_naturality_ad_identity_adapter():
@@ -211,7 +211,7 @@ def test_fuse_keeps_postulates_free():
 def test_functor_law_for_actions():
     # A{{nu o mu}} == A{{nu}} . A{{mu}} as adapters
     nu = Trans((KAd(g_BC, C, 0),))
-    ty = list_of(TyVarRef(0, ()))
+    ty = list_ty(TyVarRef(0, ()))
     lhs = push_ty(ty, vcomp(nu, MU_F, X_CTX), X_CTX)
     rhs = compose_ad(push_ty(ty, nu, X_CTX), push_ty(ty, MU_F, X_CTX))
     assert conv_ad((), lhs, rhs) is not None
