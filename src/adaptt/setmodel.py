@@ -5,11 +5,16 @@ become elements, adapters become functions.  Everything definitional in
 the kernel must be an honest equality here, so the evaluator is kept
 independent of the kernel's rewrite machinery: casting along a structural
 adapter is interpreted by a semantic functorial map computed by recursion
-on the type, with type variables read off a semantic transformation (a
-per-entry list of component functions); the kernel's cast computation is
-never consulted.  Constructor argument types come from the signature
-records, adapter ends from the adapters, and the direction table is the
-oracle's own copy: it imports nothing from ``adaptt`` but ``syntax``.
+on the type, with type variables read off a semantic transformation (the
+environments of its two sides and a component function per type entry);
+the kernel's cast computation is never consulted.  Constructor argument
+types come from the signature records, adapter ends from the adapters,
+and the direction table is the oracle's own copy: it imports nothing from
+``adaptt`` but ``syntax``.
+
+Terms, types and adapters are compiled once per binding into closures,
+which are then evaluated per environment: the syntax is walked once, not
+once for every environment.
 
 Functions are finite tables over enumerable domains.  A function space
 whose domain cannot be enumerated (an inductive type, say) raises
@@ -19,15 +24,17 @@ at by sampling.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .syntax import (
-    POS, NEG, Dir, Context, TmEntry, TyEntry,
+    POS, Dir, Context, TmEntry, TyEntry,
     Base, TyVarRef, Pi, Sig, Ind, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     AdId, Chain, Post, PiAd, SigAd, IndAd, Sub, STm, STy, Trans, KTm, KAd,
-    desc, tm_count, ty_count,
+    desc, fv_bounds, tm_count, ty_count,
 )
 
 
@@ -89,8 +96,16 @@ class SFin(SemType):
     labels: tuple[str, ...]
     enumerable = True
 
+    values: tuple[VBase, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # one value per label, so equal values are mostly one object,
+        # which sem_eq checks first
+        object.__setattr__(self, "values",
+                           tuple(VBase(self.name, l) for l in self.labels))
+
     def elements(self):
-        return [VBase(self.name, l) for l in self.labels]
+        return self.values
 
 
 class SPi(SemType):
@@ -141,6 +156,11 @@ class ModelBinding:
 
     types: dict[str, tuple[str, ...]]
     adapters: dict[str, dict[str, dict[str, str]]]
+    sets: dict[str, SFin] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sets", {
+            name: SFin(name, labels) for name, labels in self.types.items()})
 
     @staticmethod
     def from_json(text: str) -> "ModelBinding":
@@ -158,9 +178,9 @@ class ModelBinding:
             raw.get("adapters", {}))
 
     def base(self, name: str) -> SFin:
-        if name not in self.types:
+        if name not in self.sets:
             raise ModelError(f"no binding for base type {name}")
-        return SFin(name, self.types[name])
+        return self.sets[name]
 
     def adapter_fn(self, p: Post):
         if not (isinstance(p.src_ty, Base) and isinstance(p.tgt_ty, Base)):
@@ -177,10 +197,11 @@ class ModelBinding:
                 raise ModelError(f"adapter {p.name} is not total: misses {l}")
             if table[l] not in tgt.labels:
                 raise ModelError(f"adapter {p.name} leaves its target")
-        tname = p.tgt_ty.name
+        by_label = dict(zip(tgt.labels, tgt.values))
+        image = {l: by_label[table[l]] for l in src.labels}
 
         def fn(v):
-            return VBase(tname, table[v.label])
+            return image[v.label]
         return fn
 
 
@@ -209,362 +230,477 @@ def _strings(xs) -> bool:
 
 # -- semantic transformations -------------------------------------------------
 #
-# The semantic analogue of a component spine.  As in the kernel, the data
-# is self-dual: dualizing swaps the two sides and flips the direction
-# flags, and component functions keep their stored orientation (for a
-# covariant entry the function maps the source family to the target one,
-# for a contravariant entry the other way round).
+# The semantic analogue of a component spine: the environments of its two
+# sides and, per type entry, its directions and component functions.  As
+# in the kernel, the data is self-dual: dualizing swaps the two sides and
+# flips the direction flags, and component functions keep their stored
+# orientation (for a covariant entry the function maps the source family
+# to the target one, for a contravariant entry the other way round).
 
 
-@dataclass
-class SemTm:
-    src_val: object
-    tgt_val: object
-
-
-@dataclass
+@dataclass(slots=True)
 class SemAd:
     dir: Dir
     tel_dir: Dir
-    src_fam: object   # tuple of values -> SemType
-    tgt_fam: object
     fn: object        # tuple of values -> (value -> value)
 
 
-def dual_sem(entries: list) -> list:
-    out = []
-    for e in entries:
-        if isinstance(e, SemTm):
-            out.append(SemTm(e.tgt_val, e.src_val))
-        else:
-            out.append(SemAd(e.dir.flip, e.tel_dir.flip,
-                             e.tgt_fam, e.src_fam, e.fn))
-    return out
+@dataclass(slots=True)
+class SemTrans:
+    src: tuple        # environment of the source side
+    tgt: tuple
+    ads: tuple        # one SemAd per type entry, innermost last
+
+    def dual(self) -> "SemTrans":
+        return SemTrans(self.tgt, self.src, tuple(
+            SemAd(a.dir.flip, a.tel_dir.flip, a.fn) for a in self.ads))
+
+    def with_tm(self, src_val, tgt_val) -> "SemTrans":
+        (s_tms, s_tys), (t_tms, t_tys) = self.src, self.tgt
+        return SemTrans((s_tms + (src_val,), s_tys),
+                        (t_tms + (tgt_val,), t_tys), self.ads)
+
+    def with_ad(self, src_fam, tgt_fam, ad: SemAd) -> "SemTrans":
+        (s_tms, s_tys), (t_tms, t_tys) = self.src, self.tgt
+        return SemTrans((s_tms, s_tys + (src_fam,)),
+                        (t_tms, t_tys + (tgt_fam,)), self.ads + (ad,))
+
+    def __add__(self, inner: "SemTrans") -> "SemTrans":
+        (s_tms, s_tys), (t_tms, t_tys) = self.src, self.tgt
+        (s_tms2, s_tys2), (t_tms2, t_tys2) = inner.src, inner.tgt
+        return SemTrans((s_tms + s_tms2, s_tys + s_tys2),
+                        (t_tms + t_tms2, t_tys + t_tys2), self.ads + inner.ads)
 
 
-def side_env(entries: list, want_src: bool) -> list:
-    env = []
-    for e in entries:
-        if isinstance(e, SemTm):
-            env.append(("tm", e.src_val if want_src else e.tgt_val))
-        else:
-            env.append(("ty", e.src_fam if want_src else e.tgt_fam))
-    return env
+#: the environment of the empty context: (term values, type families)
+EMPTY = ((), ())
+NO_TRANS = SemTrans(EMPTY, EMPTY, ())
 
 
-_SORT_NAMES = {"tm": "term", "ty": "type"}
+def _identity(v):
+    return v
 
 
-def env_lookup(env, sort: str, index: int):
-    """Value of the variable of ``sort`` (``"tm"`` or ``"ty"``) with de
-    Bruijn index ``index`` in its namespace."""
-    seen = 0
-    for kind, v in reversed(env):
-        if kind == sort:
-            if seen == index:
-                return v
-            seen += 1
-    raise ModelError(
-        f"environment misses {_SORT_NAMES[sort]} variable {index}")
+def _family(code, env):
+    """The family ``vals |-> code(env extended by the tuple vals)``."""
+    tms, tys = env
+    return lambda vals: code((tms + vals, tys))
 
 
-def _sem_entry_at(entries: list, ty_index: int):
-    seen = 0
-    for e in reversed(entries):
-        if isinstance(e, SemAd):
-            if seen == ty_index:
-                return e
-            seen += 1
-    raise ModelError(f"semantic transformation misses type variable {ty_index}")
+def _failing(err: type, msg: str):
+    """Code that raises ``err(msg)`` when it runs: what the oracle cannot
+    read is reported where evaluation reaches it, never where it is
+    compiled."""
+    def fail(*_):
+        raise err(msg)
+    return fail
+
+
+def _once(code):
+    """Code that runs ``code`` on first use and keeps its value."""
+    kept = []
+
+    def once(arg):
+        if not kept:
+            kept.append(code(arg))
+        return kept[0]
+    return once
+
+
+def _compiled(build):
+    """Memoize a compile step per Evaluator, keyed by its one argument: a
+    datatype name, or an interned syntax node.  No environment changes the
+    value of a closed node, so its code runs once."""
+    @functools.wraps(build)
+    def compiled(self, key):
+        memo = self._code[build]
+        code = memo.get(key)
+        if code is None:
+            code = build(self, key)
+            if type(key) is not str and fv_bounds(key) == (0, 0):
+                code = _once(code)
+            memo[key] = code
+        return code
+    return compiled
 
 
 # -- evaluator ----------------------------------------------------------------
 
 
 class Evaluator:
+    """Evaluation under one binding.  Each term, type and adapter is
+    compiled once, when first evaluated, into a closure over an
+    environment, and the closure runs for every environment (after Feeley
+    and Lapalme, *Using closures for code generation*, 1987).  An
+    environment is a pair of tuples, term values and type families, each
+    innermost last, so a de Bruijn index is a tuple position fixed at
+    compile time.  The compiled code is kept per Evaluator: ``Base`` and
+    ``Post`` are resolved against its binding, and datatypes are read from
+    the session it compiles in."""
+
     def __init__(self, binding: ModelBinding):
         self.binding = binding
+        self._code = collections.defaultdict(dict)
+
+    def eval_tm(self, env, tm):
+        return self.compile_tm(tm)(env)
 
     # -- types
 
-    def eval_ty(self, env, ty) -> SemType:
+    @_compiled
+    def compile_ty(self, ty):
         match ty:
             case Base(name):
-                return self.binding.base(name)
+                try:
+                    s = self.binding.base(name)
+                except ModelError as e:
+                    return _failing(ModelError, str(e))
+                return lambda env: s
             case TyVarRef(j, inst):
-                fam = env_lookup(env, "ty", j)
-                return fam(tuple(self.eval_tm(env, t) for t in inst))
+                k = -1 - j
+                inst_c = tuple(self.compile_tm(t) for t in inst)
+                return lambda env: env[1][k](tuple(c(env) for c in inst_c))
             case Pi(dom, cod):
-                dom_s = self.eval_ty(env, dom)
-                return SPi(dom_s, lambda v: self.eval_ty(env + [("tm", v)], cod))
+                return self._binder_ty(SPi, dom, cod)
             case Sig(fst, snd):
-                fst_s = self.eval_ty(env, fst)
-                return SSig(fst_s, lambda v: self.eval_ty(env + [("tm", v)], snd))
+                return self._binder_ty(SSig, fst, snd)
             case Ind(name, _, _):
-                return SInd(name)
+                s = SInd(name)
+                return lambda env: s
             case _:
-                raise ModelError(f"cannot evaluate type {ty!r}")
+                return _failing(ModelError, f"cannot evaluate type {ty!r}")
 
-    def family(self, env, ty):
-        def fam(vals):
-            return self.eval_ty(env + [("tm", v) for v in vals], ty)
-        return fam
+    def _binder_ty(self, former, a, b):
+        a_c, b_c = self.compile_ty(a), self.compile_ty(b)
+
+        def binder(env):
+            tms, tys = env
+            return former(a_c(env), lambda v: b_c((tms + (v,), tys)))
+        return binder
 
     # -- terms
 
-    def eval_tm(self, env, tm):
+    @_compiled
+    def compile_tm(self, tm):
         match tm:
             case Var(i):
-                return env_lookup(env, "tm", i)
+                k = -1 - i
+                return lambda env: env[0][k]
             case Lam(dom, body):
-                dom_s = self.eval_ty(env, dom)
-                if not dom_s.enumerable:
-                    raise NonEnumerable("function over a non-enumerable domain")
-                return VFun(tuple(
-                    (v, self.eval_tm(env + [("tm", v)], body))
-                    for v in dom_s.elements()))
+                dom_c, body_c = self.compile_ty(dom), self.compile_tm(body)
+
+                def lam(env):
+                    dom_s = dom_c(env)
+                    if not dom_s.enumerable:
+                        raise NonEnumerable("function over a non-enumerable "
+                                            "domain")
+                    tms, tys = env
+                    return VFun(tuple((v, body_c((tms + (v,), tys)))
+                                      for v in dom_s.elements()))
+                return lam
             case App(fn, arg):
-                return self.eval_tm(env, fn).apply(self.eval_tm(env, arg))
+                fn_c, arg_c = self.compile_tm(fn), self.compile_tm(arg)
+                return lambda env: fn_c(env).apply(arg_c(env))
             case Pair(_, a, b):
-                return VPair(self.eval_tm(env, a), self.eval_tm(env, b))
+                a_c, b_c = self.compile_tm(a), self.compile_tm(b)
+                return lambda env: VPair(a_c(env), b_c(env))
             case Fst(p):
-                return self.eval_tm(env, p).fst
+                p_c = self.compile_tm(p)
+                return lambda env: p_c(env).fst
             case Snd(p):
-                return self.eval_tm(env, p).snd
+                p_c = self.compile_tm(p)
+                return lambda env: p_c(env).snd
             case Cast(t, ad):
-                return self.eval_ad(env, ad)(self.eval_tm(env, t))
+                t_c, ad_c = self.compile_tm(t), self.compile_ad(ad)
+                return lambda env: ad_c(env)(t_c(env))
             case Con(name, tag, _, args):
-                return VCon(name, tag,
-                            tuple(self.eval_tm(env, a) for a in args))
+                args_c = tuple(self.compile_tm(a) for a in args)
+                return lambda env: VCon(name, tag,
+                                        tuple(c(env) for c in args_c))
             case _:
-                raise ModelError(f"cannot evaluate term {tm!r}")
+                return _failing(ModelError, f"cannot evaluate term {tm!r}")
 
     # -- adapters as functions
 
-    def eval_ad(self, env, ad):
+    @_compiled
+    def compile_ad(self, ad):
         match ad:
             case AdId(_):
-                return lambda v: v
+                return lambda env: _identity
             case Chain(parts):
-                fns = [self.eval_ad(env, p) for p in parts]
+                parts_c = tuple(self.compile_ad(p) for p in parts)
 
-                def chained(v):
-                    for fn in fns:
-                        v = fn(v)
-                    return v
-                return chained
+                def chain(env):
+                    fns = [c(env) for c in parts_c]
+
+                    def chained(v):
+                        for fn in fns:
+                            v = fn(v)
+                        return v
+                    return chained
+                return chain
             case Post(_, _, _):
-                return self.binding.adapter_fn(ad)
+                try:
+                    fn = self.binding.adapter_fn(ad)
+                except (ModelError, NonEnumerable) as e:
+                    return _failing(type(e), str(e))
+                return lambda env: fn
             case PiAd(dom_ad, cod_ad, _, tgt):
-                dom_fn = self.eval_ad(env, dom_ad)
-                new_dom = self.eval_ty(env, tgt.dom)
+                dom_c, cod_c = self.compile_ad(dom_ad), self.compile_ad(cod_ad)
+                new_dom_c = self.compile_ty(tgt.dom)
 
-                def pimap(fv):
-                    if not new_dom.enumerable:
-                        raise NonEnumerable("function cast over a "
-                                            "non-enumerable domain")
-                    rows = []
-                    for u in new_dom.elements():
-                        w = fv.apply(dom_fn(u))
-                        rows.append((u, self.eval_ad(env + [("tm", u)],
-                                                     cod_ad)(w)))
-                    return VFun(tuple(rows))
-                return pimap
+                def pi(env):
+                    dom_fn, new_dom = dom_c(env), new_dom_c(env)
+                    tms, tys = env
+
+                    def pimap(fv):
+                        if not new_dom.enumerable:
+                            raise NonEnumerable("function cast over a "
+                                                "non-enumerable domain")
+                        rows = []
+                        for u in new_dom.elements():
+                            w = fv.apply(dom_fn(u))
+                            rows.append((u, cod_c((tms + (u,), tys))(w)))
+                        return VFun(tuple(rows))
+                    return pimap
+                return pi
             case SigAd(fst_ad, snd_ad, _, _):
-                fst_fn = self.eval_ad(env, fst_ad)
+                fst_c, snd_c = self.compile_ad(fst_ad), self.compile_ad(snd_ad)
 
-                def sigmap(pv):
-                    snd_fn = self.eval_ad(env + [("tm", pv.fst)], snd_ad)
-                    return VPair(fst_fn(pv.fst), snd_fn(pv.snd))
-                return sigmap
+                def sig(env):
+                    fst_fn = fst_c(env)
+                    tms, tys = env
+
+                    def sigmap(pv):
+                        snd_fn = snd_c((tms + (pv.fst,), tys))
+                        return VPair(fst_fn(pv.fst), snd_fn(pv.snd))
+                    return sigmap
+                return sig
             case IndAd(name, trans):
-                # the zip in sem_trans stops before the forced indices
-                st = self.sem_trans(env, desc(name).params_ctx, trans)
-                return self.tree_map(name, st)
+                # the zip in _sem_trans stops before the forced indices
+                trans_c = self._sem_trans(desc(name).params_ctx, trans)
+                map_c = self._tree_map(name)
+                return lambda env: map_c(trans_c(env))
             case _:
-                raise ModelError(f"cannot evaluate adapter {ad!r}")
+                return _failing(ModelError, f"cannot evaluate adapter {ad!r}")
 
-    def ad_end(self, env, ad, want_src: bool) -> SemType:
+    def _end(self, ad, want_src: bool):
         """Set of an adapter's source (or target) end, read off the
         adapter; an inductive adapter's ends are its datatype's set."""
         match ad:
             case AdId(ty):
-                return self.eval_ty(env, ty)
+                return self.compile_ty(ty)
             case Chain(parts):
-                return self.ad_end(env, parts[0] if want_src else parts[-1],
-                                   want_src)
+                return self._end(parts[0] if want_src else parts[-1], want_src)
             case Post(_, s, t) | PiAd(_, _, s, t) | SigAd(_, _, s, t):
-                return self.eval_ty(env, s if want_src else t)
+                return self.compile_ty(s if want_src else t)
             case IndAd(name, _):
-                return SInd(name)
+                s = SInd(name)
+                return lambda env: s
             case _:
-                raise ModelError(f"cannot evaluate adapter {ad!r}")
+                return _failing(ModelError, f"cannot evaluate adapter {ad!r}")
 
     # -- semantic transformations from syntax
 
-    def sem_trans(self, env, ctx: Context, trans: Trans) -> list:
-        """Semantic transformation from a component spine; ``env``
-        interprets the ambient context the spine's syntax lives over."""
-        entries: list = []
-        for entry, c in zip(ctx, trans.comps):
-            if isinstance(entry, TmEntry):
-                if entry.dir is POS:
-                    v = self.eval_tm(env, c.tm)
-                    w = self.push_ty(entry.ty, entries)(v)
-                else:
-                    w = self.eval_tm(env, c.tm)
-                    v = self.push_ty(entry.ty, dual_sem(entries))(w)
-                entries.append(SemTm(v, w))
-            else:
-                entries.append(self._sem_ad_entry(env, entry, c))
-        return entries
+    def _sem_trans(self, ctx: Context, trans: Trans):
+        """Semantic transformation from a component spine, run in the
+        environment of the ambient context the spine's syntax lives
+        over."""
+        steps = tuple(
+            self._tm_step(entry, c) if isinstance(entry, TmEntry)
+            else self._ad_step(entry, c)
+            for entry, c in zip(ctx, trans.comps))
 
-    def _sem_ad_entry(self, env, entry: TyEntry, c: KAd) -> SemAd:
+        def sem_trans(env):
+            tr = NO_TRANS
+            for step in steps:
+                tr = step(env, tr)
+            return tr
+        return sem_trans
+
+    def _tm_step(self, entry: TmEntry, c: KTm):
+        tm_c, push_c = self.compile_tm(c.tm), self._push(entry.ty)
+        if entry.dir is POS:
+            def step(env, tr):
+                v = tm_c(env)
+                return tr.with_tm(v, push_c(tr)(v))
+        else:
+            def step(env, tr):
+                w = tm_c(env)
+                return tr.with_tm(push_c(tr.dual())(w), w)
+        return step
+
+    def _ad_step(self, entry: TyEntry, c: KAd):
         """Semantic entry of an adapter component, by the oracle's own copy
         of the direction table: the adapter sits on the source side iff the
         telescope direction is positive, its free end is its source iff the
         two directions agree, and the stored other is the other side."""
-        def free_fam(vals):
-            return self.ad_end(env + [("tm", v) for v in vals], c.ad,
-                               entry.dir is entry.tel_dir)
-        other = self.family(env, c.forced_ty)
+        free_c = self._end(c.ad, entry.dir is entry.tel_dir)
+        other_c, ad_c = self.compile_ty(c.forced_ty), self.compile_ad(c.ad)
 
-        def fn(vals):
-            return self.eval_ad(env + [("tm", v) for v in vals], c.ad)
-        if entry.tel_dir is POS:
-            return SemAd(entry.dir, entry.tel_dir, free_fam, other, fn)
-        return SemAd(entry.dir, entry.tel_dir, other, free_fam, fn)
+        def step(env, tr):
+            free, other = _family(free_c, env), _family(other_c, env)
+            ad = SemAd(entry.dir, entry.tel_dir, _family(ad_c, env))
+            if entry.tel_dir is POS:
+                return tr.with_ad(free, other, ad)
+            return tr.with_ad(other, free, ad)
+        return step
 
-    def whisker_sem(self, entries: list, ctx: Context, sub: Sub) -> list:
-        """Semantic left whisker: the transformation ``entries`` pushed
-        through a substitution spine into ``ctx`` (the spine's syntax
-        lives over the transformation's target context)."""
-        out: list = []
-        for entry, c in zip(ctx, sub.comps):
-            src = side_env(entries, True) + side_env(out, True)
-            tgt = side_env(entries, False) + side_env(out, False)
-            if isinstance(entry, TmEntry):
-                out.append(SemTm(self.eval_tm(src, c.tm),
-                                 self.eval_tm(tgt, c.tm)))
-            else:
-                prefix = list(out)
+    def _whisker(self, ctx: Context, sub: Sub):
+        """Semantic left whisker: a transformation pushed through a
+        substitution spine into ``ctx`` (the spine's syntax lives over the
+        transformation's target context).  The code returns the new
+        entries alone."""
+        steps = tuple(
+            self._whisker_tm(c) if isinstance(entry, TmEntry)
+            else self._whisker_ty(entry, c)
+            for entry, c in zip(ctx, sub.comps))
 
-                def make(ty=c.ty, prefix=prefix, entry=entry):
-                    def fn(vals):
-                        blocks = self._block_entries(entries + prefix,
-                                                     entry, vals)
-                        whole = entries + prefix + blocks
-                        if entry.dir is NEG:
-                            whole = dual_sem(whole)
-                        return self.push_ty(ty, whole)
-                    return fn
-                out.append(SemAd(entry.dir, entry.tel_dir,
-                                 self.family(src, c.ty),
-                                 self.family(tgt, c.ty),
-                                 make()))
-        return out
+        def whisker(tr):
+            out = NO_TRANS
+            for step in steps:
+                tr, out = step(tr, out)
+            return out
+        return whisker
 
-    def _block_entries(self, prefix: list, entry: TyEntry, vals) -> list:
-        """Term entries for a dependency-telescope block: the given
-        values on the side the block lives on, transported across on the
-        other side.  The telescope's types are interpreted through the
-        (possibly dualized) prefix transformation."""
-        read = prefix if entry.tel_dir is POS else dual_sem(prefix)
-        blocks: list = []
-        for ty, v in zip(entry.tel, vals):
-            fn = self.push_ty(ty, read + blocks)
-            blocks.append(SemTm(v, fn(v)))
-        if entry.tel_dir is NEG:
-            blocks = dual_sem(blocks)
-        return blocks
+    def _whisker_tm(self, c: STm):
+        tm_c = self.compile_tm(c.tm)
+
+        def step(tr, out):
+            v, w = tm_c(tr.src), tm_c(tr.tgt)
+            return tr.with_tm(v, w), out.with_tm(v, w)
+        return step
+
+    def _whisker_ty(self, entry: TyEntry, c: STy):
+        """A type component maps each block of its dependency telescope:
+        the given values on the side the block lives on, transported
+        across on the other side, with the telescope's types read through
+        the (possibly dualized) transformation so far."""
+        ty_c, push_c = self.compile_ty(c.ty), self._push(c.ty)
+        tel_c = tuple(self._push(ty) for ty in entry.tel)
+        tel_pos, same = entry.tel_dir is POS, entry.dir is entry.tel_dir
+
+        def step(tr, out):
+            def fn(vals):
+                read = tr if tel_pos else tr.dual()
+                for block_c, v in zip(tel_c, vals):
+                    read = read.with_tm(v, block_c(read)(v))
+                return push_c(read if same else read.dual())
+            src, tgt = _family(ty_c, tr.src), _family(ty_c, tr.tgt)
+            ad = SemAd(entry.dir, entry.tel_dir, fn)
+            return tr.with_ad(src, tgt, ad), out.with_ad(src, tgt, ad)
+        return step
 
     # -- the semantic functorial action
 
-    def push_ty(self, ty, entries: list):
-        """Function from the source instance of ``ty`` to its target
-        instance under a semantic transformation."""
+    @_compiled
+    def _push(self, ty):
+        """Code from a semantic transformation to the function from the
+        source instance of ``ty`` to its target instance."""
         match ty:
             case Base(_):
-                return lambda v: v
+                return lambda tr: _identity
             case TyVarRef(j, inst):
-                e = _sem_entry_at(entries, j)
-                if e.dir is not POS:
-                    raise ModelError("contravariant type variable accessed "
-                                     "covariantly")
-                env = side_env(entries, e.tel_dir is POS)
-                vals = tuple(self.eval_tm(env, t) for t in inst)
-                return e.fn(vals)
+                k = -1 - j
+                inst_c = tuple(self.compile_tm(t) for t in inst)
+
+                def tyvar(tr):
+                    e = tr.ads[k]
+                    if e.dir is not POS:
+                        raise ModelError("contravariant type variable "
+                                         "accessed covariantly")
+                    env = tr.src if e.tel_dir is POS else tr.tgt
+                    return e.fn(tuple(c(env) for c in inst_c))
+                return tyvar
             case Pi(dom, cod):
-                back = self.push_ty(dom, dual_sem(entries))
-                new_dom = self.eval_ty(side_env(dual_sem(entries), True), dom)
+                back_c, cod_c = self._push(dom), self._push(cod)
+                new_dom_c = self.compile_ty(dom)
 
-                def pimap(fv):
-                    if not new_dom.enumerable:
-                        raise NonEnumerable("branching over a non-enumerable "
-                                            "domain")
-                    rows = []
-                    for u in new_dom.elements():
-                        v = fv.apply(back(u))
-                        ext = entries + [SemTm(back(u), u)]
-                        rows.append((u, self.push_ty(cod, ext)(v)))
-                    return VFun(tuple(rows))
-                return pimap
+                def pi(tr):
+                    dual = tr.dual()
+                    back, new_dom = back_c(dual), new_dom_c(dual.src)
+
+                    def pimap(fv):
+                        if not new_dom.enumerable:
+                            raise NonEnumerable("branching over a "
+                                                "non-enumerable domain")
+                        rows = []
+                        for u in new_dom.elements():
+                            b = back(u)
+                            v = fv.apply(b)
+                            rows.append((u, cod_c(tr.with_tm(b, u))(v)))
+                        return VFun(tuple(rows))
+                    return pimap
+                return pi
             case Sig(fst, snd):
-                fst_fn = self.push_ty(fst, entries)
+                fst_c, snd_c = self._push(fst), self._push(snd)
 
-                def sigmap(pv):
-                    ext = entries + [SemTm(pv.fst, fst_fn(pv.fst))]
-                    return VPair(fst_fn(pv.fst),
-                                 self.push_ty(snd, ext)(pv.snd))
-                return sigmap
+                def sig(tr):
+                    fst_fn = fst_c(tr)
+
+                    def sigmap(pv):
+                        a = fst_fn(pv.fst)
+                        return VPair(a, snd_c(tr.with_tm(pv.fst, a))(pv.snd))
+                    return sigmap
+                return sig
             case Ind(name, params, _):
-                st = self.whisker_sem(entries, desc(name).params_ctx, params)
-                return self.tree_map(name, st)
+                whisker_c = self._whisker(desc(name).params_ctx, params)
+                map_c = self._tree_map(name)
+                return lambda tr: map_c(whisker_c(tr))
             case _:
-                raise ModelError(f"cannot map over type {ty!r}")
+                return _failing(ModelError, f"cannot map over type {ty!r}")
 
-    def tree_map(self, name: str, param_entries: list):
-        """Map a constructor tree along a semantic parameter
-        transformation: the initial-algebra functorial action.  The
-        datatype is one more type variable outside the parameters, so the
-        declared argument types are read as they stand."""
+    @_compiled
+    def _tree_map(self, name: str):
+        """Code from a semantic parameter transformation to the map of
+        constructor trees along it: the initial-algebra functorial action.
+        The datatype is one more type variable outside the parameters, so
+        the declared argument types are read as they stand."""
         d = desc(name)
         self_ix = ty_count(d.params_ctx)
-        rec_tys = []
+        cons = []
         for c in d.cons:
-            tys = []
+            rec = []
             for r in c.rec:
                 ty = TyVarRef(self_ix, r.rind)
                 for a in reversed(r.arit):
                     ty = Pi(a, ty)
-                tys.append(ty)
-            rec_tys.append(tys)
+                rec.append(self._push(ty))
+            cons.append((tuple(self._push(ty) for ty in c.nrec), tuple(rec)))
+        s = SInd(name)
 
         def self_fam(_vals):
-            return SInd(name)
-        self_entry = SemAd(POS, POS, self_fam, self_fam, lambda _vals: go)
+            return s
 
-        def go(v):
-            if not isinstance(v, VCon) or v.desc != name:
-                raise ModelError("inductive map applied to a non-tree value")
-            nrec = d.cons[v.tag].nrec
-            # recursive arguments sit over the non-recursive ones only
-            entries = [self_entry] + param_entries
-            args = []
-            for ty, arg in zip(nrec, v.args):
-                out = self.push_ty(ty, entries)(arg)
-                args.append(out)
-                entries.append(SemTm(arg, out))
-            for ty, arg in zip(rec_tys[v.tag], v.args[len(nrec):]):
-                args.append(self.push_ty(ty, entries)(arg))
-            return VCon(name, v.tag, tuple(args))
-        return go
+        def tree_map(params: SemTrans):
+            outer = NO_TRANS.with_ad(self_fam, self_fam,
+                                     SemAd(POS, POS, lambda _vals: go)) + params
+
+            def go(v):
+                if not isinstance(v, VCon) or v.desc != name:
+                    raise ModelError("inductive map applied to a non-tree "
+                                     "value")
+                nrec, rec = cons[v.tag]
+                # recursive arguments sit over the non-recursive ones only
+                tr = outer
+                args = []
+                for push, arg in zip(nrec, v.args):
+                    out = push(tr)(arg)
+                    args.append(out)
+                    tr = tr.with_tm(arg, out)
+                for push, arg in zip(rec, v.args[len(nrec):]):
+                    args.append(push(tr)(arg))
+                return VCon(name, v.tag, tuple(args))
+            return go
+        return tree_map
 
 
 # -- extensional comparison ----------------------------------------------------
 
 
 def sem_eq(x, y) -> bool:
+    if x is y:
+        return True
     if isinstance(x, VFun) and isinstance(y, VFun):
         if len(x.table) != len(y.table):
             return False
@@ -593,6 +729,8 @@ def free_tm_vars(x) -> set[int]:
     out: set[int] = set()
 
     def go(x, d):
+        if fv_bounds(x)[0] <= d:
+            return
         match x:
             case Var(i):
                 if i >= d:
@@ -680,7 +818,7 @@ def enumerate_envs(evalr: Evaluator, ctx: Context, used: set[int] | None = None)
     if used is not None:
         used = needed_entries(ctx, used)
     n_tm = tm_count(ctx)
-    envs = [[]]
+    envs = [()]
     seen_tm = 0
     for entry in ctx:
         if isinstance(entry, TyEntry):
@@ -688,14 +826,15 @@ def enumerate_envs(evalr: Evaluator, ctx: Context, used: set[int] | None = None)
         index = n_tm - 1 - seen_tm
         seen_tm += 1
         if used is not None and index not in used:
-            envs = [env + [("tm", UNUSED)] for env in envs]
+            envs = [tms + (UNUSED,) for tms in envs]
             continue
+        ty_c = evalr.compile_ty(entry.ty)
         new = []
-        for env in envs:
-            st = evalr.eval_ty(env, entry.ty)
+        for tms in envs:
+            st = ty_c((tms, ()))
             if not st.enumerable:
                 raise NonEnumerable("context entry is not enumerable")
             for v in st.elements():
-                new.append(env + [("tm", v)])
+                new.append(tms + (v,))
         envs = new
-    return envs
+    return [(tms, ()) for tms in envs]

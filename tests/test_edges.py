@@ -32,7 +32,7 @@ def test_deep_vector_cast_through_model():
     v1 = Con("Vec", 1, pa, (Var(0), nat_zero(), Con("Vec", 0, pa, ())))
     v2 = Con("Vec", 1, pa, (Var(1), one, v1))
     ad = ind_adapter("Vec", Trans((KAd(f_AB, B, 0),)), (two,))
-    env = [("tm", M.VBase("A", "a0")), ("tm", M.VBase("A", "a1"))]
+    env = ((M.VBase("A", "a0"), M.VBase("A", "a1")), ())
     raw = ev.eval_tm(env, Cast(v2, ad))
     computed = ev.eval_tm(env, cast(v2, ad))
     assert M.sem_eq(raw, computed)

@@ -20,7 +20,7 @@ from adaptt.inductive import (
 )
 from adaptt.setmodel import (
     ModelBinding, Evaluator, NonEnumerable, ModelError,
-    VBase, VPair, VFun, VCon, sem_eq, enumerate_envs, free_tm_vars,
+    VBase, VPair, VFun, VCon, EMPTY, sem_eq, enumerate_envs, free_tm_vars,
 )
 from helpers import A, B, C, D, f_AB, g_BC, list_ty, nil, cons
 from test_generic_rows import DECLARED
@@ -46,25 +46,25 @@ def a0():
 
 
 def test_base_cast_is_table_lookup():
-    v = ev().eval_tm([("tm", VBase("A", "a1"))], Cast(Var(0), f_AB))
+    v = ev().eval_tm(((VBase("A", "a1"),), ()), Cast(Var(0), f_AB))
     assert v == VBase("B", "b1")
 
 
 def test_identity_cast_semantically():
     for v in BINDING.base("A").elements():
-        assert ev().eval_ad([], AdId(A))(v) == v
+        assert ev().compile_ad(AdId(A))(EMPTY)(v) == v
 
 
 def test_composition_is_function_composition():
     from adaptt.normalize import compose_ad
-    gf = ev().eval_ad([], compose_ad(g_BC, f_AB))
+    gf = ev().compile_ad(compose_ad(g_BC, f_AB))(EMPTY)
     assert gf(a0()) == VBase("C", "c0")
 
 
 def test_list_cast_maps_the_tree():
     ad = ind_adapter("List", Trans((KAd(f_AB, B, 0),)), ())
     lst = cons(A, Var(1), cons(A, Var(0), nil(A)))
-    env = [("tm", a0()), ("tm", VBase("A", "a1"))]
+    env = ((a0(), VBase("A", "a1")), ())
     out = ev().eval_tm(env, Cast(lst, ad))
     assert out == VCon("List", 1, (VBase("B", "b0"),
                                    VCon("List", 1, (VBase("B", "b1"),
@@ -74,7 +74,7 @@ def test_list_cast_maps_the_tree():
 def test_kernel_and_model_agree_on_list_cast():
     ad = ind_adapter("List", Trans((KAd(f_AB, B, 0),)), ())
     lst = cons(A, Var(0), nil(A))
-    env = [("tm", a0())]
+    env = ((a0(),), ())
     raw = ev().eval_tm(env, Cast(lst, ad))
     computed = ev().eval_tm(env, kcast(lst, ad))
     assert sem_eq(raw, computed)
@@ -86,7 +86,7 @@ def test_function_cast_pointwise():
     tgt = Pi(A, shift(B, 1, 0))
     ad = PiAd(f_AB, shift(f_AB, 1, 0), src, tgt)
     h = Lam(B, shift(Var(0), 1, 0))  # constant function to the env var
-    env = [("tm", a0())]
+    env = ((a0(),), ())
     out = ev().eval_tm(env, Cast(h, ad))
     assert isinstance(out, VFun)
     for arg, res in out.table:
@@ -98,27 +98,49 @@ def test_pair_cast_componentwise():
     sig_b = Sig(B, shift(C, 1, 0))
     ad = SigAd(f_AB, shift(g_BC, 1, 0), sig_a, sig_b)
     p = Pair(sig_a, Var(0), Cast(Var(0), f_AB))
-    out = ev().eval_tm([("tm", a0())], Cast(p, ad))
+    out = ev().eval_tm(((a0(),), ()), Cast(p, ad))
     assert out == VPair(VBase("B", "b0"), VBase("C", "c0"))
 
 
 def test_non_enumerable_domain_reported():
     lam = Lam(list_ty(A), shift(Var(0), 1, 0))
     with pytest.raises(NonEnumerable):
-        ev().eval_tm([("tm", a0())], lam)
+        ev().eval_tm(((a0(),), ()), lam)
 
 
 def test_partial_adapter_table_rejected():
     bad = ModelBinding.from_json(
         '{"types": {"A": ["a0","a1"], "B": ["b0"]},'
         ' "adapters": {"f": {"A->B": {"a0": "b0"}}}}')
+    code = Evaluator(bad).compile_ad(f_AB)
     with pytest.raises(ModelError):
-        Evaluator(bad).eval_ad([], f_AB)
+        code(EMPTY)
+
+
+def test_compiled_code_is_kept_per_binding():
+    # one interned term under two bindings: each Evaluator reads its own
+    lam = Lam(A, Var(0))
+    small = ModelBinding.from_json('{"types": {"A": ["x"]}}')
+    big = ModelBinding.from_json('{"types": {"A": ["x", "y"]}}')
+    assert Evaluator(small).eval_tm(EMPTY, lam) == VFun(
+        ((VBase("A", "x"), VBase("A", "x")),))
+    assert Evaluator(big).eval_tm(EMPTY, lam) == VFun(
+        ((VBase("A", "x"), VBase("A", "x")),
+         (VBase("A", "y"), VBase("A", "y"))))
+
+
+def test_an_unreached_binding_error_is_not_raised():
+    # the unbound adapter sits under a function over the empty set, so no
+    # environment ever reaches it
+    e = Base("E")
+    lam = Lam(e, Cast(Var(0), Post("zz", e, A)))
+    binding = ModelBinding.from_json('{"types": {"E": [], "A": ["a0"]}}')
+    assert Evaluator(binding).eval_tm(EMPTY, lam) == VFun(())
 
 
 def test_missing_base_type_rejected():
     with pytest.raises(ModelError):
-        ev().eval_ty([], Base("Zzz"))
+        ev().compile_ty(Base("Zzz"))(EMPTY)
 
 
 def test_sem_eq_functions_extensionally():
@@ -151,9 +173,9 @@ def test_free_tm_vars():
 
 def test_pi_type_enumeration():
     # all functions from A (2 elements) to C (1 element): exactly one
-    st = ev().eval_ty([], Pi(A, shift(C, 1, 0)))
+    st = ev().compile_ty(Pi(A, shift(C, 1, 0)))(EMPTY)
     assert len(st.elements()) == 1
-    st2 = ev().eval_ty([], Pi(C, shift(A, 1, 0)))
+    st2 = ev().compile_ty(Pi(C, shift(A, 1, 0)))(EMPTY)
     assert len(st2.elements()) == 2
 
 
@@ -173,7 +195,7 @@ def test_nonempty_branching_map_precomposes():
     ga, gb, gc, gd = Base("GA"), Base("GB"), Base("GC"), Base("GD")
     tr = Trans((KAd(Post("gf", ga, gb), gb, 0),
                 KAd(Post("gk", gd, gc), gd, 0)))
-    fn = e.eval_ad([], ind_adapter("Tree", tr, ()))
+    fn = e.compile_ad(ind_adapter("Tree", tr, ()))(EMPTY)
     leaf = VCon("Tree", 0, ())
     deeper = VCon("Tree", 1, (VBase("GA", "a0"), VFun((
         (VBase("GC", "c0"), leaf), (VBase("GC", "c1"), leaf)))))
@@ -206,7 +228,7 @@ def test_branching_tree_map():
     k = Post("k", e1, e0)
     tr = Trans((KAd(Post("f", A, B), B, 0),
                 KAd(shift(k, 1, 0), shift(e1, 1, 0), 1)))
-    fn = e.eval_ad([], ind_adapter("W", tr, ()))
+    fn = e.compile_ad(ind_adapter("W", tr, ()))(EMPTY)
     tree = VCon("W", 0, (VBase("A", "a0"), VFun(())))
     out = fn(tree)
     assert out.args[0] == VBase("B", "b0")
@@ -242,7 +264,7 @@ def test_kernel_and_model_agree_on_bin_cast():
         tree = bin_tree(Sub((STy(A, 0),)))
         ad = ind_adapter("Bin", Trans((KAd(f_AB, B, 0),)),
                          (nat_succ(nat_succ(nat_zero())),))
-        env = [("tm", a0()), ("tm", VBase("A", "a1"))]
+        env = ((a0(), VBase("A", "a1")), ())
         return (ev().eval_tm(env, Cast(tree, ad)),
                 ev().eval_tm(env, kcast(tree, ad)))
     raw, computed = in_fresh_session(go)
@@ -284,7 +306,7 @@ def test_oracle_reports_no_rewrite_step():
         (Con("Tree", 1, tree_p, (Var(0), Lam(C, Con("Tree", 0, tree_p, ())))),
          ind_adapter("Tree", Trans(mu_f + (KAd(Post("k", D, C), D, 0),)), ())),
     ]
-    env = [("tm", VCon("W", 0, (a0(), VFun(())))), ("tm", VBase("A", "a1"))]
+    env = ((VCon("W", 0, (a0(), VFun(()))), VBase("A", "a1")), ())
 
     def go():
         e = Evaluator(binding)
@@ -318,14 +340,18 @@ def test_setmodel_imports_only_syntax_from_the_package():
 
 #: datatypes whose casts reach the rest of the semantic action: a
 #: parameter under two function arrows (so the map reads an adapter's
-#: end), a family with a dependency telescope, and term parameters and
-#: arguments whose types are themselves datatypes over the parameters
+#: end), a family with a dependency telescope, term parameters and
+#: arguments whose types are themselves datatypes over the parameters,
+#: and a term parameter passed on to a datatype that reads it through a
+#: family
 RAW_PRELUDE = """base A ; base B ; base C ;
 postulate adapter f : A => B ;
 data K (X : Ty+) { k : (h : (X -> B) -> C) -> K X }
 data Fam (F : (n : Nat) Ty+) (j : Nat) { fam : (v : F j) -> Fam F j }
 data Q (X : Ty+) (x : X)
   { q : (e : Id X x x) (v : Fam (n => Vec X n) zero) -> Q X x }
+data Dep (Y : Ty+) (F : (y : Y) Ty+) (y : Y) { dep : (v : F y) -> Dep Y F y }
+data R (X : Ty+) (x : X) { r : (d : Dep X (z => A) x) -> R X x }
 var a : A ;
 var c : C ;
 """
@@ -342,6 +368,9 @@ RAW_CASTS = [
     ("K A", "k A (fun (h : A -> B) => c)", "K [[ f ]]"),
     ("Q A a", "q A a (refl A a) (fam (n => Vec A n) zero (vnil A))",
      "Q [[ f > a ]]"),
+    # the whisker into Dep carries x across f, and F's component reads
+    # it on the source side: read on the target side, it would be f a
+    ("R A a", "r A a (dep A (z => A) a a)", "R [[ f > a ]]"),
 ]
 
 
