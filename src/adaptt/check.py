@@ -39,12 +39,14 @@ from .inductive import con_args_tel, result_indices
 class Diagnostic:
     code: str
     message: str
-    span: tuple[int, int] | None = None
+    span: int | None = None     # an offset into the checked text
     expected: str | None = None
     actual: str | None = None
 
-    def render(self, filename: str = "<input>") -> str:
-        loc = f"{filename}:{self.span[0]}:{self.span[1]}" if self.span else filename
+    def render(self, filename: str, src) -> str:
+        """The ``ERROR`` line, placed by ``src`` (a ``surface.Source`` of
+        the checked text) in ``filename``."""
+        loc = filename if self.span is None else src.at(filename, self.span)
         if self.expected is not None:
             return (f"ERROR {self.code} {loc} "
                     f"expected {self.expected} got {self.actual} ({self.message})")

@@ -46,29 +46,26 @@ def _read(path: str) -> str:
         raise OSError(None, f"not UTF-8 at byte {e.start}", path) from None
 
 
-def _load(path: str):
-    return surface.parse(_read(path))
-
-
-def _report(e: ParseError | CheckError, where: str) -> int:
+def _report(e: ParseError | CheckError, where: str,
+            src: surface.Source | None) -> int:
     """Print the ``ERROR`` line of a parse error or a diagnostic placed in
-    ``where``; returns the exit status."""
+    ``where``, whose text is ``src``; returns the exit status."""
     if isinstance(e, ParseError):
         print(f"ERROR Parse {where}:{e.line}:{e.col} {e.message}")
         return PARSE_ERROR
-    print(e.diag.render(where))
+    print(e.diag.render(where, src))
     return TYPE_ERROR
 
 
-def cmd_check(args) -> int:
-    out = elaborate.elab_file(_load(args.file))
+def cmd_check(args, src: surface.Source) -> int:
+    out = elaborate.elab_file(surface.parse(src.text))
     failures = 0
     for ctx, names, lhs, rhs, ty, span in out.asserts:
         if normalize.conv_tm(ctx, ty, lhs, rhs):
-            print(f"OK asserteq {args.file}:{span[0]}:{span[1]}")
+            print(f"OK asserteq {src.at(args.file, span)}")
         else:
             failures += 1
-            print(f"ERROR ConversionFailed {args.file}:{span[0]}:{span[1]} "
+            print(f"ERROR ConversionFailed {src.at(args.file, span)} "
                   f"expected {pretty.tm_string(ctx, rhs, names)} "
                   f"got {pretty.tm_string(ctx, lhs, names)}")
     for ctx, names, tm, span in out.normalizes:
@@ -78,21 +75,22 @@ def cmd_check(args) -> int:
     return TYPE_ERROR if failures else OK
 
 
-def cmd_norm(args) -> int:
-    sc = elaborate.elab_file(_load(args.file)).scope
+def cmd_norm(args, src: surface.Source) -> int:
+    sc = elaborate.elab_file(surface.parse(src.text)).scope
     try:
         tm, ty = elaborate.elab_expr_in(sc, args.expr)
     except (ParseError, CheckError) as e:
-        placed = isinstance(e, ParseError) or e.diag.span
-        return _report(e, "-e" if placed else args.file)
+        if isinstance(e, ParseError) or e.diag.span is not None:
+            return _report(e, "-e", surface.Source(args.expr))
+        return _report(e, args.file, src)
     names = list(sc.names)
     print(pretty.tm_string(sc.ctx, normalize.nf(tm).value, names))
     print(f": {pretty.ty_string(sc.ctx, ty, names)}")
     return OK
 
 
-def cmd_derive(args) -> int:
-    elaborate.elab_file(_load(args.file))
+def cmd_derive(args, src: surface.Source) -> int:
+    elaborate.elab_file(surface.parse(src.text))
     if args.name not in SESSION.get().descs:
         print(f"ERROR UnknownDatatype {args.file} {args.name}")
         return USAGE
@@ -120,9 +118,9 @@ def cmd_derive(args) -> int:
     return OK
 
 
-def cmd_model(args) -> int:
+def cmd_model(args, src: surface.Source) -> int:
     try:
-        out = elaborate.elab_file(_load(args.file))
+        out = elaborate.elab_file(surface.parse(src.text))
         binding = setmodel.ModelBinding.from_json(_read(args.bindings))
     except setmodel.ModelError as e:
         print(f"ERROR Bindings {args.bindings} {e}")
@@ -131,7 +129,7 @@ def cmd_model(args) -> int:
     bad = 0
     skipped = 0
     for ctx, names, lhs, rhs, ty, span in out.asserts:
-        loc = f"{args.file}:{span[0]}:{span[1]}"
+        loc = src.at(args.file, span)
         conv_ok = normalize.conv_tm(ctx, ty, lhs, rhs)
         try:
             used = (setmodel.free_tm_vars(lhs) | setmodel.free_tm_vars(rhs)
@@ -159,7 +157,7 @@ def cmd_model(args) -> int:
     return ORACLE_FAILURE if bad else OK
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args, src: None) -> int:
     results = golden.run()
     bad = 0
     for label, ok in results:
@@ -240,10 +238,13 @@ def _run(handler, args) -> int:
         sink = lambda rule, path: print(f"RULE {rule} AT {path}")
     SESSION.set(Session(dict(_STOCK), sink))
     where = getattr(args, "file", args.cmd)     # ``selftest`` reads no file
+    src = None
     try:
-        return handler(args)
+        if hasattr(args, "file"):
+            src = surface.Source(_read(args.file))
+        return handler(args, src)
     except (ParseError, CheckError) as e:
-        return _report(e, where)
+        return _report(e, where, src)
     except RecursionError:
         print(f"ERROR TooDeep {where} input nested too deeply")
         return RESOURCE_LIMIT

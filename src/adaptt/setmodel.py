@@ -201,7 +201,10 @@ class ModelBinding:
         image = {l: by_label[table[l]] for l in src.labels}
 
         def fn(v):
-            return image[v.label]
+            if type(v) is VBase and v.set_name == src.name:
+                return image[v.label]
+            raise ModelError(f"adapter {p.name} applied to {v!r}, outside "
+                             f"its source {src.name}")
         return fn
 
 

@@ -4,69 +4,103 @@ One unified expression grammar covers types, terms and adapters; the
 elaborator sorts expressions by the position they appear in.  Comments
 run from ``--`` to end of line.  The grammar is documented in
 ``docs/grammar.md``.
+
+A position is an offset into the text; ``Source`` renders it as
+``line:col`` when a diagnostic is printed.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
+
+
+class Source:
+    """A text, and the offsets its lines start at, listed on the first
+    lookup.  A column counts code points from 1."""
+
+    __slots__ = ("text", "_starts")
+
+    def __init__(self, text: str):
+        self.text = text
+        self._starts = None
+
+    def line_col(self, off: int) -> tuple[int, int]:
+        if self._starts is None:
+            self._starts = list(accumulate(
+                (len(line) + 1 for line in self.text.split("\n")), initial=0))
+        line = bisect_right(self._starts, off)
+        return line, off - self._starts[line - 1] + 1
+
+    def at(self, name: str, off: int) -> str:
+        """``name:LINE:COL`` of offset ``off``."""
+        line, col = self.line_col(off)
+        return f"{name}:{line}:{col}"
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, line: int, col: int, expected=()):
-        super().__init__(f"{line}:{col}: {message}")
+    def __init__(self, message: str, src: Source, off: int, expected=()):
+        self.line, self.col = src.line_col(off)
+        super().__init__(f"{self.line}:{self.col}: {message}")
         self.message = message
-        self.line = line
-        self.col = col
         self.expected = tuple(expected)
 
 
-Span = tuple[int, int]
-
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+|--[^\n]*)
-  | (?P<punct>\[\[|\]\]|:=|=>|->|\*\*|<\||\^-|[()>{}\[\];:,.=])
-  | (?P<name>Ty[+-]|[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<stray>.)
-""", re.VERBOSE)
-
-KEYWORDS = {
+KEYWORDS = (
     "base", "postulate", "adapter", "var", "covar", "def", "data",
     "check", "asserteq", "normalize", "fun", "fst", "snd", "id",
-}
+)
+
+#: longest first, so that a prefix never wins
+PUNCT = ("[[", "]]", ":=", "=>", "->", "**", "<|", "^-",
+         "(", ")", ">", "{", "}", "[", "]", ";", ":", ",", ".", "=")
+
+#: one token per match, after the whitespace and comments before it:
+#: group 1 is a token, group 2 a stray character, and neither matches at
+#: the end.  A match never fails, so it never backtracks into the skipped
+#: prefix, whose nested repetition could take exponential time.
+_TOKEN_RE = re.compile(
+    r"(?:\s+|--[^\n]*)*"
+    r"(?:(" + "|".join(map(re.escape, PUNCT))
+    + r"|Ty[+-]|[A-Za-z_][A-Za-z0-9_']*)|(.)|\Z)")
+
+#: the kind of a keyword or punctuation token is its own text
+_KINDS = {k: k for k in KEYWORDS + PUNCT}
 
 
-class Token:
-    __slots__ = ("kind", "text", "span")
+@dataclass(slots=True)
+class Tokens:
+    """The tokens of one text as parallel lists, closed by an ``eof``
+    token: kinds (``name``, ``eof``, or a keyword or punctuation text),
+    texts and start offsets."""
 
-    def __init__(self, kind: str, text: str, span: Span):
-        self.kind = kind    # "name", "kw", "eof", or the punctuation itself
-        self.text = text
-        self.span = span
+    kinds: list[str]
+    texts: list[str]
+    offs: list[int]
+
+    def __len__(self) -> int:
+        return len(self.kinds)
 
 
-def lex(text: str) -> list[Token]:
-    """All tokens of ``text`` in one pass, closed by an ``eof`` token; a
-    column is the offset from the start of its line, plus one."""
-    out = []
-    line, line_start = 1, 0
+def lex(text: str) -> Tokens:
+    """All tokens of ``text`` in one pass."""
+    kinds, texts, offs = [], [], []
     for m in _TOKEN_RE.finditer(text):
-        group, chunk, start = m.lastgroup, m.group(), m.start()
-        if group == "ws":
-            if "\n" in chunk:
-                line += chunk.count("\n")
-                line_start = start + chunk.rfind("\n") + 1
-            continue
-        span = (line, start - line_start + 1)
-        if group == "punct":
-            out.append(Token(chunk, chunk, span))
-        elif group == "name":
-            out.append(Token("kw" if chunk in KEYWORDS else "name", chunk, span))
-        else:
-            raise ParseError(f"stray character {chunk!r}", *span)
-    out.append(Token("eof", "", (line, len(text) - line_start + 1)))
-    return out
+        tok = m[1]
+        if tok is not None:
+            kinds.append(_KINDS.get(tok, "name"))
+            texts.append(tok)
+            offs.append(m.start(1))
+        elif m[2] is not None:
+            raise ParseError(f"stray character {m[2]!r}", Source(text),
+                             m.start(2))
+    kinds.append("eof")
+    texts.append("")
+    offs.append(len(text))
+    return Tokens(kinds, texts, offs)
 
 
 # ---------------------------------------------------------------------------
@@ -74,191 +108,191 @@ def lex(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SName:
     name: str
-    span: Span
+    span: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SApp:
     fn: SExpr
     arg: SExpr
-    span: Span
+    span: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SArrow:
     binder: str | None
     dom: SExpr
     cod: SExpr
-    span: Span
+    span: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SStar:
     binder: str | None
     fst: SExpr
     snd: SExpr
-    span: Span
+    span: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SFun:
     binder: str
     dom: SExpr
     body: SExpr
-    span: Span
+    span: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SFst:
     arg: SExpr
-    span: Span
+    span: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SSnd:
     arg: SExpr
-    span: Span
+    span: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SPair:
     fst: SExpr
     snd: SExpr
     ty: SExpr
-    span: Span
+    span: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SCast:
     tm: SExpr
     ad: SExpr
-    span: Span
+    span: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SComp:
     after: SExpr
     before: SExpr
-    span: Span
+    span: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SId:
     at: SExpr | None
-    span: Span
+    span: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SSpineComp:
     binders: tuple[str, ...]
     body: SExpr
-    span: Span
+    span: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SPush:
     head: SExpr
     comps: tuple[SSpineComp, ...]
-    span: Span
+    span: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SFam:
     """Type family with explicit binders: ``(x y => T)``."""
 
     binders: tuple[str, ...]
     body: SExpr
-    span: Span
+    span: int
 
 
 SExpr = (SName | SApp | SArrow | SStar | SFun | SFst | SSnd | SPair
          | SCast | SComp | SId | SPush | SFam)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PTyParam:
     name: str
     tele: tuple[tuple[str, SExpr], ...]
     dir: str   # "+" or "-"
-    span: Span
+    span: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PTmParam:
     name: str
     ty: SExpr
-    span: Span
+    span: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SConDecl:
     name: str
     args: tuple[tuple[str, SExpr], ...]
     result: SExpr
-    span: Span
+    span: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DBase:
     name: str
-    span: Span
+    span: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DPostulate:
     name: str
     src: SExpr
     tgt: SExpr
-    span: Span
+    span: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DVar:
     name: str
     ty: SExpr
-    span: Span
+    span: int
     neg: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DDef:
     name: str
     ty: SExpr
     tm: SExpr
-    span: Span
+    span: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DData:
     name: str
     params: tuple[PTyParam | PTmParam, ...]
     indices: tuple[tuple[str | None, SExpr], ...]
     cons: tuple[SConDecl, ...]
-    span: Span
+    span: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DCheck:
     tm: SExpr
     ty: SExpr
-    span: Span
+    span: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DAssertEq:
     lhs: SExpr
     rhs: SExpr
     ty: SExpr
-    span: Span
+    span: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DNormalize:
     tm: SExpr
-    span: Span
+    span: int
 
 
 Decl = (DBase | DPostulate | DVar | DDef | DData | DCheck | DAssertEq
@@ -284,152 +318,129 @@ INFIX = {
     ".": (COMP, JUXT, SComp),
 }
 
-#: texts of the tokens other than names that start an atom
-ATOM_START = frozenset({"(", "fun", "fst", "snd", "id"})
+#: kinds of the tokens that start an atom
+ATOM_START = frozenset({"name", "(", "fun", "fst", "snd", "id"})
 
-
-def _starts_atom(t: Token) -> bool:
-    return t.kind == "name" or t.text in ATOM_START
+#: keywords that open a declaration, as a parse error lists them; the
+#: contravariant ``covar`` opens one too
+DECLS = ("base", "postulate", "var", "def", "data", "check", "asserteq",
+         "normalize")
 
 
 class Parser:
     def __init__(self, text: str):
-        self.toks = lex(text)
+        toks = lex(text)
+        self.kinds, self.texts, self.offs = toks.kinds, toks.texts, toks.offs
+        self.src = Source(text)
         self.pos = 0
 
     # -- token plumbing
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.toks[self.pos]
-        return t.kind == kind and (text is None or t.text == text)
+    def error(self, what: str, expected) -> ParseError:
+        """``what`` was expected where the current token is."""
+        found = self.texts[self.pos] or "end of input"
+        return ParseError(f"{what}, found {found!r}", self.src,
+                          self.offs[self.pos], expected)
 
-    def next(self) -> Token:
-        self.pos += 1
-        return self.toks[self.pos - 1]
+    def eat(self, kind: str) -> int:
+        """Consume a token of ``kind``; returns its index."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            raise self.error(f"expected {kind!r}", (kind,))
+        self.pos = pos + 1
+        return pos
 
-    def eat(self, kind: str, text: str | None = None) -> Token:
-        if not self.at(kind, text):
-            t = self.toks[self.pos]
-            want = text or kind
-            raise ParseError(f"expected {want!r}, found {t.text or 'end of input'!r}",
-                             t.span[0], t.span[1], expected=(want,))
-        return self.next()
+    def name(self) -> str:
+        return self.texts[self.eat("name")]
 
-    def name(self) -> Token:
-        return self.eat("name")
+    def then(self, kind: str) -> SExpr:
+        """A token of ``kind``, then an expression."""
+        self.eat(kind)
+        return self.expr()
+
+    def binding(self) -> tuple[str, SExpr]:
+        """``(x : A)``."""
+        self.eat("(")
+        out = self.name(), self.then(":")
+        self.eat(")")
+        return out
 
     def names_then_fat_arrow(self) -> tuple[str, ...] | None:
         """``x y =>``: the names, consumed with the arrow, or None (and
         nothing consumed) unless one or more names precede ``=>``."""
-        toks, k = self.toks, self.pos
-        while toks[k].kind == "name":
+        kinds, k = self.kinds, self.pos
+        while kinds[k] == "name":
             k += 1
-        if k == self.pos or toks[k].text != "=>":
+        if k == self.pos or kinds[k] != "=>":
             return None
-        names = tuple(t.text for t in toks[self.pos:k])
+        names = tuple(self.texts[self.pos:k])
         self.pos = k + 1
         return names
 
     # -- declarations
 
-
     def file(self) -> list[Decl]:
         out = []
-        while not self.at("eof"):
+        while self.kinds[self.pos] != "eof":
             out.append(self.decl())
         return out
 
     def decl(self) -> Decl:
-        t = self.toks[self.pos]
-        if self.at("kw", "base"):
-            self.next()
-            n = self.name()
-            self.eat(";")
-            return DBase(n.text, t.span)
-        if self.at("kw", "postulate"):
-            self.next()
-            self.eat("kw", "adapter")
-            n = self.name()
-            self.eat(":")
-            src = self.expr()
-            self.eat("=>")
-            tgt = self.expr()
-            self.eat(";")
-            return DPostulate(n.text, src, tgt, t.span)
-        if self.at("kw", "var") or self.at("kw", "covar"):
-            neg = self.next().text == "covar"
-            n = self.name()
-            self.eat(":")
-            ty = self.expr()
-            self.eat(";")
-            return DVar(n.text, ty, t.span, neg)
-        if self.at("kw", "def"):
-            self.next()
-            n = self.name()
-            self.eat(":")
-            ty = self.expr()
-            self.eat(":=")
-            tm = self.expr()
-            self.eat(";")
-            return DDef(n.text, ty, tm, t.span)
-        if self.at("kw", "data"):
+        """One declaration; arguments are read left to right, in the
+        order of the grammar."""
+        kind, span = self.kinds[self.pos], self.offs[self.pos]
+        if kind == "data":
             return self.data_decl()
-        if self.at("kw", "check"):
-            self.next()
-            tm = self.expr()
-            self.eat(":")
-            ty = self.expr()
-            self.eat(";")
-            return DCheck(tm, ty, t.span)
-        if self.at("kw", "asserteq"):
-            self.next()
-            lhs = self.expr()
-            self.eat("=")
-            rhs = self.expr()
-            self.eat(":")
-            ty = self.expr()
-            self.eat(";")
-            return DAssertEq(lhs, rhs, ty, t.span)
-        if self.at("kw", "normalize"):
-            self.next()
-            tm = self.expr()
-            self.eat(";")
-            return DNormalize(tm, t.span)
-        raise ParseError(f"expected a declaration, found {t.text!r}",
-                         t.span[0], t.span[1],
-                         expected=("base", "postulate", "var", "def", "data",
-                                   "check", "asserteq", "normalize"))
+        if kind not in DECLS and kind != "covar":
+            raise self.error("expected a declaration", DECLS)
+        self.pos += 1
+        if kind == "base":
+            out = DBase(self.name(), span)
+        elif kind == "postulate":
+            self.eat("adapter")
+            out = DPostulate(self.name(), self.then(":"), self.then("=>"),
+                             span)
+        elif kind == "var" or kind == "covar":
+            out = DVar(self.name(), self.then(":"), span, kind == "covar")
+        elif kind == "def":
+            out = DDef(self.name(), self.then(":"), self.then(":="), span)
+        elif kind == "check":
+            out = DCheck(self.expr(), self.then(":"), span)
+        elif kind == "asserteq":
+            out = DAssertEq(self.expr(), self.then("="), self.then(":"), span)
+        else:
+            out = DNormalize(self.expr(), span)
+        self.eat(";")
+        return out
 
     def data_decl(self) -> DData:
-        start = self.eat("kw", "data")
+        span = self.offs[self.eat("data")]
         n = self.name()
+        kinds = self.kinds
         params: list[PTyParam | PTmParam] = []
-        while self.at("("):
+        while kinds[self.pos] == "(":
             params.append(self.param())
         indices = []
-        while self.at("["):
-            self.next()
-            if self.at("name") and self.toks[self.pos + 1].text == ":":
-                iname = self.name().text
-                self.eat(":")
-            else:
-                iname = None
+        while kinds[self.pos] == "[":
+            self.pos += 1
+            iname = None
+            if kinds[self.pos] == "name" and kinds[self.pos + 1] == ":":
+                iname = self.texts[self.pos]
+                self.pos += 2
             indices.append((iname, self.expr()))
             self.eat("]")
         self.eat("{")
         cons = []
-        while not self.at("}"):
+        while kinds[self.pos] != "}":
             cons.append(self.con_decl())
-            if self.at(";"):
-                self.next()
-            else:
+            if kinds[self.pos] != ";":
                 break
+            self.pos += 1
         self.eat("}")
-        return DData(n.text, tuple(params), tuple(indices), tuple(cons),
-                     start.span)
+        return DData(n, tuple(params), tuple(indices), tuple(cons), span)
 
     def param(self) -> PTyParam | PTmParam:
-        start = self.eat("(")
+        span = self.offs[self.eat("(")]
         n = self.name()
         self.eat(":")
         save = self.pos
@@ -437,47 +448,39 @@ class Parser:
         if tele is not None:
             binders, d = tele
             self.eat(")")
-            return PTyParam(n.text, binders, d, start.span)
+            return PTyParam(n, binders, d, span)
         self.pos = save
         ty = self.expr()
         self.eat(")")
-        return PTmParam(n.text, ty, start.span)
+        return PTmParam(n, ty, span)
 
     def try_ty_param_sort(self):
         """``(x : A) (y : B) ... Ty+`` or bare ``Ty-``; None if this is
         not a type-parameter sort."""
         binders = []
         try:
-            while self.at("("):
-                self.next()
-                bn = self.name()
-                self.eat(":")
-                bt = self.expr()
-                self.eat(")")
-                binders.append((bn.text, bt))
-            if self.toks[self.pos].text in ("Ty+", "Ty-"):
-                d = self.next().text[-1]
-                return tuple(binders), d
+            while self.kinds[self.pos] == "(":
+                binders.append(self.binding())
+            sort = self.texts[self.pos]
+            if sort in ("Ty+", "Ty-"):
+                self.pos += 1
+                return tuple(binders), sort[-1]
         except ParseError:
             pass
         return None
 
     def con_decl(self) -> SConDecl:
+        span = self.offs[self.pos]
         n = self.name()
         self.eat(":")
+        kinds = self.kinds
         args = []
-        while self.at("(") and self.toks[self.pos + 1].kind == "name" \
-                and self.toks[self.pos + 2].text == ":":
-            self.next()
-            an = self.name()
-            self.eat(":")
-            at_ = self.expr()
-            self.eat(")")
-            args.append((an.text, at_))
+        while kinds[self.pos] == "(" and kinds[self.pos + 1] == "name" \
+                and kinds[self.pos + 2] == ":":
+            args.append(self.binding())
         if args:
             self.eat("->")
-        result = self.expr()
-        return SConDecl(n.text, tuple(args), result, n.span)
+        return SConDecl(n, tuple(args), self.expr(), span)
 
     # -- expressions
 
@@ -485,103 +488,93 @@ class Parser:
         """An expression whose infix operators bind at ``level`` or
         tighter.  At arrow level it may open with a binder.  Every node
         built here is spanned by the first token of its left operand."""
-        toks = self.toks
-        first = toks[self.pos]
-        if (level == ARROW and first.text == "("
-                and toks[self.pos + 1].kind == "name"
-                and toks[self.pos + 2].text == ":"):
-            return self.binder(first)
+        kinds, pos = self.kinds, self.pos
+        span = self.offs[pos]
+        if (level == ARROW and kinds[pos] == "("
+                and kinds[pos + 1] == "name" and kinds[pos + 2] == ":"):
+            return self.binder(span)
         out = self.atom()
         while True:
-            t = toks[self.pos]
-            op = INFIX.get(t.text)
+            kind = kinds[self.pos]
+            op = INFIX.get(kind)
             if op is not None:
                 if op[0] < level:
                     return out
                 self.pos += 1
-                out = op[2](out, self.expr(op[1]), first.span)
-            elif _starts_atom(t):
-                out = SApp(out, self.atom(), first.span)
+                out = op[2](out, self.expr(op[1]), span)
+            elif kind in ATOM_START:
+                out = SApp(out, self.atom(), span)
             else:
                 return out
 
-    def binder(self, open_: Token) -> SExpr:
+    def binder(self, span: int) -> SExpr:
         """``(x : A) -> B`` or ``(x : A) ** B``, committed to on the
         lookahead ``( name :``; both bodies are arrow-level.  When no
         binder follows after all, the colon is where the expression
         ``(x`` should have closed."""
-        toks = self.toks
-        colon = toks[self.pos + 2]
-        name = toks[self.pos + 1].text
+        kinds, colon = self.kinds, self.pos + 2
+        name = self.texts[self.pos + 1]
         self.pos += 3
         try:
             dom = self.expr()
         except ParseError:
             dom = None
-        if (dom is None or toks[self.pos].text != ")"
-                or toks[self.pos + 1].text not in ("->", "**")):
-            raise ParseError("expected ')', found ':'", colon.span[0],
-                             colon.span[1], expected=(")",))
-        node = SArrow if toks[self.pos + 1].text == "->" else SStar
+        if (dom is None or kinds[self.pos] != ")"
+                or kinds[self.pos + 1] not in ("->", "**")):
+            raise ParseError("expected ')', found ':'", self.src,
+                             self.offs[colon], expected=(")",))
+        node = SArrow if kinds[self.pos + 1] == "->" else SStar
         self.pos += 2
-        return node(name, dom, self.expr(), open_.span)
+        return node(name, dom, self.expr(), span)
 
     def atom(self) -> SExpr:
         """One atom with the spine pushes ``[[ ... ]]`` that follow it."""
-        toks = self.toks
-        t = toks[self.pos]
-        if t.kind == "name":
-            self.pos += 1
-            out = SName(t.text, t.span)
-        elif t.text == "(":
-            self.pos += 1
+        kinds, pos = self.kinds, self.pos
+        kind, span = kinds[pos], self.offs[pos]
+        if kind == "name":
+            self.pos = pos + 1
+            out = SName(self.texts[pos], span)
+        elif kind == "(":
+            self.pos = pos + 1
             binders = self.names_then_fat_arrow()
             if binders is not None:
-                out = SFam(binders, self.expr(), t.span)
+                out = SFam(binders, self.expr(), span)
             else:
                 out = self.expr()
-                if self.at(","):
-                    self.pos += 1
-                    snd = self.expr()
-                    self.eat(":")
-                    out = SPair(out, snd, self.expr(), t.span)
+                if kinds[self.pos] == ",":
+                    out = SPair(out, self.then(","), self.then(":"), span)
             self.eat(")")
-        elif t.text == "fun":
-            self.pos += 1
-            self.eat("(")
-            n = self.name()
-            self.eat(":")
-            dom = self.expr()
-            self.eat(")")
-            self.eat("=>")
-            out = SFun(n.text, dom, self.expr(), t.span)
-        elif t.text in ("fst", "snd"):
-            self.pos += 1
-            out = (SFst if t.text == "fst" else SSnd)(self.atom(), t.span)
-        elif t.text == "id":
-            self.pos += 1
-            at = self.atom() if _starts_atom(toks[self.pos]) else None
-            out = SId(at, t.span)
+        elif kind == "fun":
+            self.pos = pos + 1
+            n, dom = self.binding()
+            out = SFun(n, dom, self.then("=>"), span)
+        elif kind == "fst" or kind == "snd":
+            self.pos = pos + 1
+            out = (SFst if kind == "fst" else SSnd)(self.atom(), span)
+        elif kind == "id":
+            self.pos = pos + 1
+            out = SId(self.atom() if kinds[self.pos] in ATOM_START else None,
+                      span)
         else:
-            raise ParseError(f"expected an expression, found {t.text or 'end of input'!r}",
-                             t.span[0], t.span[1],
-                             expected=("name", "(", "fun", "fst", "snd", "id"))
-        while toks[self.pos].text == "[[":
-            push = self.next()
+            raise self.error("expected an expression",
+                             ("name", "(", "fun", "fst", "snd", "id"))
+        while kinds[self.pos] == "[[":
+            span = self.offs[self.pos]
+            self.pos += 1
             comps: list[SSpineComp] = []
-            if not self.at("]]"):
+            if kinds[self.pos] != "]]":
                 comps.append(self.spine_comp())
-                while self.at(">"):
+                while kinds[self.pos] == ">":
                     self.pos += 1
                     comps.append(self.spine_comp())
             self.eat("]]")
-            out = SPush(out, tuple(comps), push.span)
+            out = SPush(out, tuple(comps), span)
         return out
 
     def spine_comp(self) -> SSpineComp:
-        t = self.toks[self.pos]
+        span = self.offs[self.pos]
         binders = self.names_then_fat_arrow()
-        return SSpineComp(binders or (), self.expr(), t.span)
+        return SSpineComp(binders or (), self.expr(), span)
 
 
 def parse(text: str) -> list[Decl]:

@@ -182,6 +182,7 @@ def test_checking_is_deterministic():
 
 def test_diagnostic_render_format():
     from adaptt.check import Diagnostic
-    d = Diagnostic("ClassifierMismatch", "check failed", (3, 7), "B", "A")
-    out = d.render("file.adt")
+    from adaptt.surface import Source
+    d = Diagnostic("ClassifierMismatch", "check failed", 8, "B", "A")
+    out = d.render("file.adt", Source("\n\n      x"))
     assert out.startswith("ERROR ClassifierMismatch file.adt:3:7 expected B got A")

@@ -49,6 +49,15 @@ def test_parse_error_exit_2(tmp_path):
     assert "ERROR Parse" in out
 
 
+def test_a_diagnostic_at_the_first_character_is_placed(tmp_path):
+    # offset 0 is a position like any other
+    p = tmp_path / "first.adt"
+    p.write_text("base Nat ;\nbase A ;\n")
+    code, out = run(["check", str(p)])
+    assert code == 1
+    assert out == f"ERROR Redefinition {p}:1:1 name Nat is already in use\n"
+
+
 def test_usage_error_exit_4():
     code, _ = run([])
     assert code == 4
@@ -118,7 +127,7 @@ def test_norm_places_an_error_in_the_expression_text(expr, out):
                                   ["selftest"]])
 def test_memory_exhaustion_is_a_resource_limit_diagnostic(argv, monkeypatch):
     # a stand-in handler raises it: memory is never really exhausted here
-    def exhausted(args):
+    def exhausted(args, src):
         raise MemoryError
     monkeypatch.setattr(cli, f"cmd_{argv[0]}", exhausted)
     code, out = run(argv)

@@ -5,10 +5,10 @@ The inputs are seeded token mutations (delete, insert, swap) of the
 shipped corpus, of generated ``surface_scale`` files and of the printed
 stock datatype declarations, plus hand-picked expressions around the
 binder and precedence rules.  A line records either ``OK`` and a digest
-of the AST's ``repr`` (spans included), or ``ERR`` with the error's
-``line:col``, message and expected-token set.  So a parser rewrite that
-keeps this file unchanged keeps every AST, every span and every parse
-diagnostic.
+of the AST's ``repr`` (spans included, each offset written as its
+``(line, col)``), or ``ERR`` with the error's ``line:col``, message and
+expected-token set.  So a parser rewrite that keeps this file unchanged
+keeps every AST, every span and every parse diagnostic.
 
 The inputs are rebuilt from their seeds on every run; each line also
 carries a digest of its input text, so a drift in the inputs shows as
@@ -145,7 +145,15 @@ def outcome(mode: str, text: str) -> str:
             p.eat("eof")
     except S.ParseError as e:
         return f"ERR {e.line}:{e.col} {e.message} {e.expected!r}"
-    return f"OK {_digest(repr(ast))}"
+    return f"OK {_digest(_placed(repr(ast), S.Source(text)))}"
+
+
+def _placed(shown: str, src: S.Source) -> str:
+    """``shown`` with each offset span written as its ``(line, col)``."""
+    return _SPAN.sub(lambda m: f"span={src.line_col(int(m[1]))}", shown)
+
+
+_SPAN = re.compile(r"\bspan=(\d+)")
 
 
 def render() -> str:

@@ -99,9 +99,9 @@ def test_a_command_memo_dies_with_the_command(monkeypatch):
     seen = []
     cmd_check = cli.cmd_check
 
-    def spy(args):
+    def spy(args, src):
         seen.append(SESSION.get())
-        return cmd_check(args)
+        return cmd_check(args, src)
     monkeypatch.setattr(cli, "cmd_check", spy)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["check", str(ROOT / "corpus" / "casts.adt")]) == 0

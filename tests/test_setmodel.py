@@ -117,6 +117,15 @@ def test_partial_adapter_table_rejected():
         code(EMPTY)
 
 
+def test_an_adapter_rejects_a_value_outside_its_source():
+    fn = BINDING.adapter_fn(f_AB)
+    assert fn(VBase("A", "a1")) == VBase("B", "b1")
+    # of the wrong set, even under a label of the source
+    for wrong in (VBase("B", "b0"), VBase("B", "a0"), VPair(a0(), a0())):
+        with pytest.raises(ModelError, match="outside its source A"):
+            fn(wrong)
+
+
 def test_compiled_code_is_kept_per_binding():
     # one interned term under two bindings: each Evaluator reads its own
     lam = Lam(A, Var(0))
