@@ -20,10 +20,11 @@ from .syntax import (
     extend_tel, shift, id_sub, vinst,
 )
 from .normalize import (
-    KernelError, apply, pi_tel, replayed_cache, ad_src, ad_tgt,
+    KernelError, apply, cast, note, open_tm_block, pi_tel, replayed_cache,
+    ad_src, ad_tgt,
 )
 from .transform import (
-    push_tel, cast_inst, trans_source, trans_target, free_is_source,
+    push_tel, trans_source, trans_target, free_is_source,
 )
 
 
@@ -84,20 +85,39 @@ def cast_con(tm: Con, tr: Trans) -> Term:
     functorial adapter: same constructor at the target parameters, each
     argument adapted by the argument telescope's action on the parameter
     transformation.  The index side of the transformation is forced, so
-    a mismatch there means the cast was ill-typed."""
-    d = desc(tm.desc)
-    npar = len(d.params_ctx)
-    if len(tr.comps) != len(d.full_ctx):
-        raise KernelError("inductive adapter spine does not match the signature")
-    mu = Trans(tr.comps[:npar])
-    src_spine = trans_source(d.full_ctx, tr)
-    if Sub(src_spine.comps[:npar]) != tm.params:
-        raise KernelError("inductive cast parameter mismatch")
-    src_idx = tuple(c.tm for c in src_spine.comps[npar:])
-    if src_idx != result_indices(tm):
-        raise KernelError("inductive cast index mismatch")
-    alpha, params = _con_adapter(d, tm.tag, mu)
-    return Con(tm.desc, tm.tag, params, cast_inst(tm.args, alpha))
+    a mismatch there means the cast was ill-typed.  While the last
+    argument's cast is again a constructor cast, the loop walks down to
+    it, checking each cell in full, and rebuilds the cells bottom-up."""
+    cells, tail = [], ()
+    while True:
+        d = desc(tm.desc)
+        npar = len(d.params_ctx)
+        if len(tr.comps) != len(d.full_ctx):
+            raise KernelError("inductive adapter spine does not match the signature")
+        src_spine = trans_source(d.full_ctx, tr)
+        if Sub(src_spine.comps[:npar]) != tm.params:
+            raise KernelError("inductive cast parameter mismatch")
+        src_idx = tuple(c.tm for c in src_spine.comps[npar:])
+        if src_idx != result_indices(tm):
+            raise KernelError("inductive cast index mismatch")
+        alpha, params = _con_adapter(d, tm.tag, Trans(tr.comps[:npar]))
+        args = tm.args
+        if len(args) != len(alpha):
+            raise KernelError("telescope adapter length mismatch")
+        lead = [cast(t, open_tm_block(a, args[:k]))
+                for k, (t, a) in enumerate(zip(args[:-1], alpha))]
+        cells.append((tm, params, lead))
+        if args:
+            last, ad = args[-1], open_tm_block(alpha[-1], args[:-1])
+            if type(ad) is IndAd and type(last) is Con and last.desc == ad.desc:
+                note("CAST_CONSTR")
+                tm, tr = last, ad.trans
+                continue
+            tail = (cast(last, ad),)
+        break
+    for cell, params, lead in reversed(cells):
+        tail = (Con(cell.desc, cell.tag, params, (*lead, *tail)),)
+    return tail[0]
 
 
 @replayed_cache

@@ -490,6 +490,17 @@ def _nf(x, _depth=0):
             dom = _nf(x.dom)
         with at("cod"):
             return Pi(dom, _nf(x.cod))
+    if cls is Con and x.args:
+        # the last argument is taken in this frame, so a spine costs no
+        # stack; a constructor enters no trace segment
+        cells = []
+        while type(x) is Con and x.args:
+            cells.append((x, _nf(x.params), [_nf(a) for a in x.args[:-1]]))
+            x = x.args[-1]
+        out = _nf(x)
+        for cell, params, lead in reversed(cells):
+            out = Con(cell.desc, cell.tag, params, (*lead, out))
+        return out
     seg = _SEGMENT.get(cls)
     if seg is None:
         return map_scoped(x, _nf, (), 0, SMART)
@@ -569,35 +580,40 @@ def tm_entry_type(ctx: Context, index: int) -> Type:
 
 
 def conv_tm(ctx: Context, ty: Type, x: Term, y: Term) -> bool:
-    """Type-directed term conversion with eta at Pi and Sigma."""
-    if x is y:
-        return True
-    match ty:
-        case Pi(dom, cod):
+    """Type-directed term conversion with eta at Pi and Sigma.  A
+    comparison in tail position (under eta, a second component, a
+    constructor's last argument) continues the loop: no stack per cell."""
+    while x is not y:
+        if type(ty) is Pi:
             note("ETA_FUN")
-            ext = extend_tm(ctx, NEG, dom)
-            xv = app(shift(x, 1, 0), Var(0))
-            yv = app(shift(y, 1, 0), Var(0))
-            return conv_tm(ext, cod, xv, yv)
-        case Sig(fst, snd):
+            ctx = extend_tm(ctx, NEG, ty.dom)
+            ty, x, y = (ty.cod, app(shift(x, 1, 0), Var(0)),
+                        app(shift(y, 1, 0), Var(0)))
+        elif type(ty) is Sig:
             note("ETA_PAIR")
-            if not conv_tm(ctx, fst, fst_(x), fst_(y)):
+            if not conv_tm(ctx, ty.fst, fst_(x), fst_(y)):
                 return False
-            ty2 = open_tm_block(snd, (fst_(x),))
-            return conv_tm(ctx, ty2, snd_(x), snd_(y))
-        case _:
-            pass
-    match (x, y):
-        case (Con(d1, t1, p1, a1), Con(d2, t2, p2, a2)):
-            if d1 != d2 or t1 != t2:
+            ty, x, y = open_tm_block(ty.snd, (fst_(x),)), snd_(x), snd_(y)
+        elif type(x) is Con and type(y) is Con:
+            if x.desc != y.desc or x.tag != y.tag:
                 return False
-            dd = desc(d1)
-            if not conv_sub(ctx, dd.params_ctx, p1, p2):
+            dd = desc(x.desc)
+            if not conv_sub(ctx, dd.params_ctx, x.params, y.params):
                 return False
             from . import inductive
-            return conv_inst(ctx, inductive.con_args_tel(dd, t1, p1), a1, a2)
-        case _:
+            tel = inductive.con_args_tel(dd, x.tag, x.params)
+            a1, a2 = x.args, y.args
+            if len(a1) != len(tel) or len(a2) != len(tel):
+                raise KernelError("instantiation length mismatch")
+            if not tel:
+                return True
+            for k in range(len(tel) - 1):
+                if not conv_tm(ctx, open_tm_block(tel[k], a1[:k]), a1[k], a2[k]):
+                    return False
+            ty, x, y = open_tm_block(tel[-1], a1[:-1]), a1[-1], a2[-1]
+        else:
             return conv_neutral(ctx, x, y) is not None
+    return True
 
 
 def conv_neutral(ctx: Context, x: Term, y: Term):

@@ -40,7 +40,7 @@ so cast computation never sees a transformation at the head.
 from __future__ import annotations
 
 from .syntax import (
-    POS, NEG, Context, TmEntry, TyEntry, Telescope, TelAd, Inst,
+    POS, NEG, Context, TmEntry, TyEntry, Telescope, TelAd,
     Type, Base, TyVarRef, Pi, Sig, Ind, Term, Var,
     Adapter, AdId, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd,
@@ -210,17 +210,6 @@ def push_tel(tel: Telescope, tr: Trans, tgt_ctx: Context) -> TelAd:
         ads.append(push_ty(ty, lift_block(tr, k),
                            extend_tel(tgt_ctx, POS, tel[:k])))
     return tuple(ads)
-
-
-def cast_inst(inst: Inst, ads: TelAd) -> Inst:
-    """Cast an instantiation along a telescope adapter, instantiating the
-    dependency of each component on its predecessors."""
-    if len(inst) != len(ads):
-        raise KernelError("telescope adapter length mismatch")
-    out = []
-    for k, (t, a) in enumerate(zip(inst, ads)):
-        out.append(cast(t, open_tm_block(a, tuple(inst[:k]))))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

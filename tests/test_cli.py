@@ -41,6 +41,29 @@ def test_check_type_error_exit_1():
     assert "expected B got A" in out
 
 
+ENDO = "base A ;\npostulate adapter e : A => A ;\nvar a : A ;\n"
+
+
+@pytest.mark.parametrize("lhs, rhs, ty, got", [
+    ("cons A a (nil A) <| List [[ e ]]", "cons A a (nil A)", "List A",
+     "cons A (a <| e) (nil A)"),
+    ("vcons A a zero (vnil A) <| Vec [[ e > succ zero ]]",
+     "vcons A a zero (vnil A)", "Vec A (succ zero)",
+     "vcons A (a <| e) zero (vnil A)"),
+    ("inl A A a <| Sum [[ e > e ]]", "inl A A a", "Sum A A",
+     "inl A A (a <| e)"),
+], ids=["List", "Vec", "Sum"])
+def test_an_endo_cast_of_a_constructor_casts_its_arguments(
+        lhs, rhs, ty, got, tmp_path):
+    # source and target parameters agree, yet the cast is not the identity
+    p = tmp_path / "endo.adt"
+    p.write_text(f"{ENDO}asserteq {lhs} = {rhs} : {ty} ;\n")
+    code, out = run(["check", str(p)])
+    assert code == 1
+    assert out.splitlines()[0] == (
+        f"ERROR ConversionFailed {p}:4:1 expected {rhs} got {got}")
+
+
 def test_parse_error_exit_2(tmp_path):
     p = tmp_path / "bad.adt"
     p.write_text("data List (X : Ty+")
