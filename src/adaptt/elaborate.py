@@ -25,10 +25,10 @@ from .pretty import _occurs
 from .transform import comp_ctx, free_is_ad_source, spine_prefix
 from .syntax import (
     POS, NEG, Dir, Context, TmEntry, TyEntry, Telescope,
-    Term, Base, TyVarRef, Pi, Sig, Ind, Var, Lam, Pair, Con,
+    Base, TyVarRef, Pi, Sig, Ind, Var, Lam, Pair, Con,
     AdId, Post, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd,
-    RecDesc, ConDesc, IndDesc, SESSION, desc,
+    RecDesc, ConDesc, IndDesc, SESSION,
     dual_ctx, shift, vinst,
 )
 
@@ -41,22 +41,23 @@ def _err(code: str, msg: str, span) -> ElabError:
     return ElabError(Diagnostic(code, msg, span))
 
 
+LOCAL = "local"     # the kind of a local binder in Scope.resolve
+
+
 @dataclass
 class Scope:
     """File-level names plus the ambient context built by var/data
-    declarations and local binders."""
+    declarations and local binders.  ``table`` maps a file-level name to
+    ``(kind, meaning)``: ``"base"``, ``"adapter"``, ``"datatype"`` (its
+    desc), ``"constructor"`` (desc and tag) or ``"def"`` (its term)."""
 
-    bases: dict[str, Base] = field(default_factory=dict)
-    posts: dict[str, Post] = field(default_factory=dict)
-    constructors: dict[str, tuple[str, int]] = field(default_factory=dict)
-    defs: dict[str, Term] = field(default_factory=dict)
+    table: dict[str, tuple[str, object]] = field(default_factory=dict)
     ctx: Context = ()
     names: tuple[str, ...] = ()
     _dual: Scope | None = field(default=None, repr=False, compare=False)
 
     def _over(self, ctx: Context, names: tuple[str, ...]) -> "Scope":
-        return Scope(self.bases, self.posts, self.constructors, self.defs,
-                     ctx, names)
+        return Scope(self.table, ctx, names)
 
     def push(self, name: str, entry) -> "Scope":
         return self._over(self.ctx + (entry,), self.names + (name,))
@@ -82,16 +83,19 @@ class Scope:
         tel = apply(entry.tel, spine_prefix(tgt, prefix))
         return self._over(comp_ctx(self.ctx, entry, tel), self.names + binders)
 
-    def lookup(self, name: str, cls) -> tuple[int, TmEntry | TyEntry] | None:
-        """De Bruijn index and entry of the innermost ``cls`` entry named
-        ``name`` (indices count entries of that sort only), or None."""
-        seen = 0
-        for n, e in zip(reversed(self.names), reversed(self.ctx)):
-            if type(e) is cls:
-                if n == name:
-                    return seen, e
-                seen += 1
-        return None
+    def resolve(self, name: str, sort) -> tuple[str | None, object]:
+        """What ``name`` means read as a ``sort`` (``TmEntry``, ``TyEntry``,
+        None for an adapter): the innermost local of that sort as ``(LOCAL,
+        (index, entry))``, counting entries of that sort only; else the
+        file-level ``(kind, meaning)``, or ``(None, None)``."""
+        if name in self.names:
+            seen = 0
+            for n, e in zip(reversed(self.names), reversed(self.ctx)):
+                if type(e) is sort:
+                    if n == name:
+                        return LOCAL, (seen, e)
+                    seen += 1
+        return self.table.get(name, (None, None))
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +117,24 @@ def elab_ty(e: S.SExpr, sc: Scope):
             head, args = _head_spine(e)
             if not isinstance(head, S.SName):
                 raise _err("Syntax", "expected a type head", e.span)
-            return _elab_ty_head(head, args, sc)
+            kind, m = sc.resolve(head.name, TyEntry)
+            if kind == "datatype":
+                return _elab_inductive(head, args, sc, m)
+            if kind is LOCAL:
+                j, ent = m
+                if len(args) != len(ent.tel):
+                    raise _err("ArityMismatch", f"type variable {head.name} "
+                               f"expects {len(ent.tel)} arguments", head.span)
+                isc = sc.dual(ent.tel_dir)
+                return TyVarRef(j, tuple(elab_tm(a, isc) for a in args))
+            if kind != "base":
+                raise _err("UnboundVariable", f"unknown type {head.name}",
+                           head.span)
+            if args:
+                raise _err("ArityMismatch",
+                           f"base type {head.name} takes no arguments",
+                           head.span)
+            return m
         case S.SArrow(binder, dom, cod, _):
             dom_t = elab_ty(dom, sc.dual())
             sc2 = sc.push(binder or "_", TmEntry(NEG, dom_t))
@@ -124,35 +145,6 @@ def elab_ty(e: S.SExpr, sc: Scope):
             return Sig(fst_t, elab_ty(snd, sc2))
         case _:
             raise _err("Syntax", "expected a type", e.span)
-
-
-def _elab_ty_head(head: S.SName, args: list[S.SExpr], sc: Scope):
-    name = head.name
-    if name in sc.bases:
-        if args:
-            raise _err("ArityMismatch", f"base type {name} takes no arguments",
-                       head.span)
-        return sc.bases[name]
-    d = SESSION.get().descs.get(name)
-    if d is not None:
-        want = len(d.params_ctx) + len(d.index_tel)
-        if len(args) != want:
-            raise _err("ArityMismatch",
-                       f"{name} expects {want} arguments, got {len(args)}",
-                       head.span)
-        params = _elab_param_spine(d.params_ctx, args[:len(d.params_ctx)], sc)
-        indices = tuple(elab_tm(a, sc) for a in args[len(d.params_ctx):])
-        return Ind(name, params, indices)
-    hit = sc.lookup(name, TyEntry)
-    if hit is not None:
-        j, ent = hit
-        if len(args) != len(ent.tel):
-            raise _err("ArityMismatch",
-                       f"type variable {name} expects {len(ent.tel)} arguments",
-                       head.span)
-        isc = sc.dual(ent.tel_dir)
-        return TyVarRef(j, tuple(elab_tm(a, isc) for a in args))
-    raise _err("UnboundVariable", f"unknown type {name}", head.span)
 
 
 def _elab_param_spine(params_ctx: Context, args: list[S.SExpr], sc: Scope) -> Sub:
@@ -178,9 +170,9 @@ def _elab_family(a: S.SExpr, tgt: Context, prefix: Sub, sc: Scope) -> STy:
                        a.span)
         return STy(elab_ty(a.body, sc.component(tgt, prefix, a.binders)), arity)
     if isinstance(a, S.SName):
-        hit = sc.lookup(a.name, TyEntry)
-        if hit is not None:
-            j, ent = hit
+        kind, m = sc.resolve(a.name, TyEntry)
+        if kind is LOCAL:
+            j, ent = m
             if len(ent.tel) != arity:
                 raise _err("ArityMismatch",
                            f"type variable {a.name} has the wrong arity", a.span)
@@ -191,20 +183,19 @@ def _elab_family(a: S.SExpr, tgt: Context, prefix: Sub, sc: Scope) -> STy:
 
 def elab_tm(e: S.SExpr, sc: Scope):
     match e:
-        case S.SName(name, span):
-            hit = sc.lookup(name, TmEntry)
-            if hit is not None:
-                return Var(hit[0])
-            if name in sc.constructors:
-                return _elab_con(e, [], sc)
-            if name in sc.defs:
-                return sc.defs[name]
-            raise _err("UnboundVariable", f"unknown term {name}", span)
-        case S.SApp(_, _, _):
-            head, args = _head_spine(e)
-            if isinstance(head, S.SName) and head.name in sc.constructors:
-                return _elab_con(head, args, sc)
-            fn = elab_tm(head, sc)
+        case S.SName(_, _) | S.SApp(_, _, _):
+            head, args = _head_spine(e) if type(e) is S.SApp else (e, ())
+            if not isinstance(head, S.SName):
+                fn = elab_tm(head, sc)
+            else:
+                kind, fn = sc.resolve(head.name, TmEntry)
+                if kind == "constructor":
+                    return _elab_inductive(head, args, sc, *fn)
+                if kind is LOCAL:
+                    fn = Var(fn[0])
+                elif kind != "def":
+                    raise _err("UnboundVariable", f"unknown term {head.name}",
+                               head.span)
             for a in args:
                 fn = mk_app(fn, elab_tm(a, sc.dual()))
             return fn
@@ -230,18 +221,23 @@ def elab_tm(e: S.SExpr, sc: Scope):
             raise _err("Syntax", "expected a term", e.span)
 
 
-def _elab_con(head: S.SName, args: list[S.SExpr], sc: Scope):
-    dname, tag = sc.constructors[head.name]
-    d = desc(dname)
-    c = d.cons[tag]
-    want = len(d.params_ctx) + len(c.nrec) + len(c.rec)
+def _elab_inductive(head: S.SName, args: list[S.SExpr], sc: Scope,
+                    d: IndDesc, tag: int | None = None):
+    """``head`` applied to ``args``: datatype ``d`` (``tag`` None) or its
+    constructor ``tag``.  The arguments are ``d``'s parameter spine, then
+    the indices or the constructor's arguments."""
+    np = len(d.params_ctx)
+    c = None if tag is None else d.cons[tag]
+    want = np + (len(d.index_tel) if c is None else len(c.nrec) + len(c.rec))
     if len(args) != want:
+        what = head.name if c is None else f"constructor {head.name}"
         raise _err("ArityMismatch",
-                   f"constructor {head.name} expects {want} arguments, "
-                   f"got {len(args)}", head.span)
-    params = _elab_param_spine(d.params_ctx, args[:len(d.params_ctx)], sc)
-    tms = tuple(elab_tm(a, sc) for a in args[len(d.params_ctx):])
-    return Con(dname, tag, params, tms)
+                   f"{what} expects {want} arguments, got {len(args)}",
+                   head.span)
+    params = _elab_param_spine(d.params_ctx, args[:np], sc)
+    tms = tuple(elab_tm(a, sc) for a in args[np:])
+    return Ind(d.name, params, tms) if tag is None else \
+        Con(d.name, tag, params, tms)
 
 
 def elab_ad(e: S.SExpr, sc: Scope, want_src=None):
@@ -254,9 +250,10 @@ def elab_ad(e: S.SExpr, sc: Scope, want_src=None):
         case S.SId(at, _):
             return AdId(elab_ty(at, sc))
         case S.SName(name, span):
-            if name in sc.posts:
-                return sc.posts[name]
-            raise _err("UnboundVariable", f"unknown adapter {name}", span)
+            kind, m = sc.resolve(name, None)
+            if kind != "adapter":
+                raise _err("UnboundVariable", f"unknown adapter {name}", span)
+            return m
         case S.SComp(after, before, _):
             before_a = elab_ad(before, sc, want_src=want_src)
             after_a = elab_ad(after, sc)
@@ -272,8 +269,8 @@ def _elab_push(head: S.SExpr, comps, span, sc: Scope, want_src):
         raise _err("Syntax", "expected a named adapter former", span)
     if head.name in ("Pi", "Sig"):
         return _elab_pi_sig_ad(head.name, comps, span, sc, want_src)
-    d = SESSION.get().descs.get(head.name)
-    if d is None:
+    kind, d = sc.resolve(head.name, None)
+    if kind != "datatype":
         raise _err("UnboundVariable", f"unknown datatype {head.name}", span)
     if len(comps) != len(d.full_ctx):
         raise _err("ArityMismatch",
@@ -472,23 +469,22 @@ def _diagnosed(span, kernel_span):
 
 def elab_file(decls: list[S.Decl]) -> Elaborated:
     sc = Scope()
-    for dname, d in SESSION.get().descs.items():
-        for i, c in enumerate(d.cons):
-            sc.constructors.setdefault(c.name, (dname, i))
+    for d in SESSION.get().descs.values():
+        _enter_data(sc.table, d)
     out = Elaborated(sc)
     for decl in decls:
         with _diagnosed(decl.span, decl.span):
             match decl:
                 case S.DBase(name, span):
                     _fresh(sc, name, span)
-                    sc.bases[name] = Base(name)
+                    sc.table[name] = ("base", Base(name))
                 case S.DPostulate(name, src, tgt, span):
                     _fresh(sc, name, span)
                     s = elab_ty(src, sc.closed())
                     t = elab_ty(tgt, sc.closed())
                     check_ty((), s)
                     check_ty((), t)
-                    sc.posts[name] = Post(name, s, t)
+                    sc.table[name] = ("adapter", Post(name, s, t))
                 case S.DVar(name, ty, span, neg):
                     d = NEG if neg else POS
                     t = elab_ty(ty, sc.dual(d))
@@ -504,18 +500,15 @@ def elab_file(decls: list[S.Decl]) -> Elaborated:
                         raise _err("ClassifierMismatch",
                                    f"definition {name} does not have its "
                                    f"declared type", span)
-                    sc.defs[name] = m
+                    sc.table[name] = ("def", m)
                 case S.DData(_, _, _, _, span):
                     d = elab_data(decl, sc)
                     try:
                         register(d)
                     except ValueError as e:
                         raise _err("Redefinition", str(e), span) from None
+                    _enter_data(sc.table, d, span)
                     out.datas.append(d.name)
-                    for i, c in enumerate(d.cons):
-                        if sc.constructors.get(c.name) != (d.name, i):
-                            _fresh(sc, c.name, decl.span)
-                        sc.constructors[c.name] = (d.name, i)
                 case S.DCheck(tm, ty, span):
                     t = elab_ty(ty, sc)
                     check_ty(sc.ctx, t)
@@ -546,9 +539,19 @@ def elab_file(decls: list[S.Decl]) -> Elaborated:
 
 
 def _fresh(sc: Scope, name: str, span):
-    if (name in sc.bases or name in sc.posts or name in sc.constructors
-            or name in sc.defs or name in SESSION.get().descs):
+    if name in sc.table:
         raise _err("Redefinition", f"name {name} is already in use", span)
+
+
+def _enter_data(table: dict, d: IndDesc, span=None) -> None:
+    """Enter datatype ``d`` and its constructors into ``table``.  A name
+    keeps its first meaning: seeding from the session (no ``span``) skips
+    a taken name, and a declaration at ``span`` may only restate it."""
+    for name, meaning in ((d.name, ("datatype", d)),
+                          *((c.name, ("constructor", (d, i)))
+                            for i, c in enumerate(d.cons))):
+        if table.setdefault(name, meaning) != meaning and span is not None:
+            raise _err("Redefinition", f"name {name} is already in use", span)
 
 
 def elab_expr_in(sc: Scope, text: str):

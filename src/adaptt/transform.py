@@ -343,18 +343,15 @@ def fuse_pair(ctx: Context, f: Adapter, g: Adapter) -> Adapter | None:
 def fuse_chain(ctx: Context, parts: tuple[Adapter, ...]) -> tuple[Adapter, ...]:
     """Normalize a chain for comparison: drop identities, fuse adjacent
     same-former structural adapters.  Postulates are never fused."""
-    work = [p for p in parts if not is_id_ad(p)]
-    i = 0
-    while i + 1 < len(work):
-        fused = fuse_pair(ctx, work[i], work[i + 1])
+    work: list[Adapter] = []
+    for p in parts:
+        if is_id_ad(p):
+            continue
+        fused = fuse_pair(ctx, work[-1], p) if work else None
         if fused is None:
-            i += 1
-        elif is_id_ad(fused):
-            del work[i:i + 2]
-            i = max(i - 1, 0)
+            work.append(p)
         else:
-            work[i:i + 2] = [fused]
-            i = max(i - 1, 0)
+            work[-1] = fused
     return tuple(work)
 
 

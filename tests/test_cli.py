@@ -438,3 +438,162 @@ def test_checking_a_file_does_not_depend_on_earlier_files(tmp_path):
     fresh = [in_fresh_interpreter([argv])[0] for argv in argvs]
     assert [code for code, _ in fresh] == [0, 0]
     assert in_fresh_interpreter(argvs * 2) == fresh * 2
+
+
+# -- names: one table, the innermost binder of a sort wins --------------------
+
+
+def _check_file(tmp_path, text, command="check", *rest):
+    p = tmp_path / "names.adt"
+    p.write_text(text)
+    code, out = run([command, str(p), *rest])
+    return p, code, out
+
+
+def test_a_variable_shadows_a_constructor_bare_and_applied(tmp_path):
+    # `one` is the constructor applied; the `succ` of the equation is the
+    # variable, so the equation is false
+    p, code, out = _check_file(
+        tmp_path, "def one : Nat := succ zero ;\nvar succ : Nat -> Nat ;\n"
+        "asserteq succ zero = one : Nat ;\n")
+    assert code == 1
+    assert out.startswith(f"ERROR ConversionFailed {p}:3:1 "), out
+
+
+def test_an_applied_variable_named_like_a_constructor_is_the_variable(
+        tmp_path):
+    _, code, out = _check_file(
+        tmp_path, "var nil : Nat -> Nat ;\ncheck nil zero : Nat ;\n")
+    assert code == 0, out
+
+
+def test_a_term_binder_does_not_shadow_a_type_name(tmp_path):
+    _, code, out = _check_file(
+        tmp_path, "base A ;\nvar A : Nat ;\nvar a : A ;\ncheck a : A ;\n")
+    assert code == 0, out
+
+
+_BOX_PARAM = ("base A ;\nbase B ;\nvar b : B ;\n"
+              "data Box (A : Ty+) { box : (y : A) -> Box A }\n")
+
+
+def test_a_datatype_parameter_shadows_a_base_of_its_name(tmp_path):
+    _, code, out = _check_file(tmp_path,
+                               _BOX_PARAM + "check box B b : Box B ;\n")
+    assert code == 0, out
+    _, code, out = _check_file(tmp_path, _BOX_PARAM, "derive", "Box")
+    assert code == 0
+    assert "    == box A' (x0 <| f)\n" in out
+
+
+@pytest.mark.parametrize("text, pos, name", [
+    ("base Foo ;\ndata Foo { mk : Foo }\n", "2:1", "Foo"),
+    ("def mk : Nat := zero ;\ndata Foo { mk : Foo }\n", "2:1", "mk"),
+    ("data Foo { mk : Foo }\nbase mk ;\n", "2:1", "mk"),
+    ("data Foo { Foo : Foo }\n", "1:1", "Foo"),
+], ids=["base-then-data", "def-then-constructor", "constructor-then-base",
+        "constructor-named-like-its-datatype"])
+def test_file_level_names_share_one_namespace(text, pos, name, tmp_path):
+    p, code, out = _check_file(tmp_path, text)
+    assert code == 1
+    assert out == (f"ERROR Redefinition {p}:{pos} name {name} is already "
+                   "in use\n")
+
+
+#: one program per diagnostic guard of the elaborator, with its
+#: ``code LINE:COL message``
+_ELAB_GUARDS = {
+    "type-head": ("var x : (fun (y : Nat) => y) zero ;",
+                  "Syntax 1:9 expected a type head"),
+    "type": ("var x : fun (y : Nat) => y ;", "Syntax 1:9 expected a type"),
+    "base-arity": ("base A ;\nvar x : A zero ;",
+                   "ArityMismatch 2:9 base type A takes no arguments"),
+    "datatype-arity": ("var x : List ;",
+                       "ArityMismatch 1:9 List expects 1 arguments, got 0"),
+    "type-variable-arity": (
+        "data D (X : Ty+) { mk : (x : X zero) -> D X }",
+        "ArityMismatch 1:30 type variable X expects 0 arguments"),
+    "unknown-type": ("var x : Foo ;", "UnboundVariable 1:9 unknown type Foo"),
+    "family-binders": ("var x : List (a b => Nat) ;",
+                       "ArityMismatch 1:14 family binds 2 of 0 variables"),
+    "family-arity": (
+        "data D (F : (n : Nat) Ty+) { mk : (x : List F) -> D F }",
+        "ArityMismatch 1:45 type variable F has the wrong arity"),
+    "pair-annotation": ("check (zero, zero : Nat) : Nat ;",
+                        "ClassifierMismatch 1:7 pair annotation must be a "
+                        "pair type"),
+    "term": ("check Nat -> Nat : Nat ;", "Syntax 1:7 expected a term"),
+    "constructor-arity": ("check succ : Nat ;",
+                          "ArityMismatch 1:7 constructor succ expects 1 "
+                          "arguments, got 0"),
+    "unknown-term": ("check zz : Nat ;",
+                     "UnboundVariable 1:7 unknown term zz"),
+    "bare-id": ("check nil Nat <| List [[ id ]] : List Nat ;",
+                "Syntax 1:26 bare id needs a type; write `id A` here"),
+    "unknown-adapter": ("check zero <| g : Nat ;",
+                        "UnboundVariable 1:15 unknown adapter g"),
+    "adapter": ("check zero <| (zero, zero : Nat ** Nat) : Nat ;",
+                "Syntax 1:15 expected an adapter"),
+    "adapter-former": ("check zero <| (id Nat) [[ id Nat ]] : Nat ;",
+                       "Syntax 1:24 expected a named adapter former"),
+    "unknown-datatype": ("check zero <| Foo [[ ]] : Nat ;",
+                         "UnboundVariable 1:19 unknown datatype Foo"),
+    "datatype-adapter-arity": (
+        "check nil Nat <| List [[ id Nat > id Nat ]] : List Nat ;",
+        "ArityMismatch 1:23 List adapter expects 1 components"),
+    "term-component-binders": (
+        "var v : Vec Nat zero ;\n"
+        "check v <| Vec [[ id Nat > x => zero ]] : Vec Nat zero ;",
+        "Syntax 2:28 term component cannot bind variables"),
+    "component-binders": (
+        "check nil Nat <| List [[ x y => id Nat ]] : List Nat ;",
+        "ArityMismatch 1:26 component binds 2 of 0 variables"),
+    "pi-arity": ("var f : Nat -> Nat ;\n"
+                 "check f <| Pi [[ id Nat ]] : Nat -> Nat ;",
+                 "ArityMismatch 2:15 Pi adapter takes two components"),
+    "pi-first-binders": (
+        "var f : Nat -> Nat ;\n"
+        "check f <| Pi [[ x => id Nat > id Nat ]] : Nat -> Nat ;",
+        "Syntax 2:18 first component cannot bind variables"),
+    "pi-second-binders": (
+        "var f : Nat -> Nat ;\n"
+        "check f <| Pi [[ id Nat > x y => id Nat ]] : Nat -> Nat ;",
+        "ArityMismatch 2:27 second component binds one variable"),
+    "pi-source": (
+        "check nil Nat <| List [[ Pi [[ id Nat > x => id (Vec Nat x) ]] ]] "
+        ": List Nat ;",
+        "Syntax 1:29 cannot infer the source of this function adapter; "
+        "cast position provides it"),
+    "sig-source": (
+        "var p : Nat ** Nat ;\n"
+        "check p <| Sig [[ id (List Nat) > id Nat ]] : Nat ** Nat ;",
+        "ClassifierMismatch 2:16 pair adapter source mismatch"),
+    "sig-target": (
+        "var p : (n : Nat) ** Vec Nat n ;\n"
+        "check p <| Sig [[ id Nat > x => id (Vec Nat x) ]] "
+        ": (n : Nat) ** Vec Nat n ;",
+        "Syntax 2:16 cannot infer the target of this pair adapter"),
+    "non-recursive-after-recursive": (
+        "data D { mk : (d : D) (n : Nat) -> D }",
+        "IllFormedDescription 1:10 non-recursive arguments must precede "
+        "recursive ones"),
+    "constructor-result": ("data D { mk : Nat }",
+                           "IllFormedDescription 1:10 constructor mk must "
+                           "build D"),
+    "recursive-arity": ("data D { mk : D zero }",
+                        "ArityMismatch 1:10 D expects 0 arguments here"),
+    "recursive-parameters": (
+        "data D (X : Ty+) { mk : D Nat }",
+        "IllFormedDescription 1:20 parameters of recursive occurrences must "
+        "be the declared parameters, in order"),
+}
+
+
+@pytest.mark.parametrize("program, diagnostic", _ELAB_GUARDS.values(),
+                         ids=_ELAB_GUARDS.keys())
+def test_each_elaborator_guard_is_a_placed_diagnostic(program, diagnostic,
+                                                     tmp_path):
+    p, code, out = _check_file(tmp_path, program + "\n")
+    kind, pos, message = diagnostic.split(" ", 2)
+    assert code == 1
+    assert out == f"ERROR {kind} {p}:{pos} {message}\n"

@@ -185,8 +185,7 @@ def roundtrip_exprs(path: str):
 
 def _scope_at(out, ctx, names):
     sc = out.scope
-    return E.Scope(sc.bases, sc.posts, sc.constructors, sc.defs,
-                   ctx, tuple(names))
+    return E.Scope(sc.table, ctx, tuple(names))
 
 
 def test_roundtrip_casts_corpus():

@@ -14,7 +14,8 @@ from adaptt.transform import (
     whisker_right, vcomp, id_trans, cast_block_vars,
     check_naturality_tm, check_naturality_ad, fuse_chain,
 )
-from helpers import A, B, C, f_AB, g_BC, list_ty
+from helpers import A, B, C, D, f_AB, g_BC, h_CD, q_DC, list_ty
+from test_session_memo import in_fresh_session, traced
 
 
 X_CTX = (TyEntry(POS, POS, ()),)          # (X : Ty+)
@@ -206,6 +207,25 @@ def test_fuse_list_adapters():
 
 def test_fuse_keeps_postulates_free():
     assert fuse_chain((), (f_AB, g_BC)) == (f_AB, g_BC)
+
+
+def test_fusion_of_a_mixed_chain_reports_its_rules_in_order():
+    # List, List, postulate, Pi, Pi, Pi against the same chain with its
+    # List links fused by hand; the rule sequence was recorded before
+    # fusion became a left fold
+    p = Post("p", list_ty(C), Pi(C, A))
+    pis = (PiAd(q_DC, f_AB, Pi(C, A), Pi(D, B)),
+           PiAd(h_CD, g_BC, Pi(D, B), Pi(C, C)),
+           PiAd(q_DC, h_CD, Pi(C, C), Pi(D, D)))
+    lists = (IndAd("List", MU_F), IndAd("List", Trans((KAd(g_BC, C, 0),))))
+    chain = Chain(lists + (p,) + pis)
+    by_hand = Chain((IndAd("List", Trans((KAd(Chain((f_AB, g_BC)), C, 0),))),
+                     p) + pis)
+    (same, seen), _ = in_fresh_session(
+        lambda: traced(lambda: conv_ad((), chain, by_hand)))
+    assert same is True
+    assert seen == ["FUSE_IND", "FUSE_PI", "FUSE_PI", "FUSE_PI", "FUSE_PI"]
+    assert len(fuse_chain((), chain.parts)) == 3
 
 
 def test_functor_law_for_actions():
