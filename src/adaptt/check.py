@@ -23,7 +23,7 @@ from .syntax import (
     Term, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     Adapter, AdId, Chain, Post, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd, IndDesc,
-    dual_ctx, extend_tm, extend_tel, shift, desc, entry_position,
+    SESSION, dual_ctx, extend_tm, extend_tel, shift, desc, entry_position,
 )
 from .normalize import (
     apply, open_tm_block, conv_ty, fst_, ad_src, ad_tgt,
@@ -96,12 +96,16 @@ def check_tel(ctx: Context, tel: Telescope) -> None:
         check_ty(extend_tel(ctx, POS, tel[:k]), ty)
 
 
-def check_inst(ctx: Context, inst: Inst, tel: Telescope) -> None:
+def check_inst(ctx: Context, inst: Inst, tel: Telescope, last: bool = True):
+    """With ``last`` False the last component is left to the caller, and
+    the type it must have is returned."""
     if len(inst) != len(tel):
         _fail("ArityMismatch",
               f"instantiation has {len(inst)} components, telescope wants {len(tel)}")
     for k, t in enumerate(inst):
         want = open_tm_block(tel[k], inst[:k])
+        if not last and k == len(inst) - 1:
+            return want
         got = infer_tm(ctx, t)
         _demand_conv_ty(ctx, got, want, "instantiation component")
 
@@ -195,15 +199,43 @@ def infer_tm(ctx: Context, t: Term) -> Type:
             src, tgt = check_ad(ctx, ad)
             _demand_conv_ty(ctx, tty, src, "cast subject")
             return tgt
-        case Con(name, tag, params, args):
-            d = desc(name)
-            if not 0 <= tag < len(d.cons):
-                _fail("UnboundVariable", f"no constructor {tag} in {name}")
-            check_sub(ctx, params, d.params_ctx)
-            check_inst(ctx, args, con_args_tel(d, tag, params))
-            return Ind(name, params, result_indices(t))
+        case Con():
+            # the last argument is taken in this frame, so a spine costs no
+            # stack.  A suffix with no kept type is walked with a record of
+            # its own and kept on the way up, as a call of its own was; its
+            # type is compared, and each cell's indices read, innermost
+            # first, as the recursion did
+            s, cells = SESSION.get(), ()
+            while True:
+                d = desc(t.desc)
+                if not 0 <= t.tag < len(d.cons):
+                    _fail("UnboundVariable", f"no constructor {t.tag} in {t.desc}")
+                check_sub(ctx, t.params, d.params_ctx)
+                want = check_inst(ctx, t.args, con_args_tel(d, t.tag, t.params),
+                                  last=False)
+                cells = (t, want, s.record, cells)
+                if not t.args:
+                    break
+                last = t.args[-1]
+                ty = (_kept_type(ctx, last) if type(last) is Con
+                      else infer_tm(ctx, last))
+                if ty is not None:
+                    break
+                s.record.append(record := [])
+                s.record, t = record, last
+            while cells:
+                t, want, s.record, cells = cells
+                if t.args:
+                    _demand_conv_ty(ctx, ty, want, "instantiation component")
+                ty = Ind(t.desc, t.params, result_indices(t))
+                if cells:
+                    _keep_type(ty, s.record, ctx, t)
+            return ty
         case _:
             _fail("IllFormed", f"not a term: {t!r}")
+
+
+_kept_type, _keep_type = infer_tm.kept, infer_tm.keep
 
 
 # ---------------------------------------------------------------------------

@@ -225,19 +225,38 @@ def _elab_inductive(head: S.SName, args: list[S.SExpr], sc: Scope,
                     d: IndDesc, tag: int | None = None):
     """``head`` applied to ``args``: datatype ``d`` (``tag`` None) or its
     constructor ``tag``.  The arguments are ``d``'s parameter spine, then
-    the indices or the constructor's arguments."""
-    np = len(d.params_ctx)
-    c = None if tag is None else d.cons[tag]
-    want = np + (len(d.index_tel) if c is None else len(c.nrec) + len(c.rec))
-    if len(args) != want:
-        what = head.name if c is None else f"constructor {head.name}"
-        raise _err("ArityMismatch",
-                   f"{what} expects {want} arguments, got {len(args)}",
-                   head.span)
-    params = _elab_param_spine(d.params_ctx, args[:np], sc)
-    tms = tuple(elab_tm(a, sc) for a in args[np:])
-    return Ind(d.name, params, tms) if tag is None else \
-        Con(d.name, tag, params, tms)
+    the indices or the constructor's arguments.  A last argument that
+    applies a constructor is taken in this frame, so a spine costs no
+    stack: the cells are elaborated top-down and built bottom-up."""
+    cells, tail = (), ()
+    while True:
+        np = len(d.params_ctx)
+        c = None if tag is None else d.cons[tag]
+        want = np + (len(d.index_tel) if c is None else len(c.nrec) + len(c.rec))
+        if len(args) != want:
+            what = head.name if c is None else f"constructor {head.name}"
+            raise _err("ArityMismatch",
+                       f"{what} expects {want} arguments, got {len(args)}",
+                       head.span)
+        params = _elab_param_spine(d.params_ctx, args[:np], sc)
+        if c is None:
+            return Ind(d.name, params, tuple([elab_tm(a, sc) for a in args[np:]]))
+        cells = (d.name, tag, params, [elab_tm(a, sc) for a in args[np:-1]],
+                 cells)
+        if want == np:
+            break
+        last = args[-1]
+        head, args = _head_spine(last) if type(last) is S.SApp else (last, ())
+        kind, m = (sc.resolve(head.name, TmEntry) if type(head) is S.SName
+                   else (None, None))
+        if kind != "constructor":
+            tail = (elab_tm(last, sc),)
+            break
+        d, tag = m
+    while cells:
+        name, tag, params, lead, cells = cells
+        tail = (Con(name, tag, params, (*lead, *tail)),)
+    return tail[0]
 
 
 def elab_ad(e: S.SExpr, sc: Scope, want_src=None):
@@ -503,11 +522,8 @@ def elab_file(decls: list[S.Decl]) -> Elaborated:
                     sc.table[name] = ("def", m)
                 case S.DData(_, _, _, _, span):
                     d = elab_data(decl, sc)
-                    try:
-                        register(d)
-                    except ValueError as e:
-                        raise _err("Redefinition", str(e), span) from None
                     _enter_data(sc.table, d, span)
+                    register(d)
                     out.datas.append(d.name)
                 case S.DCheck(tm, ty, span):
                     t = elab_ty(ty, sc)
@@ -546,12 +562,20 @@ def _fresh(sc: Scope, name: str, span):
 def _enter_data(table: dict, d: IndDesc, span=None) -> None:
     """Enter datatype ``d`` and its constructors into ``table``.  A name
     keeps its first meaning: seeding from the session (no ``span``) skips
-    a taken name, and a declaration at ``span`` may only restate it."""
+    a taken name, and a declaration at ``span`` may only restate it.  Every
+    name is checked before any is entered, and before the declaration is
+    registered in the session, so a rejected one leaves no trace."""
+    new = {}
     for name, meaning in ((d.name, ("datatype", d)),
                           *((c.name, ("constructor", (d, i)))
                             for i, c in enumerate(d.cons))):
-        if table.setdefault(name, meaning) != meaning and span is not None:
-            raise _err("Redefinition", f"name {name} is already in use", span)
+        have = new.setdefault(name, table.get(name, meaning))
+        if have != meaning and span is not None:
+            msg = (f"datatype {name} is already defined differently"
+                   if have[0] == meaning[0] == "datatype"
+                   else f"name {name} is already in use")
+            raise _err("Redefinition", msg, span)
+    table.update(new)
 
 
 def elab_expr_in(sc: Scope, text: str):

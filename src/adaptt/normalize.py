@@ -145,7 +145,9 @@ def _replaying(fn, table_of):
     hit or miss, reports the record, so a trace and its rule counts are
     those of the uncached program, whatever ran earlier.  A failure is not
     kept: its steps are reported as made, and a retry makes them again.
-    The wrapper is the one frame this adds to a recursion through ``fn``."""
+    The wrapper is the one frame this adds to a recursion through ``fn``;
+    a loop that walks that recursion itself reads and fills the table
+    through ``cached.kept`` and ``cached.keep``."""
     @wraps(fn)
     def cached(*args):
         s = SESSION.get()
@@ -167,6 +169,19 @@ def _replaying(fn, table_of):
                 _replay(s, record)
         table[key] = out, record
         return out
+
+    def kept(*args):
+        """A hit of ``cached(*args)``, its record reported; None on a miss."""
+        s = SESSION.get()
+        hit = table_of(s).get((fn, *args))
+        if hit is not None and hit[1]:
+            _replay(s, hit[1])
+        return None if hit is None else hit[0]
+
+    def keep(out, record, *args):
+        """Keep ``out`` and ``record`` as a miss of ``cached(*args)`` would."""
+        table_of(SESSION.get())[(fn, *args)] = out, record
+    cached.kept, cached.keep = kept, keep
     return cached
 
 

@@ -144,12 +144,29 @@ def render(x, env: Env, level: int = LOW) -> str:
         case Cast(tm, ad):
             s = f"{render(tm, env, LOW if isinstance(tm, Cast) else APP)} <| {render(ad, env, COMP)}"
             return _wrap(s, LOW, level)
-        case Con(name, tag, params, args):
-            cname = desc(name).cons[tag].name
-            items = [_spine_str(c, env) for c in params.comps]
-            items += [render(t, env, ATOM) for t in args]
-            s = cname if not items else f"{cname} {' '.join(items)}"
-            return _wrap(s, APP if items else ATOM, level)
+        case Con():
+            # the last argument is taken in this frame; each applied inner
+            # cell opens a parenthesis, all closed at the end
+            out, opened = [], 0
+            while True:
+                cname = desc(x.desc).cons[x.tag].name
+                if not (x.params.comps or x.args):
+                    out.append(cname)
+                    break
+                if level == ATOM:
+                    out.append("(")
+                    opened += 1
+                out.append(cname)
+                out += [" " + _spine_str(c, env) for c in x.params.comps]
+                if not x.args:
+                    break
+                out += [" " + render(t, env, ATOM) for t in x.args[:-1]]
+                out.append(" ")
+                x, level = x.args[-1], ATOM
+                if type(x) is not Con:
+                    out.append(render(x, env, ATOM))
+                    break
+            return "".join(out) + ")" * opened
         case AdId(ty):
             return _wrap(f"id {render(ty, env, ATOM)}", APP, level)
         case Post(name, _, _):

@@ -9,6 +9,7 @@ from adaptt import surface as S, elaborate as E, pretty as P
 from adaptt.surface import ParseError
 from adaptt.syntax import desc, TyVarRef, Var
 from adaptt.inductive import builtin_descs
+from test_session_memo import in_fresh_session
 
 def elab(text: str):
     return E.elab_file(S.parse(text))
@@ -163,6 +164,20 @@ def test_redefinition_rejected():
 def test_conflicting_data_redeclaration_rejected():
     with pytest.raises(Exception):
         elab("data List (X : Ty+) { nil : List X }")
+
+
+@pytest.mark.parametrize("text, name", [
+    ("base Foo ;\ndata Foo { mk : Foo }\n", "Foo"),
+    ("base mk ;\ndata Bar { mk : Bar }\n", "Bar"),
+], ids=["datatype-name-taken", "constructor-name-taken"])
+def test_a_rejected_data_declaration_is_not_registered(text, name):
+    def rejected():
+        with pytest.raises(E.ElabError) as e:
+            elab(text)
+        return e.value.diag.code
+    code, session = in_fresh_session(rejected)
+    assert code == "Redefinition"
+    assert name not in session.descs
 
 
 # -- round trips --------------------------------------------------------------
