@@ -27,12 +27,12 @@ from .syntax import (
 )
 from .normalize import (
     apply, open_tm_block, conv_ty, fst_, ad_src, ad_tgt,
-    tm_entry_type, _entry_tel_here, session_memo,
+    tm_entry_type, _entry_tel_here, session_memo, con_args_tel,
+    result_indices,
 )
 from .transform import (
     free_is_ad_source, spine_slots, cast_block_vars, _mid_telad,
 )
-from .inductive import con_args_tel, result_indices
 
 
 @dataclass(frozen=True)

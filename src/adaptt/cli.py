@@ -20,9 +20,8 @@ import json
 import os
 import sys
 
-from . import surface, elaborate, golden, pretty, normalize, setmodel
+from . import surface, elaborate, inductive, pretty, normalize, setmodel
 from .check import CheckError
-from .inductive import builtin_descs, derive_rule_doc
 from .surface import ParseError
 from .syntax import SESSION, Session
 
@@ -32,10 +31,6 @@ PARSE_ERROR = 2
 ORACLE_FAILURE = 3
 USAGE = 4
 RESOURCE_LIMIT = 5
-
-#: the stock datatypes, checked at import; each command starts from a copy
-_STOCK = {d.name: d for d in builtin_descs()}
-
 
 def _read(path: str) -> str:
     """Text of an input file; undecodable bytes raise ``OSError`` too."""
@@ -94,7 +89,7 @@ def cmd_derive(args, src: surface.Source) -> int:
     if args.name not in SESSION.get().descs:
         print(f"ERROR UnknownDatatype {args.file} {args.name}")
         return USAGE
-    doc = derive_rule_doc(args.name)
+    doc = inductive.derive_rule_doc(args.name)
     if args.json:
         print(json.dumps(doc, indent=2))
         return OK
@@ -158,7 +153,7 @@ def cmd_model(args, src: surface.Source) -> int:
 
 
 def cmd_selftest(args, src: None) -> int:
-    results = golden.run()
+    results = inductive.run()
     bad = 0
     for label, ok in results:
         print(f"{'OK  ' if ok else 'FAIL'} {label}")
@@ -236,7 +231,7 @@ def _run(handler, args) -> int:
     sink = SESSION.get().sink
     if args.trace:
         sink = lambda rule, path: print(f"RULE {rule} AT {path}")
-    SESSION.set(Session(dict(_STOCK), sink))
+    SESSION.set(Session(dict(inductive.STOCK), sink))
     where = getattr(args, "file", args.cmd)     # ``selftest`` reads no file
     src = None
     try:

@@ -1,52 +1,35 @@
-"""Datatype signature compiler.
+"""Datatype signatures above the kernel and the checker.
 
-From a signature (parameter context, index telescope, constructor
-records) this module builds the argument telescope of each constructor
-over the parameter context, each recursive argument naming the datatype
-itself, and derives the computation rule for casting a constructor along
-the datatype's functorial adapter.  The six stock datatypes (naturals,
-lists, vectors, sums, branching trees, propositional equality) are
-registered here.
+This module holds the stock table (naturals, lists, vectors, sums,
+branching trees, propositional equality) and ``Tree``, the one datatype
+deliberately left out of it; checked registration; the universal and
+generic instances of a signature and its computation rows, with the
+checker's judgment of them that ``adaptt selftest`` prints; and every
+printer of a signature (``derive_rule_doc``, ``data_decl_string``).
+
+The kernel reads a signature through two pieces that live beside the code
+that runs them once per list cell: the constructor argument telescopes
+(``normalize.con_data_tied``, ``con_args_tel``) and the constructor cast
+rule, the functorial action of a datatype (``transform.cast_con``).
 """
 
 from __future__ import annotations
 
 from . import pretty
+from .pretty import ATOM, LOW, Env, render
+from .check import CheckError, check_desc, infer_tm
 from .syntax import (
-    POS, NEG, Context, TmEntry, TyEntry, Telescope, TelAd, Inst,
+    POS, NEG, Context, TmEntry, TyEntry, Inst,
     Type, Base, TyVarRef, Ind, Term, Var, Con, Cast, Adapter, Post, IndAd,
     Sub, STm, STy, Trans, KTm, KAd,
     RecDesc, ConDesc, IndDesc, SESSION, desc,
     extend_tel, shift, id_sub, vinst,
 )
 from .normalize import (
-    KernelError, apply, cast, note, open_tm_block, pi_tel, replayed_cache,
-    ad_src, ad_tgt,
+    KernelError, apply, conv_ty, ad_src, ad_tgt,
+    con_data_tied, con_args_tel, result_indices,
 )
-from .transform import (
-    push_tel, trans_source, trans_target, free_is_source,
-)
-
-
-def con_data_tied(d: IndDesc, ci: int) -> Telescope:
-    """Argument telescope of constructor ``ci`` over the parameter
-    context: the non-recursive arguments as declared, then recursive
-    argument k, an iterated Pi over its arity into the datatype at its
-    indices, shifted past the k recursive arguments before it."""
-    c = d.cons[ci]
-    tel: list[Type] = list(c.nrec)
-    for k, r in enumerate(c.rec):
-        params = shift(id_sub(d.params_ctx), len(c.nrec) + len(r.arit), 0)
-        tel.append(shift(pi_tel(r.arit, Ind(d.name, params, r.rind)), k, 0))
-    return tuple(tel)
-
-
-@replayed_cache
-def con_args_tel(d: IndDesc, ci: int, params: Sub) -> Telescope:
-    """Argument telescope of constructor ``ci`` at the parameters
-    ``params``.  Every cell of a list has the same parameters, so a check
-    or conversion of the list instantiates the telescope once."""
-    return apply(con_data_tied(d, ci), params)
+from .transform import cast_con, free_is_source
 
 
 def constr_type(name: str, ci: int) -> tuple[Context, Type]:
@@ -67,68 +50,6 @@ def generic_con(name: str, ci: int) -> Con:
     return Con(name, ci, shift(id_sub(d.params_ctx), len(tied), 0), vinst(tied))
 
 
-def result_indices(tm: Con) -> Inst:
-    """Actual indices of a constructor term (its result type's index
-    instantiation): the declared indices at the term's parameters and
-    non-recursive arguments."""
-    d = desc(tm.desc)
-    c = d.cons[tm.tag]
-    if not c.ind:
-        return ()
-    argn = tm.args[:len(c.nrec)]
-    spine = Sub(tm.params.comps + tuple(STm(t) for t in argn))
-    return tuple(apply(t, spine) for t in c.ind)
-
-
-def cast_con(tm: Con, tr: Trans) -> Term:
-    """Computation rule for a constructor cast along the datatype's
-    functorial adapter: same constructor at the target parameters, each
-    argument adapted by the argument telescope's action on the parameter
-    transformation.  The index side of the transformation is forced, so
-    a mismatch there means the cast was ill-typed.  While the last
-    argument's cast is again a constructor cast, the loop walks down to
-    it, checking each cell in full, and rebuilds the cells bottom-up."""
-    cells, tail = [], ()
-    while True:
-        d = desc(tm.desc)
-        npar = len(d.params_ctx)
-        if len(tr.comps) != len(d.full_ctx):
-            raise KernelError("inductive adapter spine does not match the signature")
-        src_spine = trans_source(d.full_ctx, tr)
-        if Sub(src_spine.comps[:npar]) != tm.params:
-            raise KernelError("inductive cast parameter mismatch")
-        src_idx = tuple(c.tm for c in src_spine.comps[npar:])
-        if src_idx != result_indices(tm):
-            raise KernelError("inductive cast index mismatch")
-        alpha, params = _con_adapter(d, tm.tag, Trans(tr.comps[:npar]))
-        args = tm.args
-        if len(args) != len(alpha):
-            raise KernelError("telescope adapter length mismatch")
-        lead = [cast(t, open_tm_block(a, args[:k]))
-                for k, (t, a) in enumerate(zip(args[:-1], alpha))]
-        cells.append((tm, params, lead))
-        if args:
-            last, ad = args[-1], open_tm_block(alpha[-1], args[:-1])
-            if type(ad) is IndAd and type(last) is Con and last.desc == ad.desc:
-                note("CAST_CONSTR")
-                tm, tr = last, ad.trans
-                continue
-            tail = (cast(last, ad),)
-        break
-    for cell, params, lead in reversed(cells):
-        tail = (Con(cell.desc, cell.tag, params, (*lead, *tail)),)
-    return tail[0]
-
-
-@replayed_cache
-def _con_adapter(d: IndDesc, ci: int, mu: Trans) -> tuple[TelAd, Sub]:
-    """Argument telescope adapter of constructor ``ci`` under the
-    parameter transformation ``mu``, and the target parameters.  Every
-    cell of a cast list shares ``mu``, so this is computed once per cast."""
-    return (push_tel(con_data_tied(d, ci), mu, d.params_ctx),
-            trans_target(d.params_ctx, mu))
-
-
 def ind_adapter(name: str, mu: Trans, src_indices: Inst) -> Adapter:
     """Functorial adapter of a datatype from a parameter transformation
     and the source-side indices (the target indices are forced)."""
@@ -146,8 +67,7 @@ def register(d: IndDesc) -> None:
     the signature sorts, then installs the description in the current
     session.  Re-registering the same description is a no-op; a different
     one under a name already taken raises ``ValueError``."""
-    from . import check
-    check.check_desc(d)
+    check_desc(d)
     if SESSION.get().descs.setdefault(d.name, d) is not d:
         raise ValueError(f"datatype {d.name} is already defined differently")
 
@@ -211,8 +131,25 @@ def builtin_descs() -> tuple[IndDesc, ...]:
     return (nat_d, list_d, vec_d, sum_d, w_d, id_d)
 
 
+def tree_desc() -> IndDesc:
+    """Node-labelled trees with a contravariant branching parameter; the
+    datatype deliberately absent from the stock table."""
+    return IndDesc(
+        "Tree",
+        (TyEntry(POS, POS, ()), TyEntry(NEG, POS, ())),
+        (),
+        (ConDesc("leaf", (), (), ()),
+         ConDesc("node", (TyVarRef(1, ()),),
+                 (RecDesc((TyVarRef(0, ()),), ()),), ())))
+
+
+#: the stock table; ``install_builtins`` checks it into the root session
+#: at import, and each CLI command starts from a copy
+STOCK = {d.name: d for d in builtin_descs()}
+
+
 def install_builtins() -> None:
-    for d in builtin_descs():
+    for d in STOCK.values():
         register(d)
 
 
@@ -290,6 +227,27 @@ def generic_rows(d: IndDesc, setup):
                names + [f"x{k}" for k in range(n)], tm, tr)
 
 
+def run() -> list[tuple[str, bool]]:
+    """Judge every generic row of the stock datatypes and ``Tree`` (the
+    rows ``adaptt selftest`` prints), labelled ``<Datatype>.<constructor>``,
+    by the checker rather than by the engine that derives them: the raw
+    cast must be well-typed (its adapter, and its subject at the adapter's
+    source), and the derived constructor cast must be well-typed at a type
+    convertible with the cast's.  A ``CheckError`` or ``KernelError`` on
+    either side fails the row."""
+    register(tree_desc())
+    results = []
+    for d in (*STOCK.values(), tree_desc()):
+        for c, ctx, _, tm, tr in generic_rows(d, generic_setup(d)):
+            try:
+                ok = conv_ty(ctx, infer_tm(ctx, Cast(tm, IndAd(d.name, tr))),
+                             infer_tm(ctx, cast_con(tm, tr)))
+            except (CheckError, KernelError):
+                ok = False
+            results.append((f"{d.name}.{c.name}", ok))
+    return results
+
+
 def derive_rule_doc(name: str) -> dict:
     """Specialize the generic adapter typing rule at one datatype and
     compute the per-constructor cast equations, as printable strings and
@@ -360,3 +318,48 @@ def derive_rule_doc(name: str) -> dict:
         for _, row_ctx, row_names, tm, tr in generic_rows(d, setup)
     ]
     return doc
+
+
+def data_decl_string(d: IndDesc) -> str:
+    """Surface declaration for a registered datatype; reparses and
+    re-elaborates to a structurally identical signature."""
+    env = Env([])
+    header = [f"data {d.name}"]
+    for e in d.params_ctx:
+        if isinstance(e, TyEntry):
+            benv = env
+            binders = []
+            for ty in e.tel:
+                s = render(ty, benv, LOW)
+                benv, bn = benv.push("tm")
+                binders.append(f"({bn} : {s})")
+            env, n = env.push("ty")
+            sort = f"{' '.join(binders)} Ty{e.dir.value}" if binders \
+                else f"Ty{e.dir.value}"
+            header.append(f"({n} : {sort})")
+        else:
+            s = render(e.ty, env, LOW)
+            env, n = env.push("tm")
+            header.append(f"({n} : {s})")
+    ienv = env
+    for k, ty in enumerate(d.index_tel):
+        header.append(f"[i{k} : {render(ty, ienv, LOW)}]")
+        ienv, _ = ienv.push("tm", f"i{k}")
+    lines = [" ".join(header) + " {"]
+    con_lines = []
+    for ci, c in enumerate(d.cons):
+        aenv = env
+        parts = []
+        for k, ty in enumerate(con_data_tied(d, ci)):
+            s = render(ty, aenv, LOW)
+            aenv, an = aenv.push("tm", f"x{k}")
+            parts.append(f"({an} : {s})")
+        head = [d.name] + [n for kind, n in env.pairs]
+        idx = shift(c.ind, len(c.rec), 0)
+        head += [render(t, aenv, ATOM) for t in idx]
+        result = " ".join(head)
+        arrow = f"{' '.join(parts)} -> {result}" if parts else result
+        con_lines.append(f"  {c.name} : {arrow}")
+    lines.append(" ;\n".join(con_lines))
+    lines.append("}")
+    return "\n".join(lines)

@@ -16,6 +16,10 @@ a closed normal subterm fires no rule and yields the same node.  Raw
 non-normal input to ``open_tm_block`` is outside its contract.  ``apply``
 walks every subterm, since it reports ``SUB_PUSH`` at each binder.
 
+Beside ``pi_tel`` sit the constructor argument telescopes a signature
+gives (``con_data_tied``, ``con_args_tel``), which conversion and the
+checker read once per list cell.
+
 Every rewrite step is an instance of exactly one oriented equation and
 reports its rule name to the trace sink; the registry of names, each with
 its equation, is in ``docs/rewrite-rules.md``.
@@ -32,8 +36,8 @@ from .syntax import (
     Type, Base, TyVarRef, Pi, Sig, Ind,
     Term, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     Adapter, AdId, Chain, Post, PiAd, SigAd, IndAd,
-    Sub, STm, STy, Trans, KTm, KAd,
-    dual_ctx, extend_tm, fv_bounds, map_scoped, scoped, shift,
+    Sub, STm, STy, Trans, KTm, KAd, IndDesc,
+    dual_ctx, extend_tm, fv_bounds, id_sub, map_scoped, scoped, shift,
     entry_position, tm_count, ty_count, desc, SESSION,
 )
 
@@ -363,9 +367,9 @@ def cast(tm: Term, ad: Adapter) -> Term:
             return Pair(tgt, cast(tm.fst, fst_ad),
                         cast(tm.snd, open_tm_block(snd_ad, (tm.fst,))))
         case IndAd(dn, trans) if isinstance(tm, Con) and tm.desc == dn:
-            from . import inductive
+            from . import transform
             note("CAST_CONSTR")
-            return inductive.cast_con(tm, trans)
+            return transform.cast_con(tm, trans)
         case _:
             return Cast(tm, ad)
 
@@ -416,6 +420,40 @@ def pi_tel(tel: Telescope, body: Type) -> Type:
         return body
     note("PI_TEL_STEP")
     return Pi(tel[0], pi_tel(tel[1:], body))
+
+
+def con_data_tied(d: IndDesc, ci: int) -> Telescope:
+    """Argument telescope of constructor ``ci`` over the parameter
+    context: the non-recursive arguments as declared, then recursive
+    argument k, an iterated Pi over its arity into the datatype at its
+    indices, shifted past the k recursive arguments before it."""
+    c = d.cons[ci]
+    tel: list[Type] = list(c.nrec)
+    for k, r in enumerate(c.rec):
+        params = shift(id_sub(d.params_ctx), len(c.nrec) + len(r.arit), 0)
+        tel.append(shift(pi_tel(r.arit, Ind(d.name, params, r.rind)), k, 0))
+    return tuple(tel)
+
+
+@replayed_cache
+def con_args_tel(d: IndDesc, ci: int, params: Sub) -> Telescope:
+    """Argument telescope of constructor ``ci`` at the parameters
+    ``params``.  Every cell of a list has the same parameters, so a check
+    or conversion of the list instantiates the telescope once."""
+    return apply(con_data_tied(d, ci), params)
+
+
+def result_indices(tm: Con) -> Inst:
+    """Actual indices of a constructor term (its result type's index
+    instantiation): the declared indices at the term's parameters and
+    non-recursive arguments."""
+    d = desc(tm.desc)
+    c = d.cons[tm.tag]
+    if not c.ind:
+        return ()
+    argn = tm.args[:len(c.nrec)]
+    spine = Sub(tm.params.comps + tuple(STm(t) for t in argn))
+    return tuple(apply(t, spine) for t in c.ind)
 
 
 #: The smart constructor of each node class that has one: every rewriting
@@ -615,8 +653,7 @@ def conv_tm(ctx: Context, ty: Type, x: Term, y: Term) -> bool:
             dd = desc(x.desc)
             if not conv_sub(ctx, dd.params_ctx, x.params, y.params):
                 return False
-            from . import inductive
-            tel = inductive.con_args_tel(dd, x.tag, x.params)
+            tel = con_args_tel(dd, x.tag, x.params)
             a1, a2 = x.args, y.args
             if len(a1) != len(tel) or len(a2) != len(tel):
                 raise KernelError("instantiation length mismatch")

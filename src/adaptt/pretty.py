@@ -10,7 +10,7 @@ from __future__ import annotations
 from .syntax import (
     Base, TyVarRef, Pi, Sig, Ind, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     AdId, Chain, Post, PiAd, SigAd, IndAd, STm, KTm,
-    Context, TmEntry, TyEntry, desc, scoped, shift,
+    Context, TmEntry, desc, scoped, shift,
 )
 
 LOW, STAR, COMP, APP, ATOM = 0, 1, 2, 3, 4
@@ -240,52 +240,6 @@ def tel_strings(ctx: Context, tel, names: list[str] | None = None) -> list[str]:
 def inst_strings(ctx: Context, inst, names: list[str] | None = None) -> list[str]:
     env = env_from(ctx, names)
     return [render(t, env, LOW) for t in inst]
-
-
-def data_decl_string(d) -> str:
-    """Surface declaration for a registered datatype; reparses and
-    re-elaborates to a structurally identical signature."""
-    from .inductive import con_data_tied
-    env = Env([])
-    header = [f"data {d.name}"]
-    for e in d.params_ctx:
-        if isinstance(e, TyEntry):
-            benv = env
-            binders = []
-            for ty in e.tel:
-                s = render(ty, benv, LOW)
-                benv, bn = benv.push("tm")
-                binders.append(f"({bn} : {s})")
-            env, n = env.push("ty")
-            sort = f"{' '.join(binders)} Ty{e.dir.value}" if binders \
-                else f"Ty{e.dir.value}"
-            header.append(f"({n} : {sort})")
-        else:
-            s = render(e.ty, env, LOW)
-            env, n = env.push("tm")
-            header.append(f"({n} : {s})")
-    ienv = env
-    for k, ty in enumerate(d.index_tel):
-        header.append(f"[i{k} : {render(ty, ienv, LOW)}]")
-        ienv, _ = ienv.push("tm", f"i{k}")
-    lines = [" ".join(header) + " {"]
-    con_lines = []
-    for ci, c in enumerate(d.cons):
-        aenv = env
-        parts = []
-        for k, ty in enumerate(con_data_tied(d, ci)):
-            s = render(ty, aenv, LOW)
-            aenv, an = aenv.push("tm", f"x{k}")
-            parts.append(f"({an} : {s})")
-        head = [d.name] + [n for kind, n in env.pairs]
-        idx = shift(c.ind, len(c.rec), 0)
-        head += [render(t, aenv, ATOM) for t in idx]
-        result = " ".join(head)
-        arrow = f"{' '.join(parts)} -> {result}" if parts else result
-        con_lines.append(f"  {c.name} : {arrow}")
-    lines.append(" ;\n".join(con_lines))
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def plain(x) -> str:

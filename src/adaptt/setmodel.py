@@ -417,9 +417,18 @@ class Evaluator:
                 t_c, ad_c = self.compile_tm(t), self.compile_ad(ad)
                 return lambda env: ad_c(env)(t_c(env))
             case Con(name, tag, _, args):
-                args_c = tuple(self.compile_tm(a) for a in args)
-                return lambda env: VCon(name, tag,
-                                        tuple(c(env) for c in args_c))
+                # plain loops: a list costs one frame per cell less here
+                # and in the closure than a generator expression would
+                args_c = []
+                for a in args:
+                    args_c.append(self.compile_tm(a))
+
+                def con(env):
+                    vals = []
+                    for c in args_c:
+                        vals.append(c(env))
+                    return VCon(name, tag, tuple(vals))
+                return con
             case _:
                 return _failing(ModelError, f"cannot evaluate term {tm!r}")
 
@@ -721,9 +730,12 @@ def sem_eq(x, y) -> bool:
     if isinstance(x, VPair) and isinstance(y, VPair):
         return sem_eq(x.fst, y.fst) and sem_eq(x.snd, y.snd)
     if isinstance(x, VCon) and isinstance(y, VCon):
-        return (x.desc == y.desc and x.tag == y.tag
-                and len(x.args) == len(y.args)
-                and all(sem_eq(a, b) for a, b in zip(x.args, y.args)))
+        if x.desc != y.desc or x.tag != y.tag or len(x.args) != len(y.args):
+            return False
+        for a, b in zip(x.args, y.args):
+            if not sem_eq(a, b):
+                return False
+        return True
     return x == y
 
 

@@ -34,22 +34,26 @@ read through their endpoint on the entry's free side.  ``check_sub``,
 
 ``push_ty`` eliminates transformations eagerly: the result adapter
 grammar is closed (identity, postulates, Pi/Sigma/inductive structure),
-so cast computation never sees a transformation at the head.
+so cast computation never sees a transformation at the head.  The cast
+rule of a constructor, ``cast_con``, is the same action on its argument
+telescope (``push_tel``): the rewrite engine's ``cast`` calls it, and it
+calls ``cast`` on each argument.
 """
 
 from __future__ import annotations
 
 from .syntax import (
     POS, NEG, Context, TmEntry, TyEntry, Telescope, TelAd,
-    Type, Base, TyVarRef, Pi, Sig, Ind, Term, Var,
+    Type, Base, TyVarRef, Pi, Sig, Ind, Term, Var, Con,
     Adapter, AdId, PiAd, SigAd, IndAd,
-    Sub, STm, STy, Trans, KTm, KAd,
+    Sub, STm, STy, Trans, KTm, KAd, IndDesc,
     dual_ctx, extend_tm, extend_tel, map_scoped, shift, desc, entry_position,
 )
 from .normalize import (
     KernelError, SMART, apply, lift_block,
     open_tm_block, cast, compose_ad, ad_end, ad_src, ad_tgt, is_id_ad,
-    trans_is_identity, note, conv_tm, conv_ad, session_memo,
+    trans_is_identity, note, conv_tm, conv_ad, session_memo, replayed_cache,
+    con_data_tied, result_indices,
 )
 
 
@@ -210,6 +214,55 @@ def push_tel(tel: Telescope, tr: Trans, tgt_ctx: Context) -> TelAd:
         ads.append(push_ty(ty, lift_block(tr, k),
                            extend_tel(tgt_ctx, POS, tel[:k])))
     return tuple(ads)
+
+
+def cast_con(tm: Con, tr: Trans) -> Term:
+    """Computation rule for a constructor cast along the datatype's
+    functorial adapter: same constructor at the target parameters, each
+    argument adapted by the argument telescope's action on the parameter
+    transformation.  The index side of the transformation is forced, so
+    a mismatch there means the cast was ill-typed.  While the last
+    argument's cast is again a constructor cast, the loop walks down to
+    it, checking each cell in full, and rebuilds the cells bottom-up."""
+    cells, tail = [], ()
+    while True:
+        d = desc(tm.desc)
+        npar = len(d.params_ctx)
+        if len(tr.comps) != len(d.full_ctx):
+            raise KernelError("inductive adapter spine does not match the signature")
+        src_spine = trans_source(d.full_ctx, tr)
+        if Sub(src_spine.comps[:npar]) != tm.params:
+            raise KernelError("inductive cast parameter mismatch")
+        src_idx = tuple(c.tm for c in src_spine.comps[npar:])
+        if src_idx != result_indices(tm):
+            raise KernelError("inductive cast index mismatch")
+        alpha, params = _con_adapter(d, tm.tag, Trans(tr.comps[:npar]))
+        args = tm.args
+        if len(args) != len(alpha):
+            raise KernelError("telescope adapter length mismatch")
+        lead = [cast(t, open_tm_block(a, args[:k]))
+                for k, (t, a) in enumerate(zip(args[:-1], alpha))]
+        cells.append((tm, params, lead))
+        if args:
+            last, ad = args[-1], open_tm_block(alpha[-1], args[:-1])
+            if type(ad) is IndAd and type(last) is Con and last.desc == ad.desc:
+                note("CAST_CONSTR")
+                tm, tr = last, ad.trans
+                continue
+            tail = (cast(last, ad),)
+        break
+    for cell, params, lead in reversed(cells):
+        tail = (Con(cell.desc, cell.tag, params, (*lead, *tail)),)
+    return tail[0]
+
+
+@replayed_cache
+def _con_adapter(d: IndDesc, ci: int, mu: Trans) -> tuple[TelAd, Sub]:
+    """Argument telescope adapter of constructor ``ci`` under the
+    parameter transformation ``mu``, and the target parameters.  Every
+    cell of a cast list shares ``mu``, so this is computed once per cast."""
+    return (push_tel(con_data_tied(d, ci), mu, d.params_ctx),
+            trans_target(d.params_ctx, mu))
 
 
 # ---------------------------------------------------------------------------

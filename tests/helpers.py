@@ -42,5 +42,5 @@ def mu1(ad, forced):
 
 
 def register_tree():
-    from adaptt.golden import ensure_tree
-    ensure_tree()
+    from adaptt.inductive import register, tree_desc
+    register(tree_desc())

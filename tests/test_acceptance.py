@@ -53,9 +53,9 @@ X_CTX = (TyEntry(POS, POS, ()),)
 
 
 def test_criterion_stock_rows():
-    from adaptt import golden
+    from adaptt import inductive
     t0 = time.perf_counter()
-    results = golden.run()
+    results = inductive.run()
     dt = time.perf_counter() - t0
     failures = [label for label, ok in results if not ok]
     assert not failures, failures
@@ -333,13 +333,13 @@ def test_criterion_dualization_and_spines():
 def test_criterion_trace_audit():
     # re-run slices of every suite family under the trace and audit the
     # emitted names against the fixed registry
-    from adaptt import golden
+    from adaptt import inductive
     from adaptt.syntax import Fst, Snd
     from adaptt.normalize import pi_tel
     seen = []
     set_trace(lambda rule, path: seen.append((rule, path)))
     try:
-        golden.run()
+        inductive.run()
         g = Gen(seed=606)
         for _ in range(20):
             a, mu, nu, _ = g.triple(depth=2)
@@ -397,7 +397,7 @@ def test_criterion_trace_audit():
 def test_criterion_surface_roundtrip():
     from adaptt import surface as S, elaborate as E, pretty as P
     from adaptt.syntax import desc
-    from adaptt.inductive import builtin_descs
+    from adaptt.inductive import builtin_descs, data_decl_string
     checked = 0
     for path in ("corpus/prelude.adt", "corpus/casts.adt", "corpus/tree.adt"):
         out = E.elab_file(S.parse(pathlib.Path(path).read_text(encoding="utf-8")))
@@ -411,7 +411,7 @@ def test_criterion_surface_roundtrip():
     stock = {d.name: d for d in builtin_descs()}
     for name, d in stock.items():
         assert desc(name) == d
-        out = E.elab_file(S.parse(P.data_decl_string(d)))
+        out = E.elab_file(S.parse(data_decl_string(d)))
         assert desc(name) == d
         checked += 1
     report("surface-roundtrip",

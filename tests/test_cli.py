@@ -198,6 +198,31 @@ def test_a_wrong_domain_read_in_the_dual_is_a_mismatch(tmp_path):
                    "-> Nat got Id A c c -> Nat (check failed)\n")
 
 
+#: an equation whose sides are argument-less constructors at distinct but
+#: convertible parameters (eta at a function type), a check whose types
+#: differ only in a Pi codomain, and a family printed with its binder
+_CONVERTIBLE = """base A ;
+var f : A -> A ;
+covar g : A -> A ;
+var a : A ;
+asserteq nil (Id (A -> A) f f) = nil (Id (A -> A) f (fun (y : A) => f y)) \
+: List (Id (A -> A) f f) ;
+check (fun (x : Id (A -> A) g g) => a) \
+: (x : Id (A -> A) g (fun (y : A) => g y)) -> A ;
+var w : W A (x => Id A x x -> A) ;
+"""
+
+
+def test_parameters_and_codomains_are_compared_by_conversion(tmp_path):
+    p = tmp_path / "conv.adt"
+    p.write_text(_CONVERTIBLE)
+    assert run(["check", str(p)]) == (0, (
+        f"OK asserteq {p}:5:1\n"
+        f"checked {p}: 0 datatypes, 1 checks, 1 equations\n"))
+    assert run(["norm", str(p), "-e", "w"]) == (
+        0, "w\n: W A (x => Id A x x -> A)\n")
+
+
 def test_model_exit_0_and_reports():
     code, out = run(["model", "corpus/casts.adt",
                      "--bindings", "corpus/bindings_small.json"])

@@ -3,7 +3,8 @@
 A generated ``surface_scale`` file nests one parenthesis per list cell,
 so its cell count is its nesting depth.  At 256 and 400 cells the file
 must parse, elaborate, check and print exactly the verdicts its
-generator knows by construction; at 600 cells, past what the parser
+generator knows by construction, and at 480 cells ``model`` must give its
+verdict; at 600 cells, past what the parser
 reads at the stock limit (it recurses once per parenthesis, and gives up
 near 490 cells), it must print a ``TooDeep`` diagnostic and exit 5.
 
@@ -32,9 +33,9 @@ from adaptt import cli
 from adaptt import surface as S
 from adaptt.check import CheckError, infer_tm
 from adaptt.elaborate import ElabError, elab_file, elab_tm
-from adaptt.golden import ensure_tree
 from adaptt.inductive import (
-    generic_rows, generic_setup, ind_adapter, nat_succ, nat_zero,
+    generic_rows, generic_setup, ind_adapter, nat_succ, nat_zero, register,
+    tree_desc,
 )
 from adaptt.normalize import KernelError, cast, conv_tm, nf
 from adaptt.pretty import tm_string
@@ -73,6 +74,24 @@ def test_400_cell_surface_file_checks(tmp_path):
     assert code == sf.expected_exit
     assert buf.getvalue().splitlines() == [
         line.format(path=path) for line in sf.expected_lines]
+
+
+def test_480_cell_surface_file_gets_its_model_verdict(tmp_path):
+    # past what the set-model oracle read when it compiled, ran and
+    # compared a constructor's arguments through generator expressions
+    # (328 cells); in a process of its own, as the test runner's frames
+    # would take part of the stock limit
+    path = tmp_path / "deep.adt"
+    path.write_text(surface_file(random.Random(1), 480).text, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "adaptt.cli", "model", str(path),
+         "--bindings", str(ROOT / "corpus" / "bindings_small.json")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == (
+        "model: 2 evaluated, 1 skipped, 0 disagreements")
 
 
 def test_600_cell_surface_file_is_a_too_deep_diagnostic(tmp_path):
@@ -333,7 +352,7 @@ def kernel_ops():
 
 
 def raw_rows():
-    ensure_tree()
+    register(tree_desc())
     for d in map(desc, ("Tree", "W", "Vec")):
         for _, _, _, tm, tr in generic_rows(d, generic_setup(d)):
             nf(Cast(tm, IndAd(d.name, tr)))

@@ -29,7 +29,8 @@ if str(ROOT) not in sys.path:   # perfbench/ sits beside src/
     sys.path.insert(0, str(ROOT))
 
 import adaptt  # noqa: E402,F401  (registers the stock datatypes)
-from adaptt import surface as S, pretty as P  # noqa: E402
+from adaptt import surface as S  # noqa: E402
+from adaptt.inductive import data_decl_string  # noqa: E402
 from adaptt.syntax import desc  # noqa: E402
 from perfbench.gen import surface_file  # noqa: E402
 
@@ -112,7 +113,7 @@ def sources() -> list[tuple[str, str, str]]:
         out.append((f"surface/{seed}", "file",
                     surface_file(random.Random(seed), 6).text))
     for name in STOCK:
-        out.append((f"data/{name}", "file", P.data_decl_string(desc(name))))
+        out.append((f"data/{name}", "file", data_decl_string(desc(name))))
     for k, text in enumerate(HAND):
         out.append((f"hand/{k}", "expr", text))
     return out

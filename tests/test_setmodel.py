@@ -21,8 +21,9 @@ from adaptt.inductive import (
 from adaptt.setmodel import (
     ModelBinding, Evaluator, NonEnumerable, ModelError,
     VBase, VPair, VFun, VCon, EMPTY, sem_eq, enumerate_envs, free_tm_vars,
+    needed_entries,
 )
-from helpers import A, B, C, D, f_AB, g_BC, list_ty, nil, cons
+from helpers import A, B, C, D, f_AB, g_BC, id_of, list_ty, nil, cons
 from test_generic_rows import DECLARED
 
 
@@ -174,6 +175,13 @@ def test_enumerate_envs_with_pruning():
         enumerate_envs(ev(), ctx, used={1})
 
 
+def test_an_entry_needs_the_variables_its_type_mentions():
+    # the innermost entry is a proof of a = a for the A variable before it
+    ctx = (TmEntry(POS, A), TmEntry(POS, id_of(A, Var(0), Var(0))))
+    assert needed_entries(ctx, {0}) == {0, 1}
+    assert needed_entries(ctx, {1}) == {1}
+
+
 def test_free_tm_vars():
     t = App(Lam(A, Var(0)), Var(2))
     assert free_tm_vars(t) == {2}
@@ -248,9 +256,9 @@ def in_fresh_session(fn, sink=None):
     """Run ``fn`` in a copied context whose session holds the stock
     datatypes, ``Tree`` and ``Bin``, and reports to ``sink``."""
     def go():
-        from adaptt.golden import ensure_tree
+        from adaptt.inductive import register, tree_desc
         SESSION.set(Session({d.name: d for d in builtin_descs()}))
-        ensure_tree()
+        register(tree_desc())
         elaborate.elab_file(surface.parse(DECLARED["Bin"]))
         SESSION.get().sink = sink
         return fn()
@@ -345,6 +353,51 @@ def test_setmodel_imports_only_syntax_from_the_package():
             found |= {a.name for a in node.names
                       if a.name.split(".")[0] == "adaptt"}
     assert found == {"syntax"}
+
+
+def _package_imports():
+    """The relative imports of every module of the package, as
+    ``(module, imported module, enclosing function or None)``."""
+    out = []
+    for path in sorted(pathlib.Path(setmodel.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        local = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    local.setdefault(node, fn.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = ([node.module.split(".")[0]] if node.module
+                           else [a.name for a in node.names])
+                out += [(path.stem, t, local.get(node)) for t in targets]
+    return out
+
+
+def test_the_package_has_one_import_cycle_and_no_other_local_import():
+    imports = _package_imports()
+    edges = collections.defaultdict(set)
+    for mod, target, _ in imports:
+        edges[mod].add(target)
+
+    def reach(m):
+        seen, todo = set(), [m]
+        while todo:
+            for n in edges[todo.pop()] - seen:
+                seen.add(n)
+                todo.append(n)
+        return seen
+
+    mods = {mod for mod, _, _ in imports} | {t for _, t, _ in imports}
+    cycles = {frozenset({m} | {n for n in reach(m) if m in reach(n)})
+              for m in mods if m in reach(m)}
+    assert cycles == {frozenset({"normalize", "transform"})}
+    assert sorted((mod, t, fn) for mod, t, fn in imports if fn) == [
+        ("normalize", "transform", fn)
+        for fn in sorted(["cast", "ad_end", "conv_sub", "conv_trans",
+                          "conv_ad"])]
+    assert edges["pretty"] == edges["setmodel"] == {"syntax"}
+    assert "golden" not in mods
 
 
 #: datatypes whose casts reach the rest of the semantic action: a

@@ -8,7 +8,7 @@ import adaptt  # noqa: F401  (registers the stock datatypes)
 from adaptt import surface as S, elaborate as E, pretty as P
 from adaptt.surface import ParseError
 from adaptt.syntax import desc, TyVarRef, Var
-from adaptt.inductive import builtin_descs
+from adaptt.inductive import builtin_descs, data_decl_string
 from test_session_memo import in_fresh_session
 
 def elab(text: str):
@@ -214,7 +214,7 @@ def test_roundtrip_tree_corpus():
 def test_roundtrip_data_declarations():
     for name in ("Nat", "List", "Vec", "Sum", "W", "Id"):
         d = desc(name)
-        text = P.data_decl_string(d)
+        text = data_decl_string(d)
         out = elab(text)
         assert desc(name) == d
 
