@@ -21,7 +21,6 @@ from .normalize import (
 )
 from . import pretty
 from .inductive import register
-from .pretty import _occurs
 from .transform import comp_ctx, free_is_ad_source, spine_prefix
 from .syntax import (
     POS, NEG, Dir, Context, TmEntry, TyEntry, Telescope,
@@ -29,7 +28,7 @@ from .syntax import (
     AdId, Post, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd,
     RecDesc, ConDesc, IndDesc, SESSION,
-    dual_ctx, shift, vinst,
+    dual_ctx, free_tm_vars, shift, vinst,
 )
 
 
@@ -334,7 +333,7 @@ def _elab_pi_sig_ad(kind: str, comps, span, sc: Scope, want_src):
         src = want_src
         if not isinstance(src, Pi):
             src = Pi(ad_tgt(first), ad_src(second))
-            if _occurs(src.cod, 0):
+            if 0 in free_tm_vars(src.cod):
                 raise _err("Syntax",
                            "cannot infer the source of this function adapter; "
                            "cast position provides it", span)
@@ -345,7 +344,7 @@ def _elab_pi_sig_ad(kind: str, comps, span, sc: Scope, want_src):
     if want_src is not None and not conv_ty(sc.ctx, src, want_src):
         raise _err("ClassifierMismatch", "pair adapter source mismatch", span)
     snd_tgt = ad_tgt(second)
-    if _occurs(snd_tgt, 0):
+    if 0 in free_tm_vars(snd_tgt):
         raise _err("Syntax",
                    "cannot infer the target of this pair adapter", span)
     tgt = Sig(ad_tgt(first), snd_tgt)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .syntax import (
     Base, TyVarRef, Pi, Sig, Ind, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     AdId, Chain, Post, PiAd, SigAd, IndAd, STm, KTm,
-    Context, TmEntry, desc, scoped, shift,
+    Context, TmEntry, desc, free_tm_vars, shift,
 )
 
 LOW, STAR, COMP, APP, ATOM = 0, 1, 2, 3, 4
@@ -86,12 +86,6 @@ def _wrap(s: str, have: int, want: int) -> str:
     return f"({s})" if have < want else s
 
 
-def _occurs(x, idx: int, d: int = 0) -> bool:
-    if type(x) is Var:
-        return x.index == idx + d
-    return any(_occurs(c, idx, d + k) for k, c in scoped(x))
-
-
 def render(x, env: Env, level: int = LOW) -> str:
     match x:
         case Base(name):
@@ -105,7 +99,7 @@ def render(x, env: Env, level: int = LOW) -> str:
             args = " ".join(render(t, env, ATOM) for t in inst)
             return _wrap(f"{head} {args}", APP, level)
         case Pi(dom, cod):
-            if _occurs(cod, 0):
+            if 0 in free_tm_vars(cod):
                 env2, n = env.push("tm")
                 s = f"({n} : {render(dom, env, LOW)}) -> {render(cod, env2, LOW)}"
             else:
@@ -113,7 +107,7 @@ def render(x, env: Env, level: int = LOW) -> str:
                 s = f"{render(dom, env, APP)} -> {render(cod, env2, LOW)}"
             return _wrap(s, LOW, level)
         case Sig(fst, snd):
-            if _occurs(snd, 0):
+            if 0 in free_tm_vars(snd):
                 env2, n = env.push("tm")
                 s = f"({n} : {render(fst, env, LOW)}) ** {render(snd, env2, LOW)}"
             else:
@@ -192,7 +186,7 @@ def render(x, env: Env, level: int = LOW) -> str:
 
 
 def _binder_comp(ad, arity: int, env: Env) -> str:
-    if not any(_occurs(ad, i) for i in range(arity)):
+    if free_tm_vars(ad).isdisjoint(range(arity)):
         return render(ad, env.binders(arity, "_")[0], LOW)
     env2, names = env.binders(arity)
     return f"{' '.join(names)} => {render(ad, env2, LOW)}"
@@ -210,7 +204,7 @@ def _spine_str(c, env: Env) -> str:
     if (isinstance(ty, TyVarRef)
             and ty.inst == tuple(Var(c.arity - 1 - m) for m in range(c.arity))):
         return env.name("ty", ty.index)
-    if not any(_occurs(ty, i) for i in range(c.arity)):
+    if free_tm_vars(ty).isdisjoint(range(c.arity)):
         return render(shift(ty, -c.arity, 0, c_tm=c.arity), env, ATOM)
     env2, names = env.binders(c.arity)
     return f"({' '.join(names)} => {render(ty, env2, LOW)})"

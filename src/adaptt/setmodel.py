@@ -34,7 +34,7 @@ from .syntax import (
     POS, Dir, Context, TmEntry, TyEntry,
     Base, TyVarRef, Pi, Sig, Ind, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     AdId, Chain, Post, PiAd, SigAd, IndAd, Sub, STm, STy, Trans, KTm, KAd,
-    desc, fv_bounds, tm_count, ty_count,
+    desc, free_tm_vars, fv_bounds, tm_count, ty_count,
 )
 
 
@@ -739,83 +739,19 @@ def sem_eq(x, y) -> bool:
     return x == y
 
 
-def free_tm_vars(x) -> set[int]:
-    """Free term-variable indices of any syntax value."""
-    out: set[int] = set()
-
-    def go(x, d):
-        if fv_bounds(x)[0] <= d:
-            return
-        match x:
-            case Var(i):
-                if i >= d:
-                    out.add(i - d)
-            case TyVarRef(_, inst):
-                for t in inst:
-                    go(t, d)
-            case Pi(a, b) | Sig(a, b) | Lam(a, b):
-                go(a, d)
-                go(b, d + 1)
-            case App(a, b) | Cast(a, b):
-                go(a, d)
-                go(b, d)
-            case Pair(ty, a, b):
-                go(ty, d)
-                go(a, d)
-                go(b, d)
-            case Fst(p) | Snd(p) | AdId(p):
-                go(p, d)
-            case Ind(_, params, inst) | Con(_, _, params, inst):
-                go(params, d)
-                for t in inst:
-                    go(t, d)
-            case Chain(parts):
-                for p in parts:
-                    go(p, d)
-            case PiAd(da, ca, s, t) | SigAd(da, ca, s, t):
-                go(da, d)
-                go(ca, d + 1)
-                go(s, d)
-                go(t, d)
-            case IndAd(_, tr):
-                go(tr, d)
-            case Sub(comps) | Trans(comps):
-                for c in comps:
-                    go(c, d)
-            case STm(t) | KTm(t):
-                go(t, d)
-            case STy(ty, ar):
-                go(ty, d + ar)
-            case KAd(ad, forced, ar):
-                go(ad, d + ar)
-                go(forced, d + ar)
-            case tuple():
-                for k, t in enumerate(x):
-                    go(t, d + k)
-            case _:
-                pass
-    go(x, 0)
-    return out
-
-
 def needed_entries(ctx: Context, roots: set[int]) -> set[int]:
     """Close a set of needed term variables under their types' own
-    dependencies.  Indices count term entries from the inside."""
+    dependencies.  Indices count term entries from the inside.  An entry's
+    type mentions only entries outside it, so one pass outwards does."""
     n = tm_count(ctx)
     need = set(roots)
-    changed = True
-    positions = [k for k, e in enumerate(ctx) if isinstance(e, TmEntry)]
-    while changed:
-        changed = False
-        for idx in list(need):
-            pos = positions[n - 1 - idx]
-            entry = ctx[pos]
-            inner_tms = tm_count(ctx[pos + 1:])
-            for j in free_tm_vars(entry.ty):
-                k = j + inner_tms + 1
-                if k < n and k not in need:
-                    need.add(k)
-                    changed = True
+    idx = 0
+    for entry in reversed(ctx):
+        if isinstance(entry, TmEntry):
+            if idx in need:
+                need.update(k for j in free_tm_vars(entry.ty)
+                            if (k := j + idx + 1) < n)
+            idx += 1
     return need
 
 

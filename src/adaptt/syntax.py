@@ -24,8 +24,9 @@ Representation choices that the rest of the kernel relies on:
 * Binder offsets are written once, in the table ``SHAPE``: which fields
   of each node class are syntax, and under how many term binders each
   sits.  A bare tuple is a telescope, its entry k under k binders.  Every
-  traversal but the set-model oracle's, which stays independent, is a few
-  leaf cases over ``scoped`` or ``map_scoped``.
+  traversal is a few leaf cases over ``scoped`` or ``map_scoped``, the
+  set-model oracle's ``free_tm_vars`` included; only the oracle's
+  evaluator, which must stay independent, walks the syntax on its own.
 """
 
 from __future__ import annotations
@@ -544,6 +545,23 @@ def fv_bounds(x) -> tuple[int, int]:
     if cls is not tuple:
         x.__dict__["_fv"] = (tm, ty)
     return tm, ty
+
+
+def free_tm_vars(x) -> set[int]:
+    """Free term-variable indices of any syntax value, a bare tuple read
+    as a telescope.  A subterm whose term bound lies at or below its depth
+    has none and is skipped."""
+    out: set[int] = set()
+    stack = [(0, x)]
+    while stack:
+        d, x = stack.pop()
+        if fv_bounds(x)[0] <= d:
+            continue
+        if type(x) is Var:
+            out.add(x.index - d)
+        else:
+            stack.extend((d + k, c) for k, c in scoped(x))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pathlib
 
 import pytest
 
-from adaptt import elaborate, setmodel, surface
+from adaptt import elaborate, setmodel, surface, syntax
 from adaptt.syntax import (
     POS, NEG, TmEntry, Base, TyVarRef, Pi, Sig, Ind,
     Var, Lam, App, Pair, Fst, Snd, Cast, Con, AdId, Post, PiAd, SigAd,
@@ -180,9 +180,20 @@ def test_an_entry_needs_the_variables_its_type_mentions():
     ctx = (TmEntry(POS, A), TmEntry(POS, id_of(A, Var(0), Var(0))))
     assert needed_entries(ctx, {0}) == {0, 1}
     assert needed_entries(ctx, {1}) == {1}
+    # transitively: x : A, p : Id A x x, q : Id (Id A x x) p p
+    ctx += (TmEntry(POS, id_of(id_of(A, Var(1), Var(1)), Var(0), Var(0))),)
+    assert needed_entries(ctx, {0}) == {0, 1, 2}
+    assert needed_entries(ctx, {1}) == {1, 2}
+    assert needed_entries(ctx, {2}) == {2}
+    # x : A, y : B, p : Id A x x needs no y
+    ctx = (TmEntry(POS, A), TmEntry(POS, B),
+           TmEntry(POS, id_of(A, Var(1), Var(1))))
+    assert needed_entries(ctx, {0}) == {0, 2}
 
 
 def test_free_tm_vars():
+    # the oracle asks the binder table's own walk
+    assert free_tm_vars is syntax.free_tm_vars
     t = App(Lam(A, Var(0)), Var(2))
     assert free_tm_vars(t) == {2}
     assert free_tm_vars(Lam(A, Var(0))) == set()
