@@ -28,7 +28,7 @@ from .syntax import (
 from .normalize import (
     apply, open_tm_block, conv_ty, fst_, ad_src, ad_tgt,
     tm_entry_type, _entry_tel_here, session_memo, con_args_tel,
-    result_indices,
+    result_indices, recording, replay,
 )
 from .transform import (
     free_is_ad_source, spine_slots, cast_block_vars, _mid_telad,
@@ -204,15 +204,22 @@ def infer_tm(ctx: Context, t: Term) -> Type:
             # stack.  A suffix with no kept type is walked with a record of
             # its own and kept on the way up, as a call of its own was; its
             # type is compared, and each cell's indices read, innermost
-            # first, as the recursion did
-            s, cells = SESSION.get(), ()
+            # first, as the recursion did.  A cell with the constructor and
+            # parameters of the cell above reuses its argument telescope
+            # and reports the steps that gave it again; only a cell whose
+            # last argument is a constructor records them
+            s, cells, seen = SESSION.get(), (), None
             while True:
-                d = desc(t.desc)
-                if not 0 <= t.tag < len(d.cons):
-                    _fail("UnboundVariable", f"no constructor {t.tag} in {t.desc}")
-                check_sub(ctx, t.params, d.params_ctx)
-                want = check_inst(ctx, t.args, con_args_tel(d, t.tag, t.params),
-                                  last=False)
+                if (seen is not None and t.params is seen.params
+                        and t.tag == seen.tag and t.desc == seen.desc):
+                    replay(steps)
+                elif t.args and type(t.args[-1]) is Con:
+                    seen = t
+                    with recording() as steps:
+                        tel = _con_tel(ctx, t)
+                else:
+                    tel = _con_tel(ctx, t)
+                want = check_inst(ctx, t.args, tel, last=False)
                 cells = (t, want, s.record, cells)
                 if not t.args:
                     break
@@ -236,6 +243,16 @@ def infer_tm(ctx: Context, t: Term) -> Type:
 
 
 _kept_type, _keep_type = infer_tm.kept, infer_tm.keep
+
+
+def _con_tel(ctx: Context, t: Con) -> Telescope:
+    """The argument telescope of constructor ``t``, its tag and
+    parameters checked."""
+    d = desc(t.desc)
+    if not 0 <= t.tag < len(d.cons):
+        _fail("UnboundVariable", f"no constructor {t.tag} in {t.desc}")
+    check_sub(ctx, t.params, d.params_ctx)
+    return con_args_tel(d, t.tag, t.params)
 
 
 # ---------------------------------------------------------------------------

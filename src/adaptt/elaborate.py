@@ -18,6 +18,7 @@ from .check import CheckError, Diagnostic, check_ty, infer_tm
 from .normalize import (
     apply, compose_ad, conv_ty, ad_end, ad_src, ad_tgt, cast as mk_cast,
     app as mk_app, fst_ as mk_fst, snd_ as mk_snd, KernelError,
+    recording, replay,
 )
 from . import pretty
 from .inductive import register
@@ -28,7 +29,7 @@ from .syntax import (
     AdId, Post, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd,
     RecDesc, ConDesc, IndDesc, SESSION,
-    dual_ctx, free_tm_vars, shift, vinst,
+    dual_ctx, least_free_tm, shift, vinst,
 )
 
 
@@ -226,8 +227,11 @@ def _elab_inductive(head: S.SName, args: list[S.SExpr], sc: Scope,
     constructor ``tag``.  The arguments are ``d``'s parameter spine, then
     the indices or the constructor's arguments.  A last argument that
     applies a constructor is taken in this frame, so a spine costs no
-    stack: the cells are elaborated top-down and built bottom-up."""
-    cells, tail = (), ()
+    stack: the cells are elaborated top-down and built bottom-up.  A cell
+    whose datatype and parameters (up to spans) are those of the cell
+    above reuses their elaboration and reports its steps again; only a
+    cell that another follows records them."""
+    cells, tail, seen = (), (), None
     while True:
         np = len(d.params_ctx)
         c = None if tag is None else d.cons[tag]
@@ -237,21 +241,28 @@ def _elab_inductive(head: S.SName, args: list[S.SExpr], sc: Scope,
             raise _err("ArityMismatch",
                        f"{what} expects {want} arguments, got {len(args)}",
                        head.span)
-        params = _elab_param_spine(d.params_ctx, args[:np], sc)
         if c is None:
+            params = _elab_param_spine(d.params_ctx, args[:np], sc)
             return Ind(d.name, params, tuple([elab_tm(a, sc) for a in args[np:]]))
+        last = args[-1] if want > np else None
+        nhead, nargs = _head_spine(last) if type(last) is S.SApp else (last, ())
+        kind, m = (sc.resolve(nhead.name, TmEntry) if type(nhead) is S.SName
+                   else (None, None))
+        if d is seen and all(map(_same, args[:np], seen_args)):
+            replay(record)
+        elif kind == "constructor":
+            seen, seen_args = d, args[:np]
+            with recording() as record:
+                params = _elab_param_spine(d.params_ctx, seen_args, sc)
+        else:
+            params = _elab_param_spine(d.params_ctx, args[:np], sc)
         cells = (d.name, tag, params, [elab_tm(a, sc) for a in args[np:-1]],
                  cells)
-        if want == np:
-            break
-        last = args[-1]
-        head, args = _head_spine(last) if type(last) is S.SApp else (last, ())
-        kind, m = (sc.resolve(head.name, TmEntry) if type(head) is S.SName
-                   else (None, None))
         if kind != "constructor":
-            tail = (elab_tm(last, sc),)
+            if last is not None:
+                tail = (elab_tm(last, sc),)
             break
-        d, tag = m
+        head, args, (d, tag) = nhead, nargs, m
     while cells:
         name, tag, params, lead, cells = cells
         tail = (Con(name, tag, params, (*lead, *tail)),)
@@ -333,7 +344,7 @@ def _elab_pi_sig_ad(kind: str, comps, span, sc: Scope, want_src):
         src = want_src
         if not isinstance(src, Pi):
             src = Pi(ad_tgt(first), ad_src(second))
-            if 0 in free_tm_vars(src.cod):
+            if least_free_tm(src.cod) == 0:
                 raise _err("Syntax",
                            "cannot infer the source of this function adapter; "
                            "cast position provides it", span)
@@ -344,7 +355,7 @@ def _elab_pi_sig_ad(kind: str, comps, span, sc: Scope, want_src):
     if want_src is not None and not conv_ty(sc.ctx, src, want_src):
         raise _err("ClassifierMismatch", "pair adapter source mismatch", span)
     snd_tgt = ad_tgt(second)
-    if 0 in free_tm_vars(snd_tgt):
+    if least_free_tm(snd_tgt) == 0:
         raise _err("Syntax",
                    "cannot infer the target of this pair adapter", span)
     tgt = Sig(ad_tgt(first), snd_tgt)
@@ -366,6 +377,22 @@ def _mentions(e, name: str) -> bool:
         return any(_mentions(x, name) for x in e)
     return is_dataclass(e) and any(_mentions(getattr(e, f.name), name)
                                    for f in fields(e))
+
+
+def _same(a, b) -> bool:
+    """Whether surface values ``a`` and ``b`` are equal up to spans; every
+    field is walked, as in ``_mentions``."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is tuple:
+        return len(a) == len(b) and all(map(_same, a, b))
+    names = getattr(a, "__slots__", None)     # a surface node's fields
+    if names is None:
+        return a == b
+    for n in names:
+        if n != "span" and not _same(getattr(a, n), getattr(b, n)):
+            return False
+    return True
 
 
 def _peel_arrows(e: S.SExpr):

@@ -143,6 +143,34 @@ def _replay(s, record: list) -> None:
             stack.pop()
 
 
+class recording:
+    """``with recording() as record``: the steps of the block go to a fresh
+    record, reported on leaving, on a failure too, so a failure's steps are
+    reported as made.  ``replay(record)`` reports it again wherever the
+    block's result is reused.  It adds no frame to a recursion through the
+    block."""
+
+    __slots__ = ("s", "outer", "record")
+
+    def __enter__(self) -> list:
+        self.s = s = SESSION.get()
+        self.outer = s.record
+        s.record = self.record = record = []
+        return record
+
+    def __exit__(self, typ, val, tb):
+        s, record = self.s, self.record
+        s.record = self.outer
+        if record:
+            _replay(s, record)
+
+
+def replay(record: list) -> None:
+    """Report a finished ``record`` at this point."""
+    if record:
+        _replay(SESSION.get(), record)
+
+
 def _replaying(fn, table_of):
     """``fn`` with its successes kept in the table ``table_of(session)``,
     keyed by ``fn`` and the arguments, each with its record.  Every call,
@@ -163,14 +191,8 @@ def _replaying(fn, table_of):
             if record:
                 _replay(s, record)
             return out
-        outer = s.record
-        s.record = record = []
-        try:
+        with recording() as record:
             out = fn(*args)
-        finally:
-            s.record = outer
-            if record:
-                _replay(s, record)
         table[key] = out, record
         return out
 

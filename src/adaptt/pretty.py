@@ -10,7 +10,7 @@ from __future__ import annotations
 from .syntax import (
     Base, TyVarRef, Pi, Sig, Ind, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     AdId, Chain, Post, PiAd, SigAd, IndAd, STm, KTm,
-    Context, TmEntry, desc, free_tm_vars, shift,
+    Context, TmEntry, desc, least_free_tm, shift,
 )
 
 LOW, STAR, COMP, APP, ATOM = 0, 1, 2, 3, 4
@@ -99,7 +99,7 @@ def render(x, env: Env, level: int = LOW) -> str:
             args = " ".join(render(t, env, ATOM) for t in inst)
             return _wrap(f"{head} {args}", APP, level)
         case Pi(dom, cod):
-            if 0 in free_tm_vars(cod):
+            if least_free_tm(cod) == 0:
                 env2, n = env.push("tm")
                 s = f"({n} : {render(dom, env, LOW)}) -> {render(cod, env2, LOW)}"
             else:
@@ -107,7 +107,7 @@ def render(x, env: Env, level: int = LOW) -> str:
                 s = f"{render(dom, env, APP)} -> {render(cod, env2, LOW)}"
             return _wrap(s, LOW, level)
         case Sig(fst, snd):
-            if 0 in free_tm_vars(snd):
+            if least_free_tm(snd) == 0:
                 env2, n = env.push("tm")
                 s = f"({n} : {render(fst, env, LOW)}) ** {render(snd, env2, LOW)}"
             else:
@@ -140,8 +140,9 @@ def render(x, env: Env, level: int = LOW) -> str:
             return _wrap(s, LOW, level)
         case Con():
             # the last argument is taken in this frame; each applied inner
-            # cell opens a parenthesis, all closed at the end
-            out, opened = [], 0
+            # cell opens a parenthesis, all closed at the end.  A cell with
+            # the parameters of the cell above reuses their strings
+            out, opened, seen = [], 0, None
             while True:
                 cname = desc(x.desc).cons[x.tag].name
                 if not (x.params.comps or x.args):
@@ -151,7 +152,10 @@ def render(x, env: Env, level: int = LOW) -> str:
                     out.append("(")
                     opened += 1
                 out.append(cname)
-                out += [" " + _spine_str(c, env) for c in x.params.comps]
+                if x.params is not seen:
+                    seen = x.params
+                    params = [" " + _spine_str(c, env) for c in seen.comps]
+                out += params
                 if not x.args:
                     break
                 out += [" " + render(t, env, ATOM) for t in x.args[:-1]]
@@ -186,7 +190,7 @@ def render(x, env: Env, level: int = LOW) -> str:
 
 
 def _binder_comp(ad, arity: int, env: Env) -> str:
-    if free_tm_vars(ad).isdisjoint(range(arity)):
+    if least_free_tm(ad) >= arity:
         return render(ad, env.binders(arity, "_")[0], LOW)
     env2, names = env.binders(arity)
     return f"{' '.join(names)} => {render(ad, env2, LOW)}"
@@ -204,7 +208,7 @@ def _spine_str(c, env: Env) -> str:
     if (isinstance(ty, TyVarRef)
             and ty.inst == tuple(Var(c.arity - 1 - m) for m in range(c.arity))):
         return env.name("ty", ty.index)
-    if free_tm_vars(ty).isdisjoint(range(c.arity)):
+    if least_free_tm(ty) >= c.arity:
         return render(shift(ty, -c.arity, 0, c_tm=c.arity), env, ATOM)
     env2, names = env.binders(c.arity)
     return f"({' '.join(names)} => {render(ty, env2, LOW)})"

@@ -35,6 +35,7 @@ from weakref import KeyedRef
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from math import inf
 from enum import Enum
 from typing import Union
 
@@ -88,6 +89,7 @@ def interned(cls):
     exec(src, env)
     cls.__new__ = staticmethod(env["__new__"])
     cls._fv = None      # free-variable bounds, filled in by ``fv_bounds``
+    cls._lo = None      # least free term index, filled in by ``least_free_tm``
     return cls
 
 
@@ -562,6 +564,38 @@ def free_tm_vars(x) -> set[int]:
         else:
             stack.extend((d + k, c) for k, c in scoped(x))
     return out
+
+
+def least_free_tm(x) -> int | float:
+    """The least free term index of any syntax value, ``inf`` when it has
+    none, so an index below k occurs free in ``x`` exactly when
+    ``least_free_tm(x) < k``; a bare tuple is read as a telescope.  A node
+    computes it once and keeps it beside its bounds, from each child's
+    least index at or above the binders the child sits under: the child's
+    own when it is that large, else one found below the child, where a
+    subterm whose term bound lies at or below its depth is skipped."""
+    try:
+        lo = x._lo
+    except AttributeError:
+        lo = None       # a bare tuple: computed on every call
+    if lo is not None:
+        return lo
+    if type(x) is Var:
+        lo = x.index
+    else:
+        lo, stack = inf, list(scoped(x))
+        while stack:
+            d, y = stack.pop()
+            if fv_bounds(y)[0] <= d:
+                continue
+            y_lo = least_free_tm(y)
+            if y_lo >= d:
+                lo = min(lo, y_lo - d)
+            else:
+                stack.extend((d + k, c) for k, c in scoped(y))
+    if type(x) is not tuple:
+        x.__dict__["_lo"] = lo
+    return lo
 
 
 # ---------------------------------------------------------------------------

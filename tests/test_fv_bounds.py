@@ -1,12 +1,13 @@
 """The binder table and what reads it: every node knows one more than its
-largest free index in each namespace, ``shift`` and ``open_tm_block`` hand
-back closed subterms untouched, and ``free_tm_vars`` finds the free term
-variables.  ``fv_bounds`` and ``free_tm_vars`` both read ``SHAPE``, so
-comparing the two checks no offset; the literal table ``OFFSETS`` does,
-one row per syntax field, each with the bounds and free set worked out by
-hand."""
+largest free index in each namespace and its least free term index,
+``shift`` and ``open_tm_block`` hand back closed subterms untouched, and
+``free_tm_vars`` finds the free term variables.  ``fv_bounds`` and
+``free_tm_vars`` both read ``SHAPE``, so comparing the two checks no
+offset; the literal table ``OFFSETS`` does, one row per syntax field,
+each with the bounds and free set worked out by hand."""
 
 import dataclasses
+from math import inf
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +18,7 @@ from adaptt.syntax import (
     TyVarRef, Pi, Sig, Ind, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     AdId, Chain, Post, PiAd, SigAd, IndAd, Sub, STm, STy, Trans, KTm, KAd,
     RecDesc, ConDesc, IndDesc, TmEntry, TyEntry, SHAPE, ARITY, SEQ,
-    free_tm_vars, fv_bounds, shift,
+    free_tm_vars, fv_bounds, least_free_tm, shift,
 )
 from helpers import A, B, cons, list_ty, nil
 
@@ -128,6 +129,8 @@ OFFSETS = [
     (Chain((A, Var(1))), (2, 0), {1}),
     (Sub((A, Var(1))), (2, 0), {1}),
     (Trans((A, Var(1))), (2, 0), {1}),
+    # the least free index of a body whose own least index is its binder
+    (Pi(A, App(Var(0), Var(3))), (3, 0), {2}),
 ]
 
 
@@ -145,12 +148,18 @@ def test_offsets_give_the_bounds_and_free_variables_worked_out_by_hand(
         x, bounds, free):
     assert fv_bounds(x) == bounds
     assert free_tm_vars(x) == free
+    assert least_free_tm(x) == min(free, default=inf)
 
 
 @given(values)
 def test_term_bound_is_one_past_the_largest_free_index(x):
     free = free_tm_vars(x)
     assert fv_bounds(x)[0] == (max(free) + 1 if free else 0)
+
+
+@given(values)
+def test_least_free_index_is_the_least_of_the_free_variables(x):
+    assert least_free_tm(x) == min(free_tm_vars(x), default=inf)
 
 
 @given(nodes)
