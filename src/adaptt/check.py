@@ -14,8 +14,6 @@ derived again, with the same diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import pretty
 from .syntax import (
     POS, NEG, Context, TmEntry, TyEntry, Telescope, Inst,
@@ -24,6 +22,7 @@ from .syntax import (
     Adapter, AdId, Chain, Post, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd, IndDesc,
     SESSION, dual_ctx, extend_tm, extend_tel, shift, desc, entry_position,
+    record,
 )
 from .normalize import (
     apply, open_tm_block, conv_ty, fst_, ad_src, ad_tgt,
@@ -35,8 +34,11 @@ from .transform import (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Diagnostic:
+    """An error report: its code, message and place (an offset), and for a
+    mismatch the expected and actual sides as printed."""
+
     code: str
     message: str
     span: int | None = None     # an offset into the checked text

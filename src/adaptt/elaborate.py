@@ -11,7 +11,7 @@ the context the checker reads it in (``Scope.dual``, ``Scope.component``).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import field, fields, is_dataclass
 
 from . import surface as S
 from .check import CheckError, Diagnostic, check_ty, infer_tm
@@ -29,7 +29,7 @@ from .syntax import (
     AdId, Post, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd,
     RecDesc, ConDesc, IndDesc, SESSION,
-    dual_ctx, least_free_tm, shift, vinst,
+    dual_ctx, least_free_tm, record, shift, vinst,
 )
 
 
@@ -44,7 +44,7 @@ def _err(code: str, msg: str, span) -> ElabError:
 LOCAL = "local"     # the kind of a local binder in Scope.resolve
 
 
-@dataclass
+@record
 class Scope:
     """File-level names plus the ambient context built by var/data
     declarations and local binders.  ``table`` maps a file-level name to
@@ -54,7 +54,8 @@ class Scope:
     table: dict[str, tuple[str, object]] = field(default_factory=dict)
     ctx: Context = ()
     names: tuple[str, ...] = ()
-    _dual: Scope | None = field(default=None, repr=False, compare=False)
+    _dual: Scope | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def _over(self, ctx: Context, names: tuple[str, ...]) -> "Scope":
         return Scope(self.table, ctx, names)
@@ -490,8 +491,11 @@ def _elab_self_result(decl: S.DData, hargs: list[S.SExpr], sc: Scope, span):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class Elaborated:
+    """What a file elaborated to: its scope, and the checks, equations and
+    normalizations it asks for, each with its context, names and place."""
+
     scope: Scope
     checks: list = field(default_factory=list)      # (ctx, names, tm, ty, span)
     asserts: list = field(default_factory=list)     # (ctx, names, lhs, rhs, ty, span)

@@ -27,7 +27,6 @@ its equation, is in ``docs/rewrite-rules.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import wraps
 from operator import attrgetter
 
@@ -38,7 +37,7 @@ from .syntax import (
     Adapter, AdId, Chain, Post, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd, IndDesc,
     dual_ctx, extend_tm, fv_bounds, id_sub, map_scoped, scoped, shift,
-    entry_position, tm_count, ty_count, desc, SESSION,
+    entry_position, tm_count, ty_count, desc, record, SESSION,
 )
 
 
@@ -538,7 +537,7 @@ def trans_is_identity(tr: Trans) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NormalForm:
     """Wrapper asserting normalizer invariants of the carried value."""
 

@@ -28,13 +28,13 @@ import collections
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from .syntax import (
     POS, Dir, Context, TmEntry, TyEntry,
     Base, TyVarRef, Pi, Sig, Ind, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     AdId, Chain, Post, PiAd, SigAd, IndAd, Sub, STm, STy, Trans, KTm, KAd,
-    desc, free_tm_vars, fv_bounds, tm_count, ty_count,
+    desc, free_tm_vars, fv_bounds, record, tm_count, ty_count,
 )
 
 
@@ -50,20 +50,26 @@ class ModelError(Exception):
 # -- semantic values ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VBase:
+    """An element of a finite base set, by its label."""
+
     set_name: str
     label: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VPair:
+    """A pair of values."""
+
     fst: object
     snd: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VFun:
+    """A function on a finite domain, as a table of argument-value pairs."""
+
     table: tuple[tuple[object, object], ...]
 
     def apply(self, v):
@@ -73,8 +79,10 @@ class VFun:
         raise ModelError(f"function table has no entry for {v!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VCon:
+    """A constructor of a datatype applied to its argument values."""
+
     desc: str
     tag: int
     args: tuple
@@ -90,8 +98,10 @@ class SemType:
         raise NonEnumerable(repr(self))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SFin(SemType):
+    """A finite base set: its name, labels, and one value per label."""
+
     name: str
     labels: tuple[str, ...]
     enumerable = True
@@ -138,7 +148,7 @@ class SSig(SemType):
                 for b in self.snd(a).elements()]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SInd(SemType):
     """Inductive types are never enumerated; their values are the finite
     constructor trees the evaluator produces."""
@@ -149,7 +159,7 @@ class SInd(SemType):
 # -- bindings ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ModelBinding:
     """Finite sets for the base types and total function tables for the
     postulated adapters (keyed by their signature)."""
@@ -241,15 +251,20 @@ def _strings(xs) -> bool:
 # to the target one, for a contravariant entry the other way round).
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class SemAd:
+    """The semantic component of a transformation at one type entry."""
+
     dir: Dir
     tel_dir: Dir
     fn: object        # tuple of values -> (value -> value)
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class SemTrans:
+    """A semantic transformation: the environments of its two sides and
+    one ``SemAd`` per type entry."""
+
     src: tuple        # environment of the source side
     tgt: tuple
     ads: tuple        # one SemAd per type entry, innermost last

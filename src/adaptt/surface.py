@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
+
+from .syntax import record
 
 
 class Source:
@@ -71,7 +72,7 @@ _TOKEN_RE = re.compile(
 _KINDS = {k: k for k in KEYWORDS + PUNCT}
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Tokens:
     """The tokens of one text as parallel lists, closed by an ``eof``
     token: kinds (``name``, ``eof``, or a keyword or punctuation text),
@@ -108,98 +109,124 @@ def lex(text: str) -> Tokens:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class SName:
+    """A name: a variable, base type, adapter, datatype or constructor."""
+
     name: str
     span: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class SApp:
+    """Juxtaposition: ``fn arg``."""
+
     fn: SExpr
     arg: SExpr
     span: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class SArrow:
+    """Function type ``A -> B`` or ``(x : A) -> B``."""
+
     binder: str | None
     dom: SExpr
     cod: SExpr
     span: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class SStar:
+    """Pair type ``A ** B`` or ``(x : A) ** B``."""
+
     binder: str | None
     fst: SExpr
     snd: SExpr
     span: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class SFun:
+    """Abstraction ``fun (x : A) => t``."""
+
     binder: str
     dom: SExpr
     body: SExpr
     span: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class SFst:
+    """First projection ``fst p``."""
+
     arg: SExpr
     span: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class SSnd:
+    """Second projection ``snd p``."""
+
     arg: SExpr
     span: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class SPair:
+    """Annotated pair ``(a, b : T)``."""
+
     fst: SExpr
     snd: SExpr
     ty: SExpr
     span: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class SCast:
+    """Cast ``t <| a`` of a term along an adapter."""
+
     tm: SExpr
     ad: SExpr
     span: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class SComp:
+    """Adapter composition ``after . before``."""
+
     after: SExpr
     before: SExpr
     span: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class SId:
+    """Identity adapter ``id``, at a type or bare."""
+
     at: SExpr | None
     span: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class SSpineComp:
+    """One component of a push, with the names it binds: ``x y => e``."""
+
     binders: tuple[str, ...]
     body: SExpr
     span: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class SPush:
+    """Functorial adapter ``head [[ c1 > c2 > ... ]]``."""
+
     head: SExpr
     comps: tuple[SSpineComp, ...]
     span: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class SFam:
     """Type family with explicit binders: ``(x y => T)``."""
 
@@ -212,61 +239,77 @@ SExpr = (SName | SApp | SArrow | SStar | SFun | SFst | SSnd | SPair
          | SCast | SComp | SId | SPush | SFam)
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class PTyParam:
+    """Type parameter of a datatype: its telescope and direction."""
+
     name: str
     tele: tuple[tuple[str, SExpr], ...]
     dir: str   # "+" or "-"
     span: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class PTmParam:
+    """Term parameter of a datatype."""
+
     name: str
     ty: SExpr
     span: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class SConDecl:
+    """Constructor declaration: named arguments and result type."""
+
     name: str
     args: tuple[tuple[str, SExpr], ...]
     result: SExpr
     span: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class DBase:
+    """``base A ;``"""
+
     name: str
     span: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class DPostulate:
+    """``postulate adapter f : A => B ;``"""
+
     name: str
     src: SExpr
     tgt: SExpr
     span: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class DVar:
+    """``var x : A ;``, or ``covar x : A ;`` when ``neg``."""
+
     name: str
     ty: SExpr
     span: int
     neg: bool = False
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class DDef:
+    """``def x : A := t ;``"""
+
     name: str
     ty: SExpr
     tm: SExpr
     span: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class DData:
+    """``data`` declaration: parameters, indices and constructors."""
+
     name: str
     params: tuple[PTyParam | PTmParam, ...]
     indices: tuple[tuple[str | None, SExpr], ...]
@@ -274,23 +317,29 @@ class DData:
     span: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class DCheck:
+    """``check t : A ;``"""
+
     tm: SExpr
     ty: SExpr
     span: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class DAssertEq:
+    """``asserteq l = r : A ;``"""
+
     lhs: SExpr
     rhs: SExpr
     ty: SExpr
     span: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class DNormalize:
+    """``normalize t ;``"""
+
     tm: SExpr
     span: int
 

@@ -33,11 +33,96 @@ from __future__ import annotations
 
 from weakref import KeyedRef
 from contextvars import ContextVar
-from dataclasses import dataclass, field, fields
-from functools import cached_property
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+from functools import cached_property, partial
 from math import inf
 from enum import Enum
 from typing import Union
+
+
+# ---------------------------------------------------------------------------
+# Record classes
+# ---------------------------------------------------------------------------
+#
+# Every node and record class of the package is a dataclass, so that
+# ``dataclasses.fields`` lists its fields and ``__match_args__`` names the
+# ones its constructor takes.  ``dataclasses`` writes and compiles source
+# for each method it adds, most of the package's import time were it to add
+# them all, so it adds none but a mutable record's ``__init__``.  A frozen
+# record's ``__init__`` and a node's ``__new__``, which run for every value,
+# are written below for each class.  ``__repr__``, value ``__eq__`` and
+# ``__hash__`` and the frozen ``__setattr__`` and ``__delattr__`` are single
+# functions shared by every class, which read its fields off
+# ``__match_args__``.
+
+
+def _repr(self) -> str:
+    # the format ``dataclasses`` writes
+    shown = ", ".join([f"{n}={getattr(self, n)!r}"
+                       for n in self.__match_args__])
+    return f"{type(self).__qualname__}({shown})"
+
+
+def _eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    names = self.__match_args__
+    return ([getattr(self, n) for n in names]
+            == [getattr(other, n) for n in names])
+
+
+def _hash(self) -> int:
+    return hash(tuple([getattr(self, n) for n in self.__match_args__]))
+
+
+def _setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+_INIT_TEMPLATE = """\
+def __init__(self, {params}):
+{sets}
+"""
+
+
+def _frozen_init(cls):
+    """An ``__init__`` for a frozen record: each field its constructor
+    takes is written past ``__setattr__``, then ``__post_init__`` runs if
+    the class has one."""
+    init = [f for f in fields(cls) if f.init]
+    sets = [f"    set(self, {f.name!r}, {f.name})" for f in init]
+    if hasattr(cls, "__post_init__"):
+        sets.append("    self.__post_init__()")
+    env = {"set": object.__setattr__}
+    exec(_INIT_TEMPLATE.format(params=", ".join([f.name for f in init]),
+                               sets="\n".join(sets)), env)
+    fn = env["__init__"]
+    fn.__defaults__ = tuple([f.default for f in init
+                             if f.default is not MISSING]) or None
+    return fn
+
+
+def record(cls=None, /, *, frozen: bool = False, slots: bool = False):
+    """Class decorator for a record: a dataclass with value equality and
+    the ``dataclasses`` repr.  A ``frozen`` record is hashable and raises
+    ``FrozenInstanceError`` on assignment; any other is unhashable."""
+    if cls is None:
+        return partial(record, frozen=frozen, slots=slots)
+    cls = dataclass(cls, init=not frozen, repr=False, eq=False, slots=slots)
+    cls.__repr__ = _repr
+    cls.__eq__ = _eq
+    if frozen:
+        cls.__init__ = _frozen_init(cls)
+        cls.__hash__ = _hash
+        cls.__setattr__ = _setattr
+        cls.__delattr__ = _delattr
+    else:
+        cls.__hash__ = None
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +161,11 @@ def __new__(cls, {params}):
 
 
 def interned(cls):
-    """Class decorator for syntax nodes: a frozen dataclass whose
-    constructor returns the canonical node for its fields.  Equality and
-    hashing are inherited from ``object``, hence identity."""
-    cls = dataclass(frozen=True, eq=False, init=False)(cls)
-    names = [f.name for f in fields(cls)]
+    """Class decorator for syntax nodes: a frozen record whose constructor
+    returns the canonical node for its fields.  Equality and hashing are
+    inherited from ``object``, hence identity."""
+    cls = dataclass(cls, init=False, repr=False, eq=False)
+    names = cls.__match_args__
     src = _NEW_TEMPLATE.format(
         params=", ".join(names),
         sets="\n".join(f"    set(node, {n!r}, {n})" for n in names))
@@ -88,6 +173,9 @@ def interned(cls):
            "drop": _drop, "new": object.__new__, "set": object.__setattr__}
     exec(src, env)
     cls.__new__ = staticmethod(env["__new__"])
+    cls.__repr__ = _repr
+    cls.__setattr__ = _setattr
+    cls.__delattr__ = _delattr
     cls._fv = None      # free-variable bounds, filled in by ``fv_bounds``
     cls._lo = None      # least free term index, filled in by ``least_free_tm``
     return cls
@@ -167,6 +255,8 @@ Type = Union[Base, TyVarRef, Pi, Sig, Ind]
 
 @interned
 class Var:
+    """Occurrence of a term variable, by de Bruijn index."""
+
     index: int
 
 
@@ -180,6 +270,8 @@ class Lam:
 
 @interned
 class App:
+    """Application of a function to an argument."""
+
     fn: Term
     arg: Term
 
@@ -195,11 +287,15 @@ class Pair:
 
 @interned
 class Fst:
+    """First projection of a pair."""
+
     pair: Term
 
 
 @interned
 class Snd:
+    """Second projection of a pair."""
+
     pair: Term
 
 
@@ -315,6 +411,8 @@ SubComp = Union[STm, STy]
 
 @interned
 class Sub:
+    """Substitution: one component per entry of its target context."""
+
     comps: tuple[SubComp, ...]
 
 
@@ -346,6 +444,8 @@ TransComp = Union[KTm, KAd]
 
 @interned
 class Trans:
+    """Transformation: one component per entry of its target context."""
+
     comps: tuple[TransComp, ...]
 
 
@@ -677,6 +777,8 @@ class ConDesc:
 
 @interned
 class IndDesc:
+    """Signature of an inductive family: parameters, indices, constructors."""
+
     name: str
     params_ctx: Context
     index_tel: Telescope
@@ -688,7 +790,7 @@ class IndDesc:
         return extend_tel(self.params_ctx, POS, self.index_tel)
 
 
-@dataclass
+@record
 class Session:
     """State of one command: the datatype table by name, the trace sink
     (called with rule name and path per rewrite step, or None), the stack

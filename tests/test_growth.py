@@ -11,10 +11,16 @@ import sys
 import pytest
 
 from adaptt import cli
+from adaptt.check import infer_tm
+from adaptt.inductive import nat_zero
+from adaptt.normalize import cast, conv_tm, nf
 from adaptt.pretty import ty_string
-from adaptt.syntax import POS, Pi, Sig, TmEntry, Var, fv_bounds
+from adaptt.syntax import POS, Cast, Pi, Sig, TmEntry, Var, fv_bounds
 from helpers import A, id_of
+from perfbench import gen
 from perfbench.gen import surface_file
+from test_depth import vec_of
+from test_session_memo import in_fresh_session
 
 
 def calls(fn, *args) -> int:
@@ -81,3 +87,37 @@ def test_checking_a_generated_file_grows_linearly(tmp_path):
         work.append((calls(check), rules))
     for k in range(2):
         assert work[3][k] / work[2][k] <= 2.1, work
+
+
+def kernel_calls(run, x) -> int:
+    """Python calls of ``run(x)`` in a fresh session, after a first run in
+    another fresh session has filled the process-wide tables."""
+    in_fresh_session(lambda: run(x))
+    return in_fresh_session(lambda: calls(run, x))[0]
+
+
+def test_inferring_a_vec_grows_linearly():
+    # each cell's type is read off the one below: a suffix's type is kept
+    # for the cell above, or every cell would infer its whole tail again
+    counts = [kernel_calls(lambda t: infer_tm(gen.KERNEL_CTX, t),
+                           vec_of(n, nat_zero()))
+              for n in (16, 32, 64, 128)]
+    assert counts[3] / counts[2] <= 2.1, counts
+
+
+#: the kernel ops of ``kernel_scale`` on one generated case
+KERNEL_OPS = {
+    "cast": lambda kc: cast(kc.src, kc.ad),
+    "nf": lambda kc: nf(Cast(kc.src, kc.ad)),
+    "conv_tm_eta": lambda kc: conv_tm(gen.KERNEL_CTX, gen.list_ty(gen.FUN_A),
+                                      kc.fun_lhs, kc.fun_rhs),
+    "conv_tm_near": lambda kc: conv_tm(gen.KERNEL_CTX, gen.list_ty(gen.A),
+                                       kc.near_lhs, kc.near_rhs),
+}
+
+
+@pytest.mark.parametrize("op", KERNEL_OPS.values(), ids=KERNEL_OPS.keys())
+def test_a_kernel_op_on_a_list_grows_linearly(op):
+    counts = [kernel_calls(op, gen.kernel_case(random.Random(1), n))
+              for n in (24, 48, 96, 192)]
+    assert counts[3] / counts[2] <= 2.1, counts
