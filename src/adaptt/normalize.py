@@ -6,8 +6,9 @@ time: every operation that could create a redex goes through the smart
 constructors below (``app``, ``cast``, ``fst_``, ``snd_``), so values the
 kernel builds are always in normal form.  ``nf`` re-runs the smart
 constructors over an arbitrary tree; on kernel-built values it is the
-identity.  Eta is not expanded by ``nf``: conversion (``conv_tm``)
-handles it type-directed.
+identity, and a node it has returned before it returns without a walk,
+by a mark kept on the node.  Eta is not expanded by ``nf``: conversion
+(``conv_tm``) handles it type-directed.
 
 ``shift`` and ``open_tm_block`` return a subterm untouched when its
 cached free-variable bounds (``syntax.fv_bounds``) lie below the range
@@ -539,7 +540,8 @@ def trans_is_identity(tr: Trans) -> bool:
 
 @record(frozen=True)
 class NormalForm:
-    """Wrapper asserting normalizer invariants of the carried value."""
+    """The value ``nf`` returned; ``nf`` hands a wrapped value back as is.
+    The wrapper itself checks nothing (``assert_normal`` does)."""
 
     value: object
 
@@ -557,29 +559,41 @@ _SEGMENT = {Lam: "body", App: "app", Cast: "cast"}
 
 def _nf(x, _depth=0):
     # ``_depth`` is the binder depth ``map_scoped`` hands each child; a
-    # normal form does not depend on it
+    # normal form does not depend on it.  Each node returned is marked
+    # normal, and a marked node is returned as is: rebuilding it would
+    # fire no rule and read no datatype, so it would give the node back.
+    # A bare tuple (a telescope) carries no mark.
     cls = type(x)
+    if cls is tuple:
+        return map_scoped(x, _nf, (), 0, SMART)
+    if x._normal:
+        return x
     if cls is Pi:
         with at("dom"):
             dom = _nf(x.dom)
         with at("cod"):
-            return Pi(dom, _nf(x.cod))
-    if cls is Con and x.args:
+            out = Pi(dom, _nf(x.cod))
+    elif cls is Con and x.args:
         # the last argument is taken in this frame, so a spine costs no
-        # stack; a constructor enters no trace segment
+        # stack, and the walk down stops at a marked suffix; a constructor
+        # enters no trace segment
         cells = []
-        while type(x) is Con and x.args:
+        while type(x) is Con and x.args and not x._normal:
             cells.append((x, _nf(x.params), [_nf(a) for a in x.args[:-1]]))
             x = x.args[-1]
         out = _nf(x)
         for cell, params, lead in reversed(cells):
             out = Con(cell.desc, cell.tag, params, (*lead, out))
-        return out
-    seg = _SEGMENT.get(cls)
-    if seg is None:
-        return map_scoped(x, _nf, (), 0, SMART)
-    with at(seg):
-        return map_scoped(x, _nf, (), 0, SMART)
+            out.__dict__["_normal"] = True
+    else:
+        seg = _SEGMENT.get(cls)
+        if seg is None:
+            out = map_scoped(x, _nf, (), 0, SMART)
+        else:
+            with at(seg):
+                out = map_scoped(x, _nf, (), 0, SMART)
+    out.__dict__["_normal"] = True
+    return out
 
 
 def assert_normal(x) -> None:

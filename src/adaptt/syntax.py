@@ -178,6 +178,7 @@ def interned(cls):
     cls.__delattr__ = _delattr
     cls._fv = None      # free-variable bounds, filled in by ``fv_bounds``
     cls._lo = None      # least free term index, filled in by ``least_free_tm``
+    cls._normal = False  # set by ``normalize.nf`` on each node it returns
     return cls
 
 

@@ -465,6 +465,25 @@ def test_checking_a_file_does_not_depend_on_earlier_files(tmp_path):
     assert in_fresh_interpreter(argvs * 2) == fresh * 2
 
 
+def test_normalizing_in_a_file_does_not_depend_on_earlier_files(tmp_path):
+    # ``nf`` returns a node it has normalized before as is, whichever file
+    # normalized it; the two files give Box different constructors
+    argvs = []
+    for name, (cons, cell, _) in _BOXES.items():
+        path = tmp_path / name
+        path.write_text(
+            "base A ;\nbase B ;\npostulate adapter f : A => B ;\n"
+            "var a : A ;\n\n"
+            f"data Box (X : Ty+) {{\n  {cons}\n}}\n\n"
+            f"normalize {cell} ;\nnormalize {cell} <| Box [[ f ]] ;\n")
+        argvs.append(["--trace", "check", str(path)])
+    fresh = [in_fresh_interpreter([argv])[0] for argv in argvs]
+    assert [code for code, _ in fresh] == [0, 0]
+    assert all("RULE CAST_CONSTR" in out for _, out in fresh)
+    for order, want in ((argvs, fresh), (argvs[::-1], fresh[::-1])):
+        assert in_fresh_interpreter(order * 2) == want * 2
+
+
 # -- names: one table, the innermost binder of a sort wins --------------------
 
 

@@ -13,7 +13,7 @@ import pytest
 from adaptt import cli
 from adaptt.check import infer_tm
 from adaptt.inductive import nat_zero
-from adaptt.normalize import cast, conv_tm, nf
+from adaptt.normalize import cast, conv_ad, conv_tm, nf
 from adaptt.pretty import ty_string
 from adaptt.syntax import POS, Cast, Pi, Sig, TmEntry, Var, fv_bounds
 from helpers import A, id_of
@@ -120,4 +120,32 @@ KERNEL_OPS = {
 def test_a_kernel_op_on_a_list_grows_linearly(op):
     counts = [kernel_calls(op, gen.kernel_case(random.Random(1), n))
               for n in (24, 48, 96, 192)]
+    assert counts[3] / counts[2] <= 2.1, counts
+
+
+def test_normalizing_a_cast_list_expression_grows_linearly():
+    # ``norm -e`` of an n-cell list literal cast along ``List [[ g . f ]]``
+    def norm(expr, *args):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            cli.main([*args, "norm", "corpus/casts.adt", "-e", expr])
+        return out.getvalue()
+    work = []
+    for n in (32, 64, 128, 256):
+        lst = "nil A"
+        for k in range(n):
+            lst = f"cons A {('a', 'a2')[k % 2]} ({lst})"
+        expr = f"{lst} <| List [[ g . f ]]"
+        norm(expr)          # process-wide tables filled outside the count
+        rules = sum(line.startswith("RULE ")
+                    for line in norm(expr, "--trace").splitlines())
+        work.append((calls(norm, expr), rules))
+    for k in range(2):
+        assert work[3][k] / work[2][k] <= 2.1, work
+
+
+def test_fusing_a_cast_tower_grows_linearly():
+    # conversion of k single-link List adapters against their composite
+    counts = [kernel_calls(lambda c: conv_ad(gen.KERNEL_CTX, *c),
+                           gen.fusible_chain(k))
+              for k in (8, 16, 32, 64)]
     assert counts[3] / counts[2] <= 2.1, counts
