@@ -10,6 +10,10 @@ contexts, which the traversal produces as it descends).
 session's memo (``normalize.session_memo``), so a judgment on the same
 interned context and syntax is derived once per session; a failure is
 derived again, with the same diagnostic.
+
+The terms checked were built by the smart constructors, so they are
+normal already, and ``adaptt check|norm`` print them as elaborated;
+``normalize.nf`` serves callers that hold raw trees.
 """
 
 from __future__ import annotations
@@ -21,13 +25,11 @@ from .syntax import (
     Term, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     Adapter, AdId, Chain, Post, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd, IndDesc,
-    SESSION, dual_ctx, extend_tm, extend_tel, shift, desc, entry_position,
-    record,
+    SESSION, dual_ctx, extend_tm, extend_tel, shift, desc, record,
 )
 from .normalize import (
     apply, open_tm_block, conv_ty, fst_, ad_src, ad_tgt,
-    tm_entry_type, _entry_tel_here, session_memo, con_args_tel,
-    result_indices, recording, replay,
+    entry_here, session_memo, con_args_tel, result_indices,
 )
 from .transform import (
     free_is_ad_source, spine_slots, cast_block_vars, _mid_telad,
@@ -124,14 +126,12 @@ def check_ty(ctx: Context, ty: Type) -> None:
             pass
         case TyVarRef(j, inst):
             try:
-                pos = entry_position(ctx, TyEntry, j)
+                entry, tel = entry_here(ctx, TyEntry, j)
             except IndexError:
                 _fail("UnboundVariable", f"type variable {j} is not in scope")
-            entry = ctx[pos]
             if entry.dir is not POS:
                 _fail("VarianceViolation",
                       f"type variable {j} is contravariant here")
-            tel = _entry_tel_here(ctx, j)
             check_inst(dual_ctx(ctx, entry.tel_dir), inst, tel)
         case Pi(dom, cod):
             check_ty(dual_ctx(ctx), dom)
@@ -157,12 +157,12 @@ def infer_tm(ctx: Context, t: Term) -> Type:
     match t:
         case Var(i):
             try:
-                pos = entry_position(ctx, TmEntry, i)
+                entry, ty = entry_here(ctx, TmEntry, i)
             except IndexError:
                 _fail("UnboundVariable", f"term variable {i} is not in scope")
-            if ctx[pos].dir is not POS:
+            if entry.dir is not POS:
                 _fail("VarianceViolation", f"term variable {i} is contravariant here")
-            return tm_entry_type(ctx, i)
+            return ty
         case Lam(dom, body):
             check_ty(dual_ctx(ctx), dom)
             cod = infer_tm(extend_tm(ctx, NEG, dom), body)
@@ -206,21 +206,10 @@ def infer_tm(ctx: Context, t: Term) -> Type:
             # stack.  A suffix with no kept type is walked with a record of
             # its own and kept on the way up, as a call of its own was; its
             # type is compared, and each cell's indices read, innermost
-            # first, as the recursion did.  A cell with the constructor and
-            # parameters of the cell above reuses its argument telescope
-            # and reports the steps that gave it again; only a cell whose
-            # last argument is a constructor records them
-            s, cells, seen = SESSION.get(), (), None
+            # first, as the recursion did
+            s, cells = SESSION.get(), ()
             while True:
-                if (seen is not None and t.params is seen.params
-                        and t.tag == seen.tag and t.desc == seen.desc):
-                    replay(steps)
-                elif t.args and type(t.args[-1]) is Con:
-                    seen = t
-                    with recording() as steps:
-                        tel = _con_tel(ctx, t)
-                else:
-                    tel = _con_tel(ctx, t)
+                tel = _con_tel(ctx, t.desc, t.tag, t.params)
                 want = check_inst(ctx, t.args, tel, last=False)
                 cells = (t, want, s.record, cells)
                 if not t.args:
@@ -247,14 +236,16 @@ def infer_tm(ctx: Context, t: Term) -> Type:
 _kept_type, _keep_type = infer_tm.kept, infer_tm.keep
 
 
-def _con_tel(ctx: Context, t: Con) -> Telescope:
-    """The argument telescope of constructor ``t``, its tag and
-    parameters checked."""
-    d = desc(t.desc)
-    if not 0 <= t.tag < len(d.cons):
-        _fail("UnboundVariable", f"no constructor {t.tag} in {t.desc}")
-    check_sub(ctx, t.params, d.params_ctx)
-    return con_args_tel(d, t.tag, t.params)
+@session_memo
+def _con_tel(ctx: Context, name: str, tag: int, params: Sub) -> Telescope:
+    """The argument telescope of constructor ``tag`` of datatype ``name``
+    at ``params``, the tag and parameters checked.  Every cell of a list
+    has the same ones, so a list reads it once and its other cells hit."""
+    d = desc(name)
+    if not 0 <= tag < len(d.cons):
+        _fail("UnboundVariable", f"no constructor {tag} in {name}")
+    check_sub(ctx, params, d.params_ctx)
+    return con_args_tel(d, tag, params)
 
 
 # ---------------------------------------------------------------------------

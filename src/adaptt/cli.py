@@ -64,7 +64,7 @@ def cmd_check(args, src: surface.Source) -> int:
                   f"expected {pretty.tm_string(ctx, rhs, names)} "
                   f"got {pretty.tm_string(ctx, lhs, names)}")
     for ctx, names, tm, span in out.normalizes:
-        print(f"NORMAL {pretty.tm_string(ctx, normalize.nf(tm).value, names)}")
+        print(f"NORMAL {pretty.tm_string(ctx, tm, names)}")
     print(f"checked {args.file}: {len(out.datas)} datatypes, "
           f"{len(out.checks)} checks, {len(out.asserts)} equations")
     return TYPE_ERROR if failures else OK
@@ -79,7 +79,7 @@ def cmd_norm(args, src: surface.Source) -> int:
             return _report(e, "-e", surface.Source(args.expr))
         return _report(e, args.file, src)
     names = list(sc.names)
-    print(pretty.tm_string(sc.ctx, normalize.nf(tm).value, names))
+    print(pretty.tm_string(sc.ctx, tm, names))
     print(f": {pretty.ty_string(sc.ctx, ty, names)}")
     return OK
 

@@ -11,7 +11,7 @@ the context the checker reads it in (``Scope.dual``, ``Scope.component``).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import field, fields, is_dataclass
+from dataclasses import field
 
 from . import surface as S
 from .check import CheckError, Diagnostic, check_ty, infer_tm
@@ -376,8 +376,8 @@ def _mentions(e, name: str) -> bool:
         return e.name == name
     if type(e) is tuple:
         return any(_mentions(x, name) for x in e)
-    return is_dataclass(e) and any(_mentions(getattr(e, f.name), name)
-                                   for f in fields(e))
+    names = getattr(e, "__slots__", ())     # a surface node's fields
+    return any(_mentions(getattr(e, n), name) for n in names)
 
 
 def _same(a, b) -> bool:

@@ -4,11 +4,12 @@ computation, beta, and conversion checking.
 The equational theory is oriented into eager computation at construction
 time: every operation that could create a redex goes through the smart
 constructors below (``app``, ``cast``, ``fst_``, ``snd_``), so values the
-kernel builds are always in normal form.  ``nf`` re-runs the smart
-constructors over an arbitrary tree; on kernel-built values it is the
-identity, and a node it has returned before it returns without a walk,
-by a mark kept on the node.  Eta is not expanded by ``nf``: conversion
-(``conv_tm``) handles it type-directed.
+kernel builds are always in normal form.  The commands print terms as
+elaborated, for that reason.  ``nf`` re-runs the smart constructors over a
+raw tree, for a library caller that built one with the node constructors;
+on kernel-built values it is the identity, and a node it has returned
+before it returns without a walk, by a mark kept on the node.  Eta is not
+expanded by ``nf``: conversion (``conv_tm``) handles it type-directed.
 
 ``shift`` and ``open_tm_block`` return a subterm untouched when its
 cached free-variable bounds (``syntax.fv_bounds``) lie below the range
@@ -547,7 +548,7 @@ class NormalForm:
 
 
 def nf(x):
-    """Full normal form of any syntax value (idempotent)."""
+    """Full normal form of a syntax node (idempotent)."""
     if isinstance(x, NormalForm):
         return x
     return NormalForm(_nf(x))
@@ -562,10 +563,7 @@ def _nf(x, _depth=0):
     # normal form does not depend on it.  Each node returned is marked
     # normal, and a marked node is returned as is: rebuilding it would
     # fire no rule and read no datatype, so it would give the node back.
-    # A bare tuple (a telescope) carries no mark.
     cls = type(x)
-    if cls is tuple:
-        return map_scoped(x, _nf, (), 0, SMART)
     if x._normal:
         return x
     if cls is Pi:
@@ -626,8 +624,7 @@ def conv_ty(ctx: Context, a: Type, b: Type) -> bool:
         case (TyVarRef(i, ii), TyVarRef(j, jj)):
             if i != j:
                 return False
-            entry = ctx[entry_position(ctx, TyEntry, i)]
-            tel = _entry_tel_here(ctx, i)
+            entry, tel = entry_here(ctx, TyEntry, i)
             inst_ctx = dual_ctx(ctx, entry.tel_dir)
             return conv_inst(inst_ctx, tel, ii, jj)
         case (Pi(d1, c1), Pi(d2, c2)):
@@ -650,21 +647,18 @@ def conv_ty(ctx: Context, a: Type, b: Type) -> bool:
             return False
 
 
-def _entry_tel_here(ctx: Context, index: int) -> Telescope:
-    """Telescope of type-variable entry ``index`` shifted to ``ctx``
-    (read against the tel-dir dual, which does not move indices).  The
-    telescope is shifted as one node, so references between its own
-    entries stay put."""
-    pos = entry_position(ctx, TyEntry, index)
-    rest = ctx[pos + 1:]
-    return shift(ctx[pos].tel, tm_count(rest), 1 + ty_count(rest))
-
-
-def tm_entry_type(ctx: Context, index: int) -> Type:
-    """Type of term variable ``index`` weakened to the full context."""
-    pos = entry_position(ctx, TmEntry, index)
-    rest = ctx[pos:]
-    return shift(ctx[pos].ty, tm_count(rest), ty_count(rest))
+def entry_here(ctx: Context, cls: type, index: int):
+    """The ``cls`` entry (``TmEntry`` or ``TyEntry``) with de Bruijn index
+    ``index``, and its classifier (a term entry's type, a type entry's
+    telescope) weakened to ``ctx``: past every entry from the entry's own
+    position on, itself included.  A telescope is shifted as one node, so
+    references between its own entries stay put; it is read against the
+    tel-dir dual, which does not move indices.  An unbound index raises
+    ``IndexError``."""
+    pos = entry_position(ctx, cls, index)
+    entry, rest = ctx[pos], ctx[pos:]
+    return entry, shift(entry.ty if cls is TmEntry else entry.tel,
+                        tm_count(rest), ty_count(rest))
 
 
 def conv_tm(ctx: Context, ty: Type, x: Term, y: Term) -> bool:
@@ -710,7 +704,7 @@ def conv_neutral(ctx: Context, x: Term, y: Term):
         case (Var(i), Var(j)):
             if i != j:
                 return None
-            return tm_entry_type(ctx, i)
+            return entry_here(ctx, TmEntry, i)[1]
         case (App(f1, u1), App(f2, u2)):
             fty = conv_neutral(ctx, f1, f2)
             if not isinstance(fty, Pi):

@@ -251,7 +251,7 @@ def _strings(xs) -> bool:
 # to the target one, for a contravariant entry the other way round).
 
 
-@record(slots=True)
+@record
 class SemAd:
     """The semantic component of a transformation at one type entry."""
 
@@ -260,7 +260,7 @@ class SemAd:
     fn: object        # tuple of values -> (value -> value)
 
 
-@record(slots=True)
+@record
 class SemTrans:
     """A semantic transformation: the environments of its two sides and
     one ``SemAd`` per type entry."""

@@ -72,7 +72,7 @@ _TOKEN_RE = re.compile(
 _KINDS = {k: k for k in KEYWORDS + PUNCT}
 
 
-@record(slots=True)
+@record
 class Tokens:
     """The tokens of one text as parallel lists, closed by an ``eof``
     token: kinds (``name``, ``eof``, or a keyword or punctuation text),
@@ -109,7 +109,7 @@ def lex(text: str) -> Tokens:
 # ---------------------------------------------------------------------------
 
 
-@record(slots=True)
+@record
 class SName:
     """A name: a variable, base type, adapter, datatype or constructor."""
 
@@ -117,7 +117,7 @@ class SName:
     span: int
 
 
-@record(slots=True)
+@record
 class SApp:
     """Juxtaposition: ``fn arg``."""
 
@@ -126,7 +126,7 @@ class SApp:
     span: int
 
 
-@record(slots=True)
+@record
 class SArrow:
     """Function type ``A -> B`` or ``(x : A) -> B``."""
 
@@ -136,7 +136,7 @@ class SArrow:
     span: int
 
 
-@record(slots=True)
+@record
 class SStar:
     """Pair type ``A ** B`` or ``(x : A) ** B``."""
 
@@ -146,7 +146,7 @@ class SStar:
     span: int
 
 
-@record(slots=True)
+@record
 class SFun:
     """Abstraction ``fun (x : A) => t``."""
 
@@ -156,7 +156,7 @@ class SFun:
     span: int
 
 
-@record(slots=True)
+@record
 class SFst:
     """First projection ``fst p``."""
 
@@ -164,7 +164,7 @@ class SFst:
     span: int
 
 
-@record(slots=True)
+@record
 class SSnd:
     """Second projection ``snd p``."""
 
@@ -172,7 +172,7 @@ class SSnd:
     span: int
 
 
-@record(slots=True)
+@record
 class SPair:
     """Annotated pair ``(a, b : T)``."""
 
@@ -182,7 +182,7 @@ class SPair:
     span: int
 
 
-@record(slots=True)
+@record
 class SCast:
     """Cast ``t <| a`` of a term along an adapter."""
 
@@ -191,7 +191,7 @@ class SCast:
     span: int
 
 
-@record(slots=True)
+@record
 class SComp:
     """Adapter composition ``after . before``."""
 
@@ -200,7 +200,7 @@ class SComp:
     span: int
 
 
-@record(slots=True)
+@record
 class SId:
     """Identity adapter ``id``, at a type or bare."""
 
@@ -208,7 +208,7 @@ class SId:
     span: int
 
 
-@record(slots=True)
+@record
 class SSpineComp:
     """One component of a push, with the names it binds: ``x y => e``."""
 
@@ -217,7 +217,7 @@ class SSpineComp:
     span: int
 
 
-@record(slots=True)
+@record
 class SPush:
     """Functorial adapter ``head [[ c1 > c2 > ... ]]``."""
 
@@ -226,7 +226,7 @@ class SPush:
     span: int
 
 
-@record(slots=True)
+@record
 class SFam:
     """Type family with explicit binders: ``(x y => T)``."""
 
@@ -239,7 +239,7 @@ SExpr = (SName | SApp | SArrow | SStar | SFun | SFst | SSnd | SPair
          | SCast | SComp | SId | SPush | SFam)
 
 
-@record(slots=True)
+@record
 class PTyParam:
     """Type parameter of a datatype: its telescope and direction."""
 
@@ -249,7 +249,7 @@ class PTyParam:
     span: int
 
 
-@record(slots=True)
+@record
 class PTmParam:
     """Term parameter of a datatype."""
 
@@ -258,7 +258,7 @@ class PTmParam:
     span: int
 
 
-@record(slots=True)
+@record
 class SConDecl:
     """Constructor declaration: named arguments and result type."""
 
@@ -268,7 +268,7 @@ class SConDecl:
     span: int
 
 
-@record(slots=True)
+@record
 class DBase:
     """``base A ;``"""
 
@@ -276,7 +276,7 @@ class DBase:
     span: int
 
 
-@record(slots=True)
+@record
 class DPostulate:
     """``postulate adapter f : A => B ;``"""
 
@@ -286,7 +286,7 @@ class DPostulate:
     span: int
 
 
-@record(slots=True)
+@record
 class DVar:
     """``var x : A ;``, or ``covar x : A ;`` when ``neg``."""
 
@@ -296,7 +296,7 @@ class DVar:
     neg: bool = False
 
 
-@record(slots=True)
+@record
 class DDef:
     """``def x : A := t ;``"""
 
@@ -306,7 +306,7 @@ class DDef:
     span: int
 
 
-@record(slots=True)
+@record
 class DData:
     """``data`` declaration: parameters, indices and constructors."""
 
@@ -317,7 +317,7 @@ class DData:
     span: int
 
 
-@record(slots=True)
+@record
 class DCheck:
     """``check t : A ;``"""
 
@@ -326,7 +326,7 @@ class DCheck:
     span: int
 
 
-@record(slots=True)
+@record
 class DAssertEq:
     """``asserteq l = r : A ;``"""
 
@@ -336,7 +336,7 @@ class DAssertEq:
     span: int
 
 
-@record(slots=True)
+@record
 class DNormalize:
     """``normalize t ;``"""
 

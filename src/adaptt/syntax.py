@@ -106,13 +106,14 @@ def _frozen_init(cls):
     return fn
 
 
-def record(cls=None, /, *, frozen: bool = False, slots: bool = False):
-    """Class decorator for a record: a dataclass with value equality and
-    the ``dataclasses`` repr.  A ``frozen`` record is hashable and raises
-    ``FrozenInstanceError`` on assignment; any other is unhashable."""
+def record(cls=None, /, *, frozen: bool = False):
+    """Class decorator for a record: a slotted dataclass with value
+    equality and the ``dataclasses`` repr.  A ``frozen`` record is hashable
+    and raises ``FrozenInstanceError`` on assignment; any other is
+    unhashable."""
     if cls is None:
-        return partial(record, frozen=frozen, slots=slots)
-    cls = dataclass(cls, init=not frozen, repr=False, eq=False, slots=slots)
+        return partial(record, frozen=frozen)
+    cls = dataclass(cls, init=not frozen, repr=False, eq=False, slots=True)
     cls.__repr__ = _repr
     cls.__eq__ = _eq
     if frozen:

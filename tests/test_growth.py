@@ -1,9 +1,11 @@
 """Work counts on doubling ladders: the Python calls a computation makes,
-counted with ``sys.setprofile``, and the rules it fires grow at most 2.1x
-when its input doubles.  Call counts vary across Python versions, so only
-ratios are asserted."""
+counted with ``sys.setprofile``, the rules it fires, the entries of its
+session's memo and the nodes it adds to the intern table grow at most
+2.1x when its input doubles.  Call counts vary across Python versions, so
+only ratios are asserted."""
 
 import contextlib
+import gc
 import io
 import random
 import sys
@@ -15,7 +17,9 @@ from adaptt.check import infer_tm
 from adaptt.inductive import nat_zero
 from adaptt.normalize import cast, conv_ad, conv_tm, nf
 from adaptt.pretty import ty_string
-from adaptt.syntax import POS, Cast, Pi, Sig, TmEntry, Var, fv_bounds
+from adaptt.syntax import (
+    INTERNED, POS, Cast, Pi, Session, Sig, TmEntry, Var, fv_bounds,
+)
 from helpers import A, id_of
 from perfbench import gen
 from perfbench.gen import surface_file
@@ -70,21 +74,74 @@ def test_printing_a_chain_grows_linearly(ctx, build):
     assert counts[2] / counts[1] <= 2.1, counts
 
 
-def test_checking_a_generated_file_grows_linearly(tmp_path):
-    # ``surface_scale`` files: three equations over lists of n cells
-    def check(*args):
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            cli.main([*args, "check", str(path)])
-        return out.getvalue()
-    work = []
+def command(*args) -> str:
+    """The output of ``adaptt *args``, run in this process."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli.main(list(args))
+    return out.getvalue()
+
+
+def cli_work(*args) -> tuple[int, int]:
+    """Python calls of ``adaptt *args``, and the ``RULE`` lines it prints
+    under ``--trace``, after a first run has filled the process-wide
+    tables.  Each run is a command of its own, in a fresh session."""
+    command(*args)
+    rules = sum(line.startswith("RULE ")
+                for line in command("--trace", *args).splitlines())
+    return calls(command, *args), rules
+
+
+def generated_files(tmp_path):
+    """``surface_scale`` files: three equations over lists of n cells."""
     for n in (32, 64, 128, 256):
         path = tmp_path / f"s{n}.adt"
         path.write_text(surface_file(random.Random(1), n).text,
                         encoding="utf-8")
-        check()             # process-wide tables filled outside the count
-        rules = sum(line.startswith("RULE ")
-                    for line in check("--trace").splitlines())
-        work.append((calls(check), rules))
+        yield str(path)
+
+
+def test_checking_a_generated_file_grows_linearly(tmp_path, monkeypatch):
+    # the last command's session is kept past it, so that its memo and the
+    # nodes it holds alive can be counted
+    sessions = []
+
+    def kept(*args):
+        sessions.append(Session(*args))
+        return sessions[-1]
+    monkeypatch.setattr(cli, "Session", kept)
+    work = []
+    for path in generated_files(tmp_path):
+        calls_rules = cli_work("check", path)
+        sessions.clear()
+        gc.collect()
+        interned = len(INTERNED)
+        command("check", path)
+        gc.collect()
+        work.append((*calls_rules, len(sessions[-1].memo),
+                     len(INTERNED) - interned))
+    for k in range(4):
+        assert work[3][k] / work[2][k] <= 2.1, work
+
+
+def test_the_oracle_on_a_generated_file_grows_linearly(tmp_path):
+    work = [cli_work("model", path, "--bindings",
+                     "corpus/bindings_small.json")
+            for path in generated_files(tmp_path)]
+    for k in range(2):
+        assert work[3][k] / work[2][k] <= 2.1, work
+
+
+def test_deriving_a_wide_datatype_grows_linearly(tmp_path):
+    # ``data Wide (X0 : Ty+) … (Xk-1 : Ty+) { mk : (x : Xk-1) -> Wide … }``
+    work = []
+    for k in (1, 2, 4, 8):
+        xs = [f"X{i}" for i in range(k)]
+        path = tmp_path / f"wide{k}.adt"
+        path.write_text(
+            f"data Wide {' '.join(f'({x} : Ty+)' for x in xs)} "
+            f"{{ mk : (x : {xs[-1]}) -> Wide {' '.join(xs)} }}\n",
+            encoding="utf-8")
+        work.append(cli_work("derive", str(path), "Wide"))
     for k in range(2):
         assert work[3][k] / work[2][k] <= 2.1, work
 
@@ -125,20 +182,13 @@ def test_a_kernel_op_on_a_list_grows_linearly(op):
 
 def test_normalizing_a_cast_list_expression_grows_linearly():
     # ``norm -e`` of an n-cell list literal cast along ``List [[ g . f ]]``
-    def norm(expr, *args):
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            cli.main([*args, "norm", "corpus/casts.adt", "-e", expr])
-        return out.getvalue()
     work = []
     for n in (32, 64, 128, 256):
         lst = "nil A"
         for k in range(n):
             lst = f"cons A {('a', 'a2')[k % 2]} ({lst})"
         expr = f"{lst} <| List [[ g . f ]]"
-        norm(expr)          # process-wide tables filled outside the count
-        rules = sum(line.startswith("RULE ")
-                    for line in norm(expr, "--trace").splitlines())
-        work.append((calls(norm, expr), rules))
+        work.append(cli_work("norm", "corpus/casts.adt", "-e", expr))
     for k in range(2):
         assert work[3][k] / work[2][k] <= 2.1, work
 

@@ -326,3 +326,34 @@ def test_replayed_cache_reports_steps_on_hits_and_failures():
     assert con_args_tel.cache_info().hits == hits + 1
     assert "SUB_TYVAR" in steps
     assert seen == steps * 2
+
+
+def test_a_full_telescope_memo_drops_its_oldest_entry(monkeypatch):
+    from adaptt.inductive import con_args_tel
+    from adaptt.normalize import _Bounded
+    from adaptt.syntax import desc
+    table = con_args_tel.cache_info()
+    saved = dict(table)
+    table.clear()
+    monkeypatch.setattr(_Bounded, "SIZE", 4)
+    d = desc("List")
+    spines = [Sub((STy(Base(f"evict-probe-{k}"), 0),)) for k in range(5)]
+    seen = []
+    set_trace(lambda rule, path: seen.append(rule))
+    try:
+        firsts = []
+        for params in spines:
+            seen.clear()
+            con_args_tel(d, 1, params)
+            firsts.append(list(seen))
+        assert len(table) == 4
+        assert (con_args_tel.__wrapped__, d, 1, spines[0]) not in table
+        misses = table.misses
+        seen.clear()
+        con_args_tel(d, 1, spines[0])
+        assert table.misses == misses + 1
+        assert "SUB_TYVAR" in firsts[0] and seen == firsts[0]
+    finally:
+        set_trace(None)
+        table.clear()
+        dict.update(table, saved)   # not through the evicting __setitem__

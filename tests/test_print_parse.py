@@ -1,13 +1,14 @@
 """Print, then parse: for random normal kernel terms over the
 generators' ambient context, ``pretty.tm_string`` followed by
-``elaborate.elab_expr_in`` gives back the same interned term."""
+``elaborate.elab_expr_in`` gives back the same interned term, at a type
+that is normal too, as everything elaboration returns is."""
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adaptt import surface as S, elaborate as E, pretty as P
 from adaptt.inductive import nat, nat_zero
-from adaptt.normalize import nf
+from adaptt.normalize import assert_normal, nf
 from adaptt.syntax import Base, Cast, Ind, Lam, Pair, Pi, Sig, Sub, STy, shift
 
 from gen import AMBIENT, AMBIENT_NAMES, BASES, Gen, path_adapter, pos_var
@@ -74,8 +75,10 @@ def terms(draw):
               Lam(Base("A"), nat_zero())))
 def test_printed_term_parses_back_to_itself(tm):
     printed = P.tm_string(AMBIENT, tm, AMBIENT_NAMES)
-    again, _ = E.elab_expr_in(SCOPE, printed)
+    again, ty = E.elab_expr_in(SCOPE, printed)
     assert again is tm, printed
+    assert nf(ty).value is ty
+    assert_normal(ty)
 
 
 #: the ambient scope with a pair and a list variable, for the printer

@@ -1,12 +1,16 @@
-"""A list literal restates its parameters in every cell.  The elaborator,
-``check.infer_tm`` and the printer read them once per run of cells with
-equal parameters, and report the rules of that reading again at every
-cell of the run.  A cell whose parameters differ from the cell above is
-read on its own, so a spine that changes its parameters half-way keeps
-the verdict, diagnostic and printout of a cell-by-cell reading."""
+"""A list literal restates its parameters in every cell.  The elaborator
+and the printer read them once per run of cells with equal parameters,
+and report the rules of that reading again at every cell of the run.
+``check.infer_tm`` reads each cell's argument telescope through the
+session memo (``check._con_tel``), keyed on the datatype, tag and
+parameters, so the run's later cells are hits that report the record of
+the first.  A cell whose parameters differ from the cell above is read on
+its own, so a spine that changes its parameters half-way keeps the
+verdict, diagnostic and printout of a cell-by-cell reading."""
 
 import contextlib
 import io
+from collections import Counter
 
 import pytest
 
@@ -14,7 +18,7 @@ from adaptt import check, cli, elaborate, pretty
 from adaptt import surface as S
 from adaptt.check import CheckError, infer_tm
 from adaptt.elaborate import elab_file, elab_tm
-from adaptt.syntax import POS, TmEntry, Var
+from adaptt.syntax import POS, SESSION, Sub, STy, TmEntry, Var
 from helpers import A, B, cons, list_ty, nil
 from perfbench.gen import list_of
 from test_session_memo import in_fresh_session, traced
@@ -88,7 +92,35 @@ def test_a_list_prints_its_parameters_once(monkeypatch):
     assert len(calls) == 1
 
 
+def con_tel_entries(s):
+    """The ``_con_tel`` entries of session ``s``'s memo, each as its
+    datatype, tag and parameter spine, counted."""
+    fn = check._con_tel.__wrapped__
+    return Counter(key[2:] for key in s.memo if key[0] is fn)
+
+
+def params(ty):
+    return Sub((STy(ty, 0),))
+
+
+def test_a_list_keeps_one_telescope_entry_per_constructor():
+    _, s = in_fresh_session(lambda: infer_tm(CTX, list_of(A, [a] * CELLS)))
+    assert con_tel_entries(s) == Counter({("List", 1, params(A)): 1,
+                                          ("List", 0, params(A)): 1})
+
+
 MIXED = cons(A, a, cons(B, b, nil(B)))
+
+
+def test_parameters_that_change_mid_spine_keep_a_telescope_entry_each():
+    def run():
+        with pytest.raises(CheckError):
+            infer_tm(CTX, MIXED)
+        return SESSION.get()
+    s, _ = in_fresh_session(run)
+    assert con_tel_entries(s) == Counter({("List", 1, params(A)): 1,
+                                          ("List", 1, params(B)): 1,
+                                          ("List", 0, params(B)): 1})
 
 
 def test_parameters_that_change_mid_spine_are_elaborated_cell_by_cell(
