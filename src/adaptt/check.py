@@ -18,6 +18,8 @@ normal already, and ``adaptt check|norm`` print them as elaborated;
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from . import pretty
 from .syntax import (
     POS, NEG, Context, TmEntry, TyEntry, Telescope, Inst,
@@ -58,27 +60,42 @@ class Diagnostic:
 
 
 class CheckError(Exception):
-    def __init__(self, diag: Diagnostic):
+    """A failed judgment.  A mismatch keeps ``sides``: the context it failed
+    in, and its expected and actual sides as nodes (or a phrase)."""
+
+    def __init__(self, diag: Diagnostic, sides: tuple | None = None):
         super().__init__(diag.message)
         self.diag = diag
+        self.sides = sides
 
     def with_span(self, span) -> CheckError:
         if self.diag.span is None and span is not None:
-            return CheckError(Diagnostic(self.diag.code, self.diag.message,
-                                         span, self.diag.expected, self.diag.actual))
+            return CheckError(replace(self.diag, span=span), self.sides)
         return self
 
+    def named(self, names: pretty.Names) -> CheckError:
+        """This mismatch with its sides printed under ``names``, the names
+        of the context it failed in."""
+        exp, act = [x if isinstance(x, str) else pretty.tm_string(names, x)
+                    for x in self.sides[1:]]
+        return CheckError(replace(self.diag, expected=exp, actual=act),
+                          self.sides)
 
-def _fail(code: str, message: str, expected=None, actual=None):
-    exp = pretty.plain(expected) if expected is not None else None
-    act = pretty.plain(actual) if actual is not None else None
-    raise CheckError(Diagnostic(code, message, None, exp, act))
+
+def _fail(code: str, message: str, ctx: Context = (), expected=None,
+          actual=None):
+    """A mismatch (``expected`` given) keeps the context ``ctx`` it failed
+    in, and prints its sides under names invented for it."""
+    if expected is None:
+        raise CheckError(Diagnostic(code, message))
+    e = CheckError(Diagnostic(code, message), (ctx, expected, actual))
+    raise e.named(pretty.Names().invent(map(type, ctx))[0])
 
 
 def _demand_conv_ty(ctx: Context, actual: Type, expected: Type, what: str):
     if not conv_ty(ctx, actual, expected):
-        _fail("ClassifierMismatch", f"{what} has the wrong type",
-              expected=expected, actual=actual)
+        _fail("ClassifierMismatch", f"{what} has the wrong type", ctx,
+              expected, actual)
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +188,14 @@ def infer_tm(ctx: Context, t: Term) -> Type:
             fty = infer_tm(ctx, fn)
             if not isinstance(fty, Pi):
                 _fail("ClassifierMismatch", "application head is not a function",
-                      expected="a function type", actual=fty)
+                      ctx, expected="a function type", actual=fty)
             aty = infer_tm(dual_ctx(ctx), arg)
             _demand_conv_ty(dual_ctx(ctx), aty, fty.dom, "function argument")
             return open_tm_block(fty.cod, (arg,))
         case Pair(ty, a, b):
             if not isinstance(ty, Sig):
                 _fail("ClassifierMismatch", "pair annotation is not a pair type",
-                      expected="a pair type", actual=ty)
+                      ctx, expected="a pair type", actual=ty)
             check_ty(ctx, ty)
             _demand_conv_ty(ctx, infer_tm(ctx, a), ty.fst, "first component")
             want = open_tm_block(ty.snd, (a,))
@@ -188,13 +205,13 @@ def infer_tm(ctx: Context, t: Term) -> Type:
             pty = infer_tm(ctx, p)
             if not isinstance(pty, Sig):
                 _fail("ClassifierMismatch", "projection of a non-pair",
-                      expected="a pair type", actual=pty)
+                      ctx, expected="a pair type", actual=pty)
             return pty.fst
         case Snd(p):
             pty = infer_tm(ctx, p)
             if not isinstance(pty, Sig):
                 _fail("ClassifierMismatch", "projection of a non-pair",
-                      expected="a pair type", actual=pty)
+                      ctx, expected="a pair type", actual=pty)
             return open_tm_block(pty.snd, (fst_(p),))
         case Cast(tm, ad):
             tty = infer_tm(ctx, tm)
@@ -274,7 +291,7 @@ def check_ad(ctx: Context, ad: Adapter) -> tuple[Type, Type]:
         case PiAd(dom_ad, cod_ad, src, tgt):
             if not (isinstance(src, Pi) and isinstance(tgt, Pi)):
                 _fail("ClassifierMismatch", "function adapter endpoints must be functions",
-                      expected="a function type", actual=src)
+                      ctx, expected="a function type", actual=src)
             check_ty(ctx, src)
             check_ty(ctx, tgt)
             das, dat = check_ad(dual_ctx(ctx), dom_ad)
@@ -289,7 +306,7 @@ def check_ad(ctx: Context, ad: Adapter) -> tuple[Type, Type]:
         case SigAd(fst_ad, snd_ad, src, tgt):
             if not (isinstance(src, Sig) and isinstance(tgt, Sig)):
                 _fail("ClassifierMismatch", "pair adapter endpoints must be pair types",
-                      expected="a pair type", actual=src)
+                      ctx, expected="a pair type", actual=src)
             check_ty(ctx, src)
             check_ty(ctx, tgt)
             fas, fat = check_ad(ctx, fst_ad)

@@ -61,10 +61,10 @@ def cmd_check(args, src: surface.Source) -> int:
         else:
             failures += 1
             print(f"ERROR ConversionFailed {src.at(args.file, span)} "
-                  f"expected {pretty.tm_string(ctx, rhs, names)} "
-                  f"got {pretty.tm_string(ctx, lhs, names)}")
+                  f"expected {pretty.tm_string(names, rhs)} "
+                  f"got {pretty.tm_string(names, lhs)}")
     for ctx, names, tm, span in out.normalizes:
-        print(f"NORMAL {pretty.tm_string(ctx, tm, names)}")
+        print(f"NORMAL {pretty.tm_string(names, tm)}")
     print(f"checked {args.file}: {len(out.datas)} datatypes, "
           f"{len(out.checks)} checks, {len(out.asserts)} equations")
     return TYPE_ERROR if failures else OK
@@ -78,9 +78,8 @@ def cmd_norm(args, src: surface.Source) -> int:
         if isinstance(e, ParseError) or e.diag.span is not None:
             return _report(e, "-e", surface.Source(args.expr))
         return _report(e, args.file, src)
-    names = list(sc.names)
-    print(pretty.tm_string(sc.ctx, tm, names))
-    print(f": {pretty.ty_string(sc.ctx, ty, names)}")
+    print(pretty.tm_string(sc.names, tm))
+    print(f": {pretty.ty_string(sc.names, ty)}")
     return OK
 
 

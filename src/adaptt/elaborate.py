@@ -21,6 +21,7 @@ from .normalize import (
     recording, replay,
 )
 from . import pretty
+from .pretty import LOCAL, Names
 from .inductive import register
 from .transform import comp_ctx, free_is_ad_source, spine_prefix
 from .syntax import (
@@ -29,7 +30,7 @@ from .syntax import (
     AdId, Post, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd,
     RecDesc, ConDesc, IndDesc, SESSION,
-    dual_ctx, least_free_tm, record, shift, vinst,
+    dual_ctx, entry_position, least_free_tm, record, shift, vinst,
 )
 
 
@@ -41,36 +42,27 @@ def _err(code: str, msg: str, span) -> ElabError:
     return ElabError(Diagnostic(code, msg, span))
 
 
-LOCAL = "local"     # the kind of a local binder in Scope.resolve
-
-
 @record
 class Scope:
-    """File-level names plus the ambient context built by var/data
-    declarations and local binders.  ``table`` maps a file-level name to
-    ``(kind, meaning)``: ``"base"``, ``"adapter"``, ``"datatype"`` (its
-    desc), ``"constructor"`` (desc and tag) or ``"def"`` (its term)."""
+    """The ambient context built by var/data declarations and local
+    binders, and its names over the file-level ones (``names.table``)."""
 
-    table: dict[str, tuple[str, object]] = field(default_factory=dict)
     ctx: Context = ()
-    names: tuple[str, ...] = ()
+    names: Names = field(default_factory=Names)
     _dual: Scope | None = field(default=None, init=False, repr=False,
                                 compare=False)
 
-    def _over(self, ctx: Context, names: tuple[str, ...]) -> "Scope":
-        return Scope(self.table, ctx, names)
-
     def push(self, name: str, entry) -> "Scope":
-        return self._over(self.ctx + (entry,), self.names + (name,))
+        return Scope(self.ctx + (entry,), self.names.push(type(entry), name))
 
     def closed(self) -> "Scope":
         """The file-level names alone, with an empty context."""
-        return self._over((), ())
+        return Scope((), Names(self.names.table))
 
     def dual(self, d: Dir = NEG) -> "Scope":
         """The same names over ``dual_ctx(ctx, d)``, computed once."""
         if d is NEG and self._dual is None:
-            self._dual = self._over(dual_ctx(self.ctx), self.names)
+            self._dual = Scope(dual_ctx(self.ctx), self.names)
             self._dual._dual = self
         return self if d is POS else self._dual
 
@@ -82,21 +74,8 @@ class Scope:
         if not binders:     # comp_ctx is then dual_ctx: reuse the kept dual
             return self.dual(entry.dir)
         tel = apply(entry.tel, spine_prefix(tgt, prefix))
-        return self._over(comp_ctx(self.ctx, entry, tel), self.names + binders)
-
-    def resolve(self, name: str, sort) -> tuple[str | None, object]:
-        """What ``name`` means read as a ``sort`` (``TmEntry``, ``TyEntry``,
-        None for an adapter): the innermost local of that sort as ``(LOCAL,
-        (index, entry))``, counting entries of that sort only; else the
-        file-level ``(kind, meaning)``, or ``(None, None)``."""
-        if name in self.names:
-            seen = 0
-            for n, e in zip(reversed(self.names), reversed(self.ctx)):
-                if type(e) is sort:
-                    if n == name:
-                        return LOCAL, (seen, e)
-                    seen += 1
-        return self.table.get(name, (None, None))
+        return Scope(comp_ctx(self.ctx, entry, tel),
+                     self.names.push(TmEntry, *binders))
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +97,11 @@ def elab_ty(e: S.SExpr, sc: Scope):
             head, args = _head_spine(e)
             if not isinstance(head, S.SName):
                 raise _err("Syntax", "expected a type head", e.span)
-            kind, m = sc.resolve(head.name, TyEntry)
+            kind, m = sc.names.resolve(head.name, TyEntry)
             if kind == "datatype":
                 return _elab_inductive(head, args, sc, m)
             if kind is LOCAL:
-                j, ent = m
+                j, ent = m, sc.ctx[entry_position(sc.ctx, TyEntry, m)]
                 if len(args) != len(ent.tel):
                     raise _err("ArityMismatch", f"type variable {head.name} "
                                f"expects {len(ent.tel)} arguments", head.span)
@@ -171,9 +150,9 @@ def _elab_family(a: S.SExpr, tgt: Context, prefix: Sub, sc: Scope) -> STy:
                        a.span)
         return STy(elab_ty(a.body, sc.component(tgt, prefix, a.binders)), arity)
     if isinstance(a, S.SName):
-        kind, m = sc.resolve(a.name, TyEntry)
+        kind, m = sc.names.resolve(a.name, TyEntry)
         if kind is LOCAL:
-            j, ent = m
+            j, ent = m, sc.ctx[entry_position(sc.ctx, TyEntry, m)]
             if len(ent.tel) != arity:
                 raise _err("ArityMismatch",
                            f"type variable {a.name} has the wrong arity", a.span)
@@ -189,11 +168,11 @@ def elab_tm(e: S.SExpr, sc: Scope):
             if not isinstance(head, S.SName):
                 fn = elab_tm(head, sc)
             else:
-                kind, fn = sc.resolve(head.name, TmEntry)
+                kind, fn = sc.names.resolve(head.name, TmEntry)
                 if kind == "constructor":
                     return _elab_inductive(head, args, sc, *fn)
                 if kind is LOCAL:
-                    fn = Var(fn[0])
+                    fn = Var(fn)
                 elif kind != "def":
                     raise _err("UnboundVariable", f"unknown term {head.name}",
                                head.span)
@@ -247,8 +226,8 @@ def _elab_inductive(head: S.SName, args: list[S.SExpr], sc: Scope,
             return Ind(d.name, params, tuple([elab_tm(a, sc) for a in args[np:]]))
         last = args[-1] if want > np else None
         nhead, nargs = _head_spine(last) if type(last) is S.SApp else (last, ())
-        kind, m = (sc.resolve(nhead.name, TmEntry) if type(nhead) is S.SName
-                   else (None, None))
+        kind, m = (sc.names.resolve(nhead.name, TmEntry)
+                   if type(nhead) is S.SName else (None, None))
         if d is seen and all(map(_same, args[:np], seen_args)):
             replay(record)
         elif kind == "constructor":
@@ -280,7 +259,7 @@ def elab_ad(e: S.SExpr, sc: Scope, want_src=None):
         case S.SId(at, _):
             return AdId(elab_ty(at, sc))
         case S.SName(name, span):
-            kind, m = sc.resolve(name, None)
+            kind, m = sc.names.resolve(name, None)
             if kind != "adapter":
                 raise _err("UnboundVariable", f"unknown adapter {name}", span)
             return m
@@ -299,7 +278,7 @@ def _elab_push(head: S.SExpr, comps, span, sc: Scope, want_src):
         raise _err("Syntax", "expected a named adapter former", span)
     if head.name in ("Pi", "Sig"):
         return _elab_pi_sig_ad(head.name, comps, span, sc, want_src)
-    kind, d = sc.resolve(head.name, None)
+    kind, d = sc.names.resolve(head.name, None)
     if kind != "datatype":
         raise _err("UnboundVariable", f"unknown datatype {head.name}", span)
     if len(comps) != len(d.full_ctx):
@@ -503,14 +482,23 @@ class Elaborated:
     datas: list = field(default_factory=list)       # registered names
 
 
+#: the declarations read over no context, only over file-level names
+_CLOSED = (S.DPostulate, S.DDef, S.DData)
+
+
 @contextmanager
-def _diagnosed(span, kernel_span):
-    """The diagnostic boundary of one declaration or expression: a check
-    failure without a place gets ``span``, a kernel failure becomes a
-    ``Kernel`` diagnostic at ``kernel_span``."""
+def _diagnosed(span, kernel_span, sc: Scope):
+    """The diagnostic boundary of one declaration or expression read in
+    ``sc``: a check failure without a place gets ``span``, and a mismatch
+    whose context extends ``sc``'s context or its dual prints its sides
+    under ``sc``'s names (else under the names it was raised with); a
+    kernel failure becomes a ``Kernel`` diagnostic at ``kernel_span``."""
     try:
         yield
     except CheckError as e:
+        n = len(sc.ctx)
+        if e.sides is not None and e.sides[0][:n] in (sc.ctx, sc.dual().ctx):
+            e = e.named(sc.names.invent(map(type, e.sides[0][n:]))[0])
         raise e.with_span(span) from None
     except KernelError as e:
         raise ElabError(Diagnostic("Kernel", str(e), kernel_span)) from None
@@ -519,21 +507,22 @@ def _diagnosed(span, kernel_span):
 def elab_file(decls: list[S.Decl]) -> Elaborated:
     sc = Scope()
     for d in SESSION.get().descs.values():
-        _enter_data(sc.table, d)
+        _enter_data(sc.names.table, d)
     out = Elaborated(sc)
     for decl in decls:
-        with _diagnosed(decl.span, decl.span):
+        dsc = sc.closed() if isinstance(decl, _CLOSED) else sc
+        with _diagnosed(decl.span, decl.span, dsc):
             match decl:
                 case S.DBase(name, span):
                     _fresh(sc, name, span)
-                    sc.table[name] = ("base", Base(name))
+                    sc.names.table[name] = ("base", Base(name))
                 case S.DPostulate(name, src, tgt, span):
                     _fresh(sc, name, span)
-                    s = elab_ty(src, sc.closed())
-                    t = elab_ty(tgt, sc.closed())
+                    s = elab_ty(src, dsc)
+                    t = elab_ty(tgt, dsc)
                     check_ty((), s)
                     check_ty((), t)
-                    sc.table[name] = ("adapter", Post(name, s, t))
+                    sc.names.table[name] = ("adapter", Post(name, s, t))
                 case S.DVar(name, ty, span, neg):
                     d = NEG if neg else POS
                     t = elab_ty(ty, sc.dual(d))
@@ -541,18 +530,17 @@ def elab_file(decls: list[S.Decl]) -> Elaborated:
                     sc = sc.push(name, TmEntry(d, t))
                 case S.DDef(name, ty, tm, span):
                     _fresh(sc, name, span)
-                    closed = sc.closed()
-                    t = elab_ty(ty, closed)
+                    t = elab_ty(ty, dsc)
                     check_ty((), t)
-                    m = elab_tm(tm, closed)
+                    m = elab_tm(tm, dsc)
                     if not conv_ty((), infer_tm((), m), t):
                         raise _err("ClassifierMismatch",
                                    f"definition {name} does not have its "
                                    f"declared type", span)
-                    sc.table[name] = ("def", m)
+                    sc.names.table[name] = ("def", m)
                 case S.DData(_, _, _, _, span):
                     d = elab_data(decl, sc)
-                    _enter_data(sc.table, d, span)
+                    _enter_data(sc.names.table, d, span)
                     register(d)
                     out.datas.append(d.name)
                 case S.DCheck(tm, ty, span):
@@ -563,9 +551,9 @@ def elab_file(decls: list[S.Decl]) -> Elaborated:
                     if not conv_ty(sc.ctx, got, t):
                         raise ElabError(Diagnostic(
                             "ClassifierMismatch", "check failed", span,
-                            pretty.ty_string(sc.ctx, t, list(sc.names)),
-                            pretty.ty_string(sc.ctx, got, list(sc.names))))
-                    out.checks.append((sc.ctx, list(sc.names), m, t, span))
+                            pretty.ty_string(sc.names, t),
+                            pretty.ty_string(sc.names, got)))
+                    out.checks.append((sc.ctx, sc.names, m, t, span))
                 case S.DAssertEq(lhs, rhs, ty, span):
                     t = elab_ty(ty, sc)
                     check_ty(sc.ctx, t)
@@ -575,17 +563,17 @@ def elab_file(decls: list[S.Decl]) -> Elaborated:
                         if not conv_ty(sc.ctx, infer_tm(sc.ctx, v), t):
                             raise _err("ClassifierMismatch",
                                        "equation side has the wrong type", span)
-                    out.asserts.append((sc.ctx, list(sc.names), lv, rv, t, span))
+                    out.asserts.append((sc.ctx, sc.names, lv, rv, t, span))
                 case S.DNormalize(tm, span):
                     m = elab_tm(tm, sc)
                     infer_tm(sc.ctx, m)
-                    out.normalizes.append((sc.ctx, list(sc.names), m, span))
+                    out.normalizes.append((sc.ctx, sc.names, m, span))
     out.scope = sc
     return out
 
 
 def _fresh(sc: Scope, name: str, span):
-    if name in sc.table:
+    if name in sc.names.table:
         raise _err("Redefinition", f"name {name} is already in use", span)
 
 
@@ -615,6 +603,6 @@ def elab_expr_in(sc: Scope, text: str):
     e = p.expr()
     p.eat("eof")
     # a kernel failure in the expression has no place in its text
-    with _diagnosed(e.span, None):
+    with _diagnosed(e.span, None, sc):
         tm = elab_tm(e, sc)
         return tm, infer_tm(sc.ctx, tm)

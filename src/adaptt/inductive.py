@@ -16,7 +16,7 @@ rule, the functorial action of a datatype (``transform.cast_con``).
 from __future__ import annotations
 
 from . import pretty
-from .pretty import ATOM, LOW, Env, render
+from .pretty import ATOM, LOW, Names, render
 from .check import CheckError, check_desc, infer_tm
 from .syntax import (
     POS, NEG, Context, TmEntry, TyEntry, Inst,
@@ -175,14 +175,14 @@ def generic_setup(d: IndDesc):
     parameter has a dependency telescope), and an ambient variable per
     term parameter.
 
-    Returns (ambient context, names, source params spine, transformation).
+    Returns (ambient context, its names, source params spine,
+    transformation).
     """
     ctx: list = []
-    names: list[str] = []
+    names = Names()
     p_comps: list = []
     mu_comps: list = []
     n_ty = 0
-    n_tm = 0
     for entry in d.params_ctx:
         if isinstance(entry, TyEntry):
             src = Base(_pool_name(_TY_NAMES, n_ty))
@@ -197,8 +197,7 @@ def generic_setup(d: IndDesc):
             n_ty += 1
         else:
             ctx.append(TmEntry(POS, apply(entry.ty, Sub(tuple(p_comps)))))
-            names.append(_pool_name(_TM_NAMES, n_tm))
-            n_tm += 1
+            names = names.push(TmEntry, _pool_name(_TM_NAMES, len(names.tm)))
             # every later component sees one more ambient variable
             p_comps = [shift(c, 1, 0) for c in p_comps]
             mu_comps = [shift(c, 1, 0) for c in mu_comps]
@@ -224,7 +223,7 @@ def generic_rows(d: IndDesc, setup):
         tr = Trans(shift(mu, n, 0).comps
                    + tuple(KTm(t) for t in result_indices(tm)))
         yield (c, extend_tel(ctx, POS, args_tel),
-               names + [f"x{k}" for k in range(n)], tm, tr)
+               names.push(TmEntry, *[f"x{k}" for k in range(n)]), tm, tr)
 
 
 def run() -> list[tuple[str, bool]]:
@@ -253,69 +252,63 @@ def derive_rule_doc(name: str) -> dict:
     compute the per-constructor cast equations, as printable strings and
     structured data.  Everything is derived by the engine itself."""
     d = desc(name)
-    doc: dict = {"name": name}
+    doc: dict = {"name": name, "params": []}
 
-    pnames = pretty.ctx_names(d.params_ctx)
-    doc["params"] = [
-        {"name": n, "dir": e.dir.value,
-         "telescope": pretty.tel_strings(d.params_ctx[:k], e.tel)}
-        if isinstance(e, TyEntry) else
-        {"name": n, "type": pretty.ty_string(d.params_ctx[:k], e.ty)}
-        for k, (n, e) in enumerate(zip(pnames, d.params_ctx))
-    ]
-    doc["indices"] = pretty.tel_strings(d.params_ctx, d.index_tel)
-    doc["constructors"] = [
-        {
-            "name": c.name,
-            "nrec": pretty.tel_strings(d.params_ctx, c.nrec),
-            "rec": [
-                {
-                    "arit": pretty.tel_strings(
-                        extend_tel(d.params_ctx, POS, c.nrec), r.arit),
-                    "rind": pretty.inst_strings(
-                        extend_tel(d.params_ctx, POS, c.nrec + r.arit), r.rind),
-                }
-                for r in c.rec
-            ],
-            "ind": pretty.inst_strings(
-                extend_tel(d.params_ctx, POS, c.nrec), c.ind),
-        }
-        for c in d.cons
-    ]
+    # each parameter is named once, and printed under those before it
+    names = Names()
+    for e in d.params_ctx:
+        n = names.fresh(type(e))
+        doc["params"].append(
+            {"name": n, "dir": e.dir.value,
+             "telescope": pretty.tel_strings(names, e.tel)}
+            if isinstance(e, TyEntry) else
+            {"name": n, "type": pretty.ty_string(names, e.ty)})
+        names = names.push(type(e), n)
+    doc["indices"] = pretty.tel_strings(names, d.index_tel)
+    # a constructor's arguments are printed under fresh names
+    doc["constructors"] = []
+    for c in d.cons:
+        args = names.invent([TmEntry] * len(c.nrec))[0]
+        rec = [{"arit": pretty.tel_strings(args, r.arit),
+                "rind": pretty.inst_strings(
+                    args.invent([TmEntry] * len(r.arit))[0], r.rind)}
+               for r in c.rec]
+        doc["constructors"].append(
+            {"name": c.name, "nrec": pretty.tel_strings(names, c.nrec),
+             "rec": rec, "ind": pretty.inst_strings(args, c.ind)})
 
     ctx, names, p_src, mu = setup = generic_setup(d)
 
     premises = []
-    n_tm = 0
+    outer = Names()     # the ambient entries before the next one
     for comp in mu.comps:
         if isinstance(comp, KAd):
             a = comp.ad
             premises.append(
                 f"{a.name} : "
-                f"{pretty.ty_string(ctx, ad_src(a), names)} => "
-                f"{pretty.ty_string(ctx, ad_tgt(a), names)}")
+                f"{pretty.ty_string(names, ad_src(a))} => "
+                f"{pretty.ty_string(names, ad_tgt(a))}")
         else:
             # the ambient entry's type lives over the variables before it
-            premises.append(
-                f"{names[n_tm]} : "
-                f"{pretty.ty_string(ctx[:n_tm], ctx[n_tm].ty, names)}")
-            n_tm += 1
+            k = len(outer.tm)
+            n = names.name(TmEntry, len(ctx) - 1 - k)
+            premises.append(f"{n} : {pretty.ty_string(outer, ctx[k].ty)}")
+            outer = outer.push(TmEntry, n)
 
     # the conclusion is stated at one fresh variable per index
     idx_tel = apply(d.index_tel, p_src)
-    idx_ctx = extend_tel(ctx, POS, idx_tel)
-    idx_names = names + [f"i{k}" for k in range(len(idx_tel))]
+    idx_names = names.push(TmEntry, *[f"i{k}" for k in range(len(idx_tel))])
     full_ad = ind_adapter(name, shift(mu, len(idx_tel), 0), vinst(idx_tel))
     conclusion = (
-        f"{pretty.ad_string(idx_ctx, full_ad, idx_names)} : "
-        f"{pretty.ty_string(idx_ctx, ad_src(full_ad), idx_names)} => "
-        f"{pretty.ty_string(idx_ctx, ad_tgt(full_ad), idx_names)}")
+        f"{pretty.ad_string(idx_names, full_ad)} : "
+        f"{pretty.ty_string(idx_names, ad_src(full_ad))} => "
+        f"{pretty.ty_string(idx_names, ad_tgt(full_ad))}")
     doc["adapterRule"] = {"premises": premises, "conclusion": conclusion}
 
     doc["computation"] = [
-        {"lhs": pretty.tm_string(row_ctx, Cast(tm, IndAd(name, tr)), row_names),
-         "rhs": pretty.tm_string(row_ctx, cast_con(tm, tr), row_names)}
-        for _, row_ctx, row_names, tm, tr in generic_rows(d, setup)
+        {"lhs": pretty.tm_string(row_names, Cast(tm, IndAd(name, tr))),
+         "rhs": pretty.tm_string(row_names, cast_con(tm, tr))}
+        for _, _, row_names, tm, tr in generic_rows(d, setup)
     ]
     return doc
 
@@ -323,40 +316,34 @@ def derive_rule_doc(name: str) -> dict:
 def data_decl_string(d: IndDesc) -> str:
     """Surface declaration for a registered datatype; reparses and
     re-elaborates to a structurally identical signature."""
-    env = Env([])
-    header = [f"data {d.name}"]
+    names = Names()
+    header, params = [f"data {d.name}"], []
     for e in d.params_ctx:
         if isinstance(e, TyEntry):
-            benv = env
-            binders = []
-            for ty in e.tel:
-                s = render(ty, benv, LOW)
-                benv, bn = benv.push("tm")
-                binders.append(f"({bn} : {s})")
-            env, n = env.push("ty")
-            sort = f"{' '.join(binders)} Ty{e.dir.value}" if binders \
-                else f"Ty{e.dir.value}"
-            header.append(f"({n} : {sort})")
+            tel = zip(names.invent([TmEntry] * len(e.tel))[1],
+                      pretty.tel_strings(names, e.tel))
+            sort = " ".join([*(f"({n} : {s})" for n, s in tel),
+                             f"Ty{e.dir.value}"])
         else:
-            s = render(e.ty, env, LOW)
-            env, n = env.push("tm")
-            header.append(f"({n} : {s})")
-    ienv = env
+            sort = render(e.ty, names, LOW)
+        params.append(names.fresh(type(e)))
+        names = names.push(type(e), params[-1])
+        header.append(f"({params[-1]} : {sort})")
+    idx_names = names
     for k, ty in enumerate(d.index_tel):
-        header.append(f"[i{k} : {render(ty, ienv, LOW)}]")
-        ienv, _ = ienv.push("tm", f"i{k}")
+        header.append(f"[i{k} : {render(ty, idx_names, LOW)}]")
+        idx_names = idx_names.push(TmEntry, f"i{k}")
     lines = [" ".join(header) + " {"]
     con_lines = []
     for ci, c in enumerate(d.cons):
-        aenv = env
+        arg_names = names
         parts = []
         for k, ty in enumerate(con_data_tied(d, ci)):
-            s = render(ty, aenv, LOW)
-            aenv, an = aenv.push("tm", f"x{k}")
-            parts.append(f"({an} : {s})")
-        head = [d.name] + [n for kind, n in env.pairs]
+            parts.append(f"(x{k} : {render(ty, arg_names, LOW)})")
+            arg_names = arg_names.push(TmEntry, f"x{k}")
+        head = [d.name] + params
         idx = shift(c.ind, len(c.rec), 0)
-        head += [render(t, aenv, ATOM) for t in idx]
+        head += [render(t, arg_names, ATOM) for t in idx]
         result = " ".join(head)
         arrow = f"{' '.join(parts)} -> {result}" if parts else result
         con_lines.append(f"  {c.name} : {arrow}")

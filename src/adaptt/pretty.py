@@ -1,4 +1,6 @@
-"""Renderer from kernel syntax back to the surface language.
+"""Renderer from kernel syntax back to the surface language, and the
+name scope (``Names``) through which the elaborator reads names and the
+printer writes them.
 
 Output is deterministic and reparseable; the round-trip property (parse
 of pretty output elaborates to an alpha-equivalent value) is part of the
@@ -10,133 +12,146 @@ from __future__ import annotations
 from .syntax import (
     Base, TyVarRef, Pi, Sig, Ind, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     AdId, Chain, Post, PiAd, SigAd, IndAd, STm, KTm,
-    Context, TmEntry, desc, least_free_tm, shift,
+    TmEntry, TyEntry, desc, least_free_tm, shift,
 )
 
 LOW, STAR, COMP, APP, ATOM = 0, 1, 2, 3, 4
 
-_TM_POOL = ["x", "y", "z", "u", "v", "w"]
-_TY_POOL = ["X", "Y", "Z", "U", "V", "W"]
+#: each sort's first names; after them, its first letter numbered from 0
+_POOLS = {TmEntry: ("x", "y", "z", "u", "v", "w"),
+          TyEntry: ("X", "Y", "Z", "U", "V", "W")}
+
+LOCAL = "local"     # the kind of a context entry in ``Names.resolve``
 
 
-class Env:
-    """Names for the entries in scope, innermost last."""
+class Names:
+    """The one scoped symbol table: the elaborator resolves names through
+    it and the printer names entries through it.  ``table`` maps a
+    file-level name to ``(kind, meaning)``: ``"base"``, ``"adapter"``,
+    ``"datatype"`` (its desc), ``"constructor"`` (desc and tag) or
+    ``"def"`` (its term).  ``tm`` and ``ty`` name the context's ``TmEntry``
+    and ``TyEntry`` entries, innermost first, so a name's position there is
+    its entry's de Bruijn index.  ``spare`` says per sort how many of
+    ``fresh``'s candidates are taken for sure.  Lookups are tuple
+    operations in C; a push copies one tuple, as extending a ``Context``
+    does."""
 
-    def __init__(self, pairs: list[tuple[str, str]]):
-        self.pairs = pairs
+    __slots__ = ("table", "tm", "ty", "spare")
 
-    def used(self) -> set[str]:
-        return {n for _, n in self.pairs}
+    def __init__(self, table: dict | None = None, tm: tuple = (),
+                 ty: tuple = (), spare: dict | None = None):
+        self.table = {} if table is None else table
+        self.tm = tm
+        self.ty = ty
+        self.spare = {} if spare is None else spare
 
-    def fresh(self, kind: str) -> str:
-        pool = _TM_POOL if kind == "tm" else _TY_POOL
-        used = self.used()
-        for n in pool:
-            if n not in used:
+    def __repr__(self) -> str:
+        return f"Names(table={self.table!r}, tm={self.tm!r}, ty={self.ty!r})"
+
+    def push(self, sort, *names: str) -> Names:
+        """These names and a ``sort`` entry named by each of ``names``,
+        innermost last."""
+        if sort is TmEntry:
+            return Names(self.table, names[::-1] + self.tm, self.ty,
+                         self.spare)
+        return Names(self.table, self.tm, names[::-1] + self.ty, self.spare)
+
+    def resolve(self, name: str, sort) -> tuple[str | None, object]:
+        """What ``name`` means read as a ``sort`` (``TmEntry``, ``TyEntry``,
+        None for an adapter): the innermost entry of that sort as
+        ``(LOCAL, index)``, counting entries of that sort only; else the
+        file-level ``(kind, meaning)``, or ``(None, None)``."""
+        local = self.tm if sort is TmEntry else self.ty if sort else ()
+        if name in local:
+            return LOCAL, local.index(name)
+        return self.table.get(name, (None, None))
+
+    def name(self, sort, index: int) -> str:
+        """Name of the ``sort`` entry at de Bruijn ``index`` (``?index`` if
+        there is none)."""
+        local = self.tm if sort is TmEntry else self.ty
+        return local[index] if index < len(local) else f"?{index}"
+
+    def fresh(self, sort) -> str:
+        """The first candidate name for a ``sort`` entry that no entry has:
+        the sort's pool, then its first letter numbered from 0."""
+        pool, k = _POOLS[sort], self.spare.get(sort, 0)
+        while True:
+            n = pool[k] if k < len(pool) else f"{pool[0]}{k - len(pool)}"
+            if n not in self.tm and n not in self.ty:
+                # a push shares the dict, so it is replaced, not updated
+                self.spare = {**self.spare, sort: k}
                 return n
-        i = 0
-        while f"{pool[0]}{i}" in used:
-            i += 1
-        return f"{pool[0]}{i}"
+            k += 1
 
-    def push(self, kind: str, name: str | None = None) -> tuple[Env, str]:
-        n = name or self.fresh(kind)
-        return Env(self.pairs + [(kind, n)]), n
-
-    def binders(self, arity: int, name: str | None = None
-                ) -> tuple[Env, list[str]]:
-        """Push ``arity`` term binders, fresh or all named ``name``."""
-        env, names = self, []
-        for _ in range(arity):
-            env, n = env.push("tm", name)
-            names.append(n)
-        return env, names
-
-    def name(self, kind: str, index: int) -> str:
-        """Name of the ``kind`` entry at de Bruijn ``index`` (indices
-        count entries of that kind only)."""
-        seen = 0
-        for k, n in reversed(self.pairs):
-            if k == kind:
-                if seen == index:
-                    return n
-                seen += 1
-        return f"?{'v' if kind == 'tm' else 'T'}{index}"
-
-
-def ctx_names(ctx: Context) -> list[str]:
-    env = Env([])
-    out = []
-    for e in ctx:
-        kind = "tm" if isinstance(e, TmEntry) else "ty"
-        env, n = env.push(kind)
-        out.append(n)
-    return out
-
-
-def env_from(ctx: Context, names: list[str] | None = None) -> Env:
-    if names is None:
-        names = ctx_names(ctx)
-    pairs = [("tm" if isinstance(e, TmEntry) else "ty", n)
-             for e, n in zip(ctx, names)]
-    return Env(pairs)
+    def invent(self, sorts) -> tuple[Names, list[str]]:
+        """These names and an entry of each of ``sorts`` (outermost first)
+        with a fresh name, and those names."""
+        names, out = self, []
+        for sort in sorts:
+            out.append(names.fresh(sort))
+            names = names.push(sort, out[-1])
+        return names, out
 
 
 def _wrap(s: str, have: int, want: int) -> str:
     return f"({s})" if have < want else s
 
 
-def render(x, env: Env, level: int = LOW) -> str:
+def render(x, names: Names, level: int = LOW) -> str:
     match x:
         case Base(name):
             return name
         case Var(i):
-            return env.name("tm", i)
+            return names.name(TmEntry, i)
         case TyVarRef(j, inst):
-            head = env.name("ty", j)
+            head = names.name(TyEntry, j)
             if not inst:
                 return head
-            args = " ".join(render(t, env, ATOM) for t in inst)
+            args = " ".join(render(t, names, ATOM) for t in inst)
             return _wrap(f"{head} {args}", APP, level)
         case Pi(dom, cod):
             if least_free_tm(cod) == 0:
-                env2, n = env.push("tm")
-                s = f"({n} : {render(dom, env, LOW)}) -> {render(cod, env2, LOW)}"
+                n = names.fresh(TmEntry)
+                s = (f"({n} : {render(dom, names, LOW)}) -> "
+                     f"{render(cod, names.push(TmEntry, n), LOW)}")
             else:
-                env2, _ = env.push("tm", "_")
-                s = f"{render(dom, env, APP)} -> {render(cod, env2, LOW)}"
+                s = (f"{render(dom, names, APP)} -> "
+                     f"{render(cod, names.push(TmEntry, '_'), LOW)}")
             return _wrap(s, LOW, level)
         case Sig(fst, snd):
             if least_free_tm(snd) == 0:
-                env2, n = env.push("tm")
-                s = f"({n} : {render(fst, env, LOW)}) ** {render(snd, env2, LOW)}"
+                n = names.fresh(TmEntry)
+                s = (f"({n} : {render(fst, names, LOW)}) ** "
+                     f"{render(snd, names.push(TmEntry, n), LOW)}")
             else:
                 # the right operand of a plain ``**`` is read at star
                 # level: a function type there needs parentheses
-                env2, _ = env.push("tm", "_")
-                s = f"{render(fst, env, APP)} ** {render(snd, env2, STAR)}"
+                s = (f"{render(fst, names, APP)} ** "
+                     f"{render(snd, names.push(TmEntry, '_'), STAR)}")
                 return _wrap(s, STAR, level)
             return _wrap(s, LOW, level)
         case Ind(name, params, indices):
-            args = [_spine_str(c, env) for c in params.comps]
-            args += [render(t, env, ATOM) for t in indices]
+            args = [_spine_str(c, names) for c in params.comps]
+            args += [render(t, names, ATOM) for t in indices]
             s = name if not args else f"{name} {' '.join(args)}"
             return _wrap(s, APP if args else ATOM, level)
         case Lam(dom, body):
-            env2, n = env.push("tm")
-            s = f"fun ({n} : {render(dom, env, LOW)}) => {render(body, env2, LOW)}"
+            n = names.fresh(TmEntry)
+            s = (f"fun ({n} : {render(dom, names, LOW)}) => "
+                 f"{render(body, names.push(TmEntry, n), LOW)}")
             return _wrap(s, LOW, level)
         case App(fn, arg):
-            s = f"{render(fn, env, APP)} {render(arg, env, ATOM)}"
+            s = f"{render(fn, names, APP)} {render(arg, names, ATOM)}"
             return _wrap(s, APP, level)
         case Pair(ty, a, b):
-            return f"({render(a, env, LOW)} , {render(b, env, LOW)} : {render(ty, env, LOW)})"
+            return f"({render(a, names, LOW)} , {render(b, names, LOW)} : {render(ty, names, LOW)})"
         case Fst(p):
-            return _wrap(f"fst {render(p, env, ATOM)}", APP, level)
+            return _wrap(f"fst {render(p, names, ATOM)}", APP, level)
         case Snd(p):
-            return _wrap(f"snd {render(p, env, ATOM)}", APP, level)
+            return _wrap(f"snd {render(p, names, ATOM)}", APP, level)
         case Cast(tm, ad):
-            s = f"{render(tm, env, LOW if isinstance(tm, Cast) else APP)} <| {render(ad, env, COMP)}"
+            s = f"{render(tm, names, LOW if isinstance(tm, Cast) else APP)} <| {render(ad, names, COMP)}"
             return _wrap(s, LOW, level)
         case Con():
             # the last argument is taken in this frame; each applied inner
@@ -154,98 +169,86 @@ def render(x, env: Env, level: int = LOW) -> str:
                 out.append(cname)
                 if x.params is not seen:
                     seen = x.params
-                    params = [" " + _spine_str(c, env) for c in seen.comps]
+                    params = [" " + _spine_str(c, names) for c in seen.comps]
                 out += params
                 if not x.args:
                     break
-                out += [" " + render(t, env, ATOM) for t in x.args[:-1]]
+                out += [" " + render(t, names, ATOM) for t in x.args[:-1]]
                 out.append(" ")
                 x, level = x.args[-1], ATOM
                 if type(x) is not Con:
-                    out.append(render(x, env, ATOM))
+                    out.append(render(x, names, ATOM))
                     break
             return "".join(out) + ")" * opened
         case AdId(ty):
-            return _wrap(f"id {render(ty, env, ATOM)}", APP, level)
+            return _wrap(f"id {render(ty, names, ATOM)}", APP, level)
         case Post(name, _, _):
             return name
         case Chain(parts):
-            s = " . ".join(render(p, env, APP) for p in reversed(parts))
+            s = " . ".join(render(p, names, APP) for p in reversed(parts))
             return _wrap(s, COMP, level)
         case PiAd(da, ca, _, _):
-            return f"Pi [[ {render(da, env, LOW)} > {_binder_comp(ca, 1, env)} ]]"
+            return f"Pi [[ {render(da, names, LOW)} > {_binder_comp(ca, 1, names)} ]]"
         case SigAd(fa, sa, _, _):
-            return f"Sig [[ {render(fa, env, LOW)} > {_binder_comp(sa, 1, env)} ]]"
+            return f"Sig [[ {render(fa, names, LOW)} > {_binder_comp(sa, 1, names)} ]]"
         case IndAd(name, trans):
             comps = []
             for c in trans.comps:
                 if isinstance(c, KTm):
-                    comps.append(render(c.tm, env, LOW))
+                    comps.append(render(c.tm, names, LOW))
                 else:
-                    comps.append(_binder_comp(c.ad, c.arity, env))
+                    comps.append(_binder_comp(c.ad, c.arity, names))
             inner = " > ".join(comps)
             return f"{name} [[ {inner} ]]"
         case _:
             return repr(x)
 
 
-def _binder_comp(ad, arity: int, env: Env) -> str:
+def _binder_comp(ad, arity: int, names: Names) -> str:
     if least_free_tm(ad) >= arity:
-        return render(ad, env.binders(arity, "_")[0], LOW)
-    env2, names = env.binders(arity)
-    return f"{' '.join(names)} => {render(ad, env2, LOW)}"
+        return render(ad, names.push(TmEntry, *["_"] * arity), LOW)
+    inner, bound = names.invent([TmEntry] * arity)
+    return f"{' '.join(bound)} => {render(ad, inner, LOW)}"
 
 
-def _spine_str(c, env: Env) -> str:
+def _spine_str(c, names: Names) -> str:
     """One argument of an applied datatype or constructor.  Families that
     are an eta-expanded variable print as the bare variable; other
     families use an explicit binder."""
     if isinstance(c, STm):
-        return render(c.tm, env, ATOM)
+        return render(c.tm, names, ATOM)
     if c.arity == 0:
-        return render(c.ty, env, ATOM)
+        return render(c.ty, names, ATOM)
     ty = c.ty
     if (isinstance(ty, TyVarRef)
             and ty.inst == tuple(Var(c.arity - 1 - m) for m in range(c.arity))):
-        return env.name("ty", ty.index)
+        return names.name(TyEntry, ty.index)
     if least_free_tm(ty) >= c.arity:
-        return render(shift(ty, -c.arity, 0, c_tm=c.arity), env, ATOM)
-    env2, names = env.binders(c.arity)
-    return f"({' '.join(names)} => {render(ty, env2, LOW)})"
+        return render(shift(ty, -c.arity, 0, c_tm=c.arity), names, ATOM)
+    inner, bound = names.invent([TmEntry] * c.arity)
+    return f"({' '.join(bound)} => {render(ty, inner, LOW)})"
 
 
-def ty_string(ctx: Context, ty, names: list[str] | None = None) -> str:
-    return render(ty, env_from(ctx, names), LOW)
+def ty_string(names: Names, ty) -> str:
+    return render(ty, names, LOW)
 
 
-def tm_string(ctx: Context, tm, names: list[str] | None = None) -> str:
-    return render(tm, env_from(ctx, names), LOW)
+def tm_string(names: Names, tm) -> str:
+    return render(tm, names, LOW)
 
 
-def ad_string(ctx: Context, ad, names: list[str] | None = None) -> str:
-    return render(ad, env_from(ctx, names), LOW)
+def ad_string(names: Names, ad) -> str:
+    return render(ad, names, LOW)
 
 
-def tel_strings(ctx: Context, tel, names: list[str] | None = None) -> list[str]:
-    env = env_from(ctx, names)
+def tel_strings(names: Names, tel) -> list[str]:
+    """Each type of ``tel`` under the fresh names of the ones before it."""
     out = []
     for ty in tel:
-        out.append(render(ty, env, LOW))
-        env, _ = env.push("tm")
+        out.append(render(ty, names, LOW))
+        names = names.push(TmEntry, names.fresh(TmEntry))
     return out
 
 
-def inst_strings(ctx: Context, inst, names: list[str] | None = None) -> list[str]:
-    env = env_from(ctx, names)
-    return [render(t, env, LOW) for t in inst]
-
-
-def plain(x) -> str:
-    """Best effort rendering with no context, for diagnostics."""
-    if isinstance(x, str):
-        return x
-    try:
-        return render(x, Env([("tm", f"v{i}") for i in range(8)]
-                             + [("ty", f"T{i}") for i in range(8)]), LOW)
-    except Exception:
-        return repr(x)
+def inst_strings(names: Names, inst) -> list[str]:
+    return [render(t, names, LOW) for t in inst]

@@ -402,9 +402,9 @@ def test_criterion_surface_roundtrip():
     for path in ("corpus/prelude.adt", "corpus/casts.adt", "corpus/tree.adt"):
         out = E.elab_file(S.parse(pathlib.Path(path).read_text(encoding="utf-8")))
         for ctx, names, lhs, rhs, ty, span in out.asserts:
-            sc = E.Scope(out.scope.table, ctx, tuple(names))
+            sc = E.Scope(ctx, names)
             for side in (lhs, rhs):
-                printed = P.tm_string(ctx, side, names)
+                printed = P.tm_string(names, side)
                 again, _ = E.elab_expr_in(sc, printed)
                 assert again == side, (path, printed)
                 checked += 1

@@ -198,6 +198,62 @@ def test_a_wrong_domain_read_in_the_dual_is_a_mismatch(tmp_path):
                    "-> Nat got Id A c c -> Nat (check failed)\n")
 
 
+#: a vector whose length is a variable, where ``vcons`` wants one of length
+#: zero
+_VEC = "base A ; var a : A ; var n : Nat ; var v : Vec A n ;\n"
+
+
+@pytest.mark.parametrize("check", [
+    "check vcons A a zero v : Vec A (succ zero) ;",
+    "check fun (k : Nat) => vcons A a zero v : Nat -> Vec A (succ zero) ;",
+], ids=["in_the_file_context", "under_a_binder"])
+def test_a_kernel_mismatch_names_variables_as_the_file_does(check, tmp_path):
+    p = tmp_path / "vec.adt"
+    p.write_text(_VEC + check + "\n")
+    code, out = run(["check", str(p)])
+    assert code == 1
+    assert out == (f"ERROR ClassifierMismatch {p}:2:1 expected Vec A zero got "
+                   "Vec A n (instantiation component has the wrong type)\n")
+
+
+def test_a_definition_mismatch_is_not_named_by_the_file_variables(tmp_path):
+    # a definition is read over no context: its binders ``n`` and ``v``
+    # dualize to a context equal to the file's ``m`` and ``w``, which must
+    # not name them
+    p = tmp_path / "def.adt"
+    p.write_text("base A ; var m : Nat ; var w : Vec A m ;\n"
+                 "def f : (n : Nat) -> (v : Vec A n) -> Id (Vec A zero) v v "
+                 "-> Nat := fun (n : Nat) => fun (v : Vec A n) => "
+                 "fun (e : Id (Vec A zero) v v) => zero ;\n")
+    code, out = run(["check", str(p)])
+    assert code == 1
+    assert out == (f"ERROR ClassifierMismatch {p}:2:1 expected Vec A zero got "
+                   "Vec A x (substitution component has the wrong type)\n")
+
+
+_TWO_ADAPTERS = ("base A ; base B ; postulate adapter f : A => B ; "
+                 "postulate adapter f2 : A => B ;\n")
+
+
+@pytest.mark.parametrize("var, former, ty", [
+    ("B -> A", "Pi [[ {} > id A ]]", "A -> A"),
+    ("A -> A", "Pi [[ id A > {} ]]", "A -> B"),
+    ("A ** A", "Sig [[ {} > id A ]]", "B ** A"),
+    ("A ** A", "Sig [[ id A > {} ]]", "A ** B"),
+], ids=["Pi_domain", "Pi_codomain", "Sig_first", "Sig_second"])
+def test_function_and_pair_adapters_differing_in_one_component_are_not_equal(
+        var, former, ty, tmp_path):
+    # each equation is rejected only by the comparison of that component
+    # in the conversion of atomic adapters
+    p = tmp_path / "adapters.adt"
+    lhs, rhs = (f"l <| List [[ {former.format(a)} ]]" for a in ("f", "f2"))
+    p.write_text(f"{_TWO_ADAPTERS}var l : List ({var}) ;\n"
+                 f"asserteq {lhs} = {rhs} : List ({ty}) ;\n")
+    code, out = run(["check", str(p)])
+    assert code == 1
+    assert out.startswith(f"ERROR ConversionFailed {p}:3:1 "), out
+
+
 #: an equation whose sides are argument-less constructors at distinct but
 #: convertible parameters (eta at a function type), a check whose types
 #: differ only in a Pi codomain, and a family printed with its binder

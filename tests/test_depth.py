@@ -38,7 +38,7 @@ from adaptt.inductive import (
     tree_desc,
 )
 from adaptt.normalize import KernelError, cast, conv_tm, nf
-from adaptt.pretty import tm_string
+from adaptt.pretty import Names, tm_string
 from adaptt.syntax import (
     SESSION, Base, Cast, Con, Ind, IndAd, Sub, STy, Trans, KAd, TyVarRef, Var,
     desc,
@@ -313,7 +313,8 @@ def test_an_error_at_the_innermost_cell_is_that_of_a_short_spine(
 
 def test_a_deep_list_prints_as_its_short_rendering_extends():
     def text(n):
-        return tm_string(gen.KERNEL_CTX, gen.list_of(gen.A, [A_VAR] * n))
+        return tm_string(Names().invent(map(type, gen.KERNEL_CTX))[0],
+                         gen.list_of(gen.A, [A_VAR] * n))
     assert text(3) == "cons A x (cons A x (cons A x (nil A)))"
     assert text(DEEP) == "cons A x (" * DEEP + "nil A" + ")" * DEEP
 
@@ -323,7 +324,7 @@ def test_a_deep_numeral_prints_as_its_short_rendering_extends():
         out = nat_zero()
         for _ in range(n):
             out = nat_succ(out)
-        return tm_string((), out)
+        return tm_string(Names(), out)
     assert text(3) == "succ (succ (succ zero))"
     assert text(DEEP) == "succ (" * (DEEP - 1) + "succ zero" + ")" * (DEEP - 1)
 

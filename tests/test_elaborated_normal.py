@@ -38,7 +38,7 @@ def elaborated_values(out):
         yield from (lhs, rhs, ty)
     for _, _, tm, _ in out.normalizes:
         yield tm
-    for kind, meaning in out.scope.table.values():
+    for kind, meaning in out.scope.names.table.values():
         if kind == "def":
             yield meaning
     for entry in out.scope.ctx:

@@ -1,8 +1,9 @@
 """Work counts on doubling ladders: the Python calls a computation makes,
-counted with ``sys.setprofile``, the rules it fires, the entries of its
-session's memo and the nodes it adds to the intern table grow at most
-2.1x when its input doubles.  Call counts vary across Python versions, so
-only ratios are asserted."""
+counted with ``sys.setprofile``, the lines it executes in the modules
+that do the work, counted with ``sys.settrace``, the rules it fires, the
+entries of its session's memo and the nodes it adds to the intern table
+grow at most 2.1x when its input doubles.  Counts vary across Python
+versions, so only ratios are asserted."""
 
 import contextlib
 import gc
@@ -12,11 +13,11 @@ import sys
 
 import pytest
 
-from adaptt import cli
+from adaptt import cli, elaborate, inductive, pretty
 from adaptt.check import infer_tm
 from adaptt.inductive import nat_zero
 from adaptt.normalize import cast, conv_ad, conv_tm, nf
-from adaptt.pretty import ty_string
+from adaptt.pretty import Names, ty_string
 from adaptt.syntax import (
     INTERNED, POS, Cast, Pi, Session, Sig, TmEntry, Var, fv_bounds,
 )
@@ -70,7 +71,8 @@ def test_printing_a_chain_grows_linearly(ctx, build):
     for n in (64, 128, 256):
         ty = build(n)
         fv_bounds(ty)       # filled once per node, outside the count
-        counts.append(calls(ty_string, ctx, ty))
+        names = Names().invent(map(type, ctx))[0]
+        counts.append(calls(ty_string, names, ty))
     assert counts[2] / counts[1] <= 2.1, counts
 
 
@@ -132,18 +134,64 @@ def test_the_oracle_on_a_generated_file_grows_linearly(tmp_path):
 
 
 def test_deriving_a_wide_datatype_grows_linearly(tmp_path):
-    # ``data Wide (X0 : Ty+) … (Xk-1 : Ty+) { mk : (x : Xk-1) -> Wide … }``
+    # ``data Wide (X0 : Ty+) … (Xk-1 : Ty+) { mk : (x : Xk-1) -> Wide … }``:
+    # each parameter is named once, not once per prefix of the parameters,
+    # and a fresh name is found without trying every name taken before it
     work = []
-    for k in (1, 2, 4, 8):
+    for k in (8, 16, 32, 64):
         xs = [f"X{i}" for i in range(k)]
         path = tmp_path / f"wide{k}.adt"
         path.write_text(
             f"data Wide {' '.join(f'({x} : Ty+)' for x in xs)} "
             f"{{ mk : (x : {xs[-1]}) -> Wide {' '.join(xs)} }}\n",
             encoding="utf-8")
-        work.append(cli_work("derive", str(path), "Wide"))
-    for k in range(2):
+        calls_rules = cli_work("derive", str(path), "Wide")
+        work.append((*calls_rules, lines_in((inductive, pretty), command,
+                                            "derive", str(path), "Wide")))
+    for k in range(3):
         assert work[3][k] / work[2][k] <= 2.1, work
+
+
+def lines_in(modules, fn, *args) -> int:
+    """Lines ``fn(*args)`` executes in ``modules``, counted with
+    ``sys.settrace``; the frames of other modules are not traced.  A
+    tracer already installed (a line-coverage run) is put back after."""
+    files, outer = {m.__file__ for m in modules}, sys.gettrace()
+    n = 0
+
+    def count(frame, event, arg):
+        nonlocal n
+        n += event == "line"
+        return count
+
+    def enter(frame, event, arg):
+        return count if frame.f_code.co_filename in files else None
+
+    sys.settrace(enter)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(outer)
+    return n
+
+
+def test_naming_a_long_context_grows_linearly(tmp_path):
+    # n ``var``s, then n equations between neighbours, each of which fails
+    # and is printed: the elaborator resolves every name and the printer
+    # names every variable through the one name scope.  Only the lines of
+    # those two modules are counted; the kernel's own walks of the context
+    # are another matter
+    work = []
+    for n in (125, 250, 500, 1000):
+        path = tmp_path / f"vars{n}.adt"
+        path.write_text(
+            "".join(f"var x_{k} : Nat ;\n" for k in range(n))
+            + "".join(f"asserteq x_{k} = x_{(k + 1) % n} : Nat ;\n"
+                      for k in range(n)), encoding="utf-8")
+        command("check", str(path))
+        work.append(lines_in((elaborate, pretty), command, "check", str(path)))
+    for k in range(3):
+        assert work[k + 1] / work[k] <= 2.1, work
 
 
 def kernel_calls(run, x) -> int:

@@ -25,7 +25,7 @@ covar na : A ; covar nb : B ; covar nc : C ;
 
 def _scope():
     sc = E.elab_file(S.parse(HEADER)).scope
-    assert sc.ctx == AMBIENT and list(sc.names) == AMBIENT_NAMES
+    assert sc.ctx == AMBIENT and sc.names.tm[::-1] == tuple(AMBIENT_NAMES)
     return sc
 
 
@@ -74,7 +74,7 @@ def terms(draw):
 @example(Pair(Sig(nat(), Pi(Base("A"), nat())), nat_zero(),
               Lam(Base("A"), nat_zero())))
 def test_printed_term_parses_back_to_itself(tm):
-    printed = P.tm_string(AMBIENT, tm, AMBIENT_NAMES)
+    printed = P.tm_string(SCOPE.names, tm)
     again, ty = E.elab_expr_in(SCOPE, printed)
     assert again is tm, printed
     assert nf(ty).value is ty
@@ -104,7 +104,7 @@ PRINTED = {
 @pytest.mark.parametrize("text", PRINTED)
 def test_printer_cases_parse_back(text):
     tm, _ = E.elab_expr_in(EXTRA_SCOPE, text)
-    printed = P.tm_string(EXTRA_SCOPE.ctx, tm, list(EXTRA_SCOPE.names))
+    printed = P.tm_string(EXTRA_SCOPE.names, tm)
     assert printed == PRINTED[text]
     again, _ = E.elab_expr_in(EXTRA_SCOPE, printed)
     assert again is tm

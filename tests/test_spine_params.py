@@ -27,7 +27,7 @@ CELLS = 64
 
 #: l : List A, a : A, b : B; without ``l``, the scope of ``DECLS``
 CTX = (TmEntry(POS, list_ty(A)), TmEntry(POS, A), TmEntry(POS, B))
-NAMES = ["l", "a", "b"]
+NAMES = pretty.Names().push(TmEntry, "l", "a", "b")
 l, a, b = Var(2), Var(1), Var(0)
 
 #: the scope of the surface literals: no parameter spine of its own.
@@ -87,7 +87,7 @@ def test_a_list_checks_its_parameters_once(monkeypatch):
 
 def test_a_list_prints_its_parameters_once(monkeypatch):
     calls = counting(monkeypatch, pretty, "_spine_str")
-    text = pretty.tm_string(CTX, list_of(A, [a] * CELLS), NAMES)
+    text = pretty.tm_string(NAMES, list_of(A, [a] * CELLS))
     assert text == nested(["cons A a"] * CELLS, "nil A")
     assert len(calls) == 1
 
@@ -152,7 +152,7 @@ def test_parameters_that_change_mid_spine_are_checked_cell_by_cell():
 
 
 def test_parameters_that_change_mid_spine_are_printed_cell_by_cell():
-    assert pretty.tm_string(CTX, MIXED, NAMES) == \
+    assert pretty.tm_string(NAMES, MIXED) == \
         "cons A a (cons B b (nil B))"
 
 

@@ -110,7 +110,8 @@ def test_reprs_in_messages_are_those_of_the_dataclasses():
     assert repr(setmodel.SFin("A", ("a1",))) == "SFin(name='A', labels=('a1',))"
     assert repr(surface.parse("var a : A ;")) == (
         "[DVar(name='a', ty=SName(name='A', span=8), span=0, neg=False)]")
-    assert repr(elaborate.Scope()) == "Scope(table={}, ctx=(), names=())"
+    assert repr(elaborate.Scope()) == (
+        "Scope(ctx=(), names=Names(table={}, tm=(), ty=()))")
 
 
 @pytest.mark.parametrize("cls", NODES + FROZEN_RECORDS,

@@ -186,21 +186,16 @@ def test_a_rejected_data_declaration_is_not_registered(text, name):
 def roundtrip_exprs(path: str):
     out = elab(pathlib.Path(path).read_text(encoding="utf-8"))
     for ctx, names, lhs, rhs, ty, span in out.asserts:
-        sc = _scope_at(out, ctx, names)
+        sc = E.Scope(ctx, names)
         for side in (lhs, rhs):
-            printed = P.tm_string(ctx, side, names)
+            printed = P.tm_string(names, side)
             again, _ = E.elab_expr_in(sc, printed)
             assert again == side, (path, span, printed)
     for ctx, names, tm, span in out.normalizes:
-        sc = _scope_at(out, ctx, names)
-        printed = P.tm_string(ctx, tm, names)
+        sc = E.Scope(ctx, names)
+        printed = P.tm_string(names, tm)
         again, _ = E.elab_expr_in(sc, printed)
         assert again == tm, (path, span, printed)
-
-
-def _scope_at(out, ctx, names):
-    sc = out.scope
-    return E.Scope(sc.table, ctx, tuple(names))
 
 
 def test_roundtrip_casts_corpus():
