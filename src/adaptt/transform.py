@@ -53,7 +53,7 @@ from .normalize import (
     KernelError, SMART, apply, lift_block,
     open_tm_block, cast, compose_ad, ad_end, ad_src, ad_tgt, is_id_ad,
     trans_is_identity, note, conv_tm, conv_ad, session_memo, replayed_cache,
-    con_data_tied, result_indices,
+    con_data_tied, result_indices, recording, replay,
 )
 
 
@@ -223,21 +223,48 @@ def cast_con(tm: Con, tr: Trans) -> Term:
     transformation.  The index side of the transformation is forced, so
     a mismatch there means the cast was ill-typed.  While the last
     argument's cast is again a constructor cast, the loop walks down to
-    it, checking each cell in full, and rebuilds the cells bottom-up."""
-    cells, tail = [], ()
+    it and rebuilds the cells bottom-up.
+
+    A run of cells whose parameter spines and transformations are the
+    same nodes, and whose datatypes and tags are equal, is read once: the
+    source spine, the parameter check, the argument adapters and the
+    target parameters depend on those four values only, so a cell of the
+    run reuses those of the cell above and reports their steps again.
+    Only a cell that another cell may follow records them, in two records
+    around the index check, so the steps come in the order of the
+    cell-by-cell reading.  Each cell's source indices and argument count
+    are checked on the cell itself."""
+    cells, tail, run = [], (), None
     while True:
-        d = desc(tm.desc)
-        npar = len(d.params_ctx)
-        if len(tr.comps) != len(d.full_ctx):
-            raise KernelError("inductive adapter spine does not match the signature")
-        src_spine = trans_source(d.full_ctx, tr)
-        if Sub(src_spine.comps[:npar]) != tm.params:
-            raise KernelError("inductive cast parameter mismatch")
-        src_idx = tuple(c.tm for c in src_spine.comps[npar:])
+        args = tm.args
+        again = (run is not None and tm.params is run[2] and tr is run[3]
+                 and tm.tag == run[1] and tm.desc == run[0])
+        if again:
+            replay(found)
+        else:
+            d = desc(tm.desc)
+            npar = len(d.params_ctx)
+            if len(tr.comps) != len(d.full_ctx):
+                raise KernelError("inductive adapter spine does not match the signature")
+            run = ((tm.desc, tm.tag, tm.params, tr)
+                   if args and type(args[-1]) is Con else None)
+            if run:
+                with recording() as found:
+                    src_spine = trans_source(d.full_ctx, tr)
+            else:
+                src_spine = trans_source(d.full_ctx, tr)
+            if Sub(src_spine.comps[:npar]) != tm.params:
+                raise KernelError("inductive cast parameter mismatch")
+            src_idx = tuple(c.tm for c in src_spine.comps[npar:])
         if src_idx != result_indices(tm):
             raise KernelError("inductive cast index mismatch")
-        alpha, params = _con_adapter(d, tm.tag, Trans(tr.comps[:npar]))
-        args = tm.args
+        if again:
+            replay(adapted)
+        elif run:
+            with recording() as adapted:
+                alpha, params = _con_adapter(d, tm.tag, Trans(tr.comps[:npar]))
+        else:
+            alpha, params = _con_adapter(d, tm.tag, Trans(tr.comps[:npar]))
         if len(args) != len(alpha):
             raise KernelError("telescope adapter length mismatch")
         lead = [cast(t, open_tm_block(a, args[:k]))
@@ -260,7 +287,8 @@ def cast_con(tm: Con, tr: Trans) -> Term:
 def _con_adapter(d: IndDesc, ci: int, mu: Trans) -> tuple[TelAd, Sub]:
     """Argument telescope adapter of constructor ``ci`` under the
     parameter transformation ``mu``, and the target parameters.  Every
-    cell of a cast list shares ``mu``, so this is computed once per cast."""
+    cell of a cast list shares ``mu``, so this is computed once per cast,
+    and ``cast_con`` looks it up once per run of equal cells."""
     return (push_tel(con_data_tied(d, ci), mu, d.params_ctx),
             trans_target(d.params_ctx, mu))
 

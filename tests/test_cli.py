@@ -254,6 +254,24 @@ def test_function_and_pair_adapters_differing_in_one_component_are_not_equal(
     assert out.startswith(f"ERROR ConversionFailed {p}:3:1 "), out
 
 
+@pytest.mark.parametrize("decls, lhs, rhs, ty", [
+    ("var a : A ; var a2 : A ; var b : B ;",
+     "(a, b : A ** B)", "(a2, b : A ** B)", "A ** B"),
+    ("postulate adapter p : List A => List B ; var l : List A ;",
+     "l <| p", "l <| List [[ f ]]", "List B"),
+], ids=["pair_first", "postulate_against_datatype_adapter"])
+def test_a_pair_or_an_adapter_differing_in_one_place_is_not_equal(
+        decls, lhs, rhs, ty, tmp_path):
+    # the first equation is rejected only by the comparison of the first
+    # components under eta at a pair type, the second only by the rule
+    # that atomic adapters of two shapes differ
+    p = tmp_path / "near.adt"
+    p.write_text(f"{_TWO_ADAPTERS}{decls}\nasserteq {lhs} = {rhs} : {ty} ;\n")
+    code, out = run(["check", str(p)])
+    assert code == 1
+    assert out.startswith(f"ERROR ConversionFailed {p}:3:1 "), out
+
+
 #: an equation whose sides are argument-less constructors at distinct but
 #: convertible parameters (eta at a function type), a check whose types
 #: differ only in a Pi codomain, and a family printed with its binder

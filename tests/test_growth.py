@@ -10,10 +10,11 @@ import gc
 import io
 import random
 import sys
+from collections import Counter
 
 import pytest
 
-from adaptt import cli, elaborate, inductive, pretty
+from adaptt import cli, elaborate, inductive, pretty, transform
 from adaptt.check import infer_tm
 from adaptt.inductive import nat_zero
 from adaptt.normalize import cast, conv_ad, conv_tm, nf
@@ -226,6 +227,29 @@ def test_a_kernel_op_on_a_list_grows_linearly(op):
     counts = [kernel_calls(op, gen.kernel_case(random.Random(1), n))
               for n in (24, 48, 96, 192)]
     assert counts[3] / counts[2] <= 2.1, counts
+
+
+def test_a_list_cast_reads_its_parameters_once(monkeypatch):
+    # every cell of a generated list has the same parameters and
+    # transformation: the source spine and the argument adapters are
+    # looked up once for the run of cons cells and once for the nil,
+    # whatever the length (counted after a first cast has filled the
+    # process-wide tables)
+    looked_up = Counter()
+    for name in ("_endpoint", "_con_adapter"):
+        def counted(*args, fn=getattr(transform, name), name=name):
+            looked_up[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(transform, name, counted)
+    counts = []
+    for n in (24, 192):
+        kc = gen.kernel_case(random.Random(1), n)
+        in_fresh_session(lambda: cast(kc.src, kc.ad))
+        looked_up.clear()
+        out, _ = in_fresh_session(lambda: cast(kc.src, kc.ad))
+        assert out == kc.cast_expected
+        counts.append(dict(looked_up))
+    assert counts[0] == counts[1], counts
 
 
 def test_normalizing_a_cast_list_expression_grows_linearly():

@@ -7,17 +7,20 @@ import pytest
 
 from adaptt.syntax import (
     POS, NEG, TmEntry, TyEntry, Base, TyVarRef, Pi, Ind, Var, Cast, Con,
-    Post, PiAd, IndAd, Sub, STm, STy, Trans, KTm, KAd, desc, shift,
+    Post, PiAd, IndAd, IndDesc, ConDesc, Sub, STm, STy, Trans, KTm, KAd,
+    desc, shift,
 )
 from adaptt.normalize import cast, conv_tm, KernelError
 from adaptt.inductive import (
     con_data_tied, constr_type, cast_con, ind_adapter,
-    generic_con, result_indices, nat, nat_zero, nat_succ,
+    generic_con, result_indices, nat, nat_zero, nat_succ, register,
 )
 from helpers import (
     A, B, C, D, f_AB, g_BC, q_DC, list_ty, vec_of, sum_of, w_of, id_of,
     nil, cons, mu1, list_ad, register_tree,
 )
+from perfbench.gen import list_of
+from test_session_memo import in_fresh_session
 
 
 # -- elaboration shapes ------------------------------------------------------
@@ -179,6 +182,58 @@ def test_cast_con_rejects_wrong_indices():
     t = Con("Vec", 0, Sub((STy(A, 0),)), ())  # indices force zero
     with pytest.raises(KernelError):
         cast_con(t, ind_adapter("Vec", mu, (nat_succ(nat_zero()),)).trans)
+
+
+# -- runs of equal cells ------------------------------------------------------
+#
+# ``cast_con`` reads what a cell's datatype, tag, parameter spine and
+# transformation determine once per run of cells on which all four agree.
+# In each case below a cell differs from the one above it in one of them,
+# and must be read afresh.
+
+
+@pytest.mark.parametrize("below", [
+    list_of(B, [Var(1)]), cons(B, Var(1), Var(0)),
+], ids=["nil", "variable"])
+def test_a_cell_at_other_parameters_than_the_one_above_is_rejected(below):
+    # cons A a (cons B b tail) <| List [[ f ]]: the transformation's source
+    # is A, and the second cell's parameter is B
+    with pytest.raises(KernelError, match="inductive cast parameter mismatch"):
+        cast(cons(A, Var(2), below), list_ad(f_AB, B))
+
+
+def test_each_cell_of_a_vector_cast_is_read_at_its_own_index():
+    # vcons A a (succ zero) (vcons A a2 zero (vnil A))
+    #   <| Vec [[ f > succ (succ zero) ]]: the transformation of the cell
+    # below carries the index succ zero, not succ (succ zero)
+    def vcons(x, n, xs):
+        return Con("Vec", 1, xs.params, (x, n, xs))
+
+    zero, one = nat_zero(), nat_succ(nat_zero())
+    vnil_a, vnil_b = (Con("Vec", 0, Sub((STy(t, 0),)), ()) for t in (A, B))
+    src = vcons(Var(1), one, vcons(Var(0), zero, vnil_a))
+    out = cast(src, ind_adapter("Vec", mu1(f_AB, B), (nat_succ(one),)))
+    assert out == vcons(Cast(Var(1), f_AB), one,
+                        vcons(Cast(Var(0), f_AB), zero, vnil_b))
+
+
+def test_the_cell_below_a_cons_is_cast_as_a_nil():
+    # the nil shares the cons cell's parameters and transformation
+    out = cast(cons(A, Var(0), nil(A)), list_ad(f_AB, B))
+    assert out == cons(B, Cast(Var(0), f_AB), nil(B))
+
+
+def test_a_cell_of_another_datatype_below_is_cast_as_its_own():
+    # wrap A (nil A) <| Wrap [[ f ]]: nil is tag 0 like wrap, at the same
+    # parameters and transformation, but a List cell
+    def run():
+        register(IndDesc("Wrap", (TyEntry(POS, POS, ()),), (),
+                         (ConDesc("wrap", (list_ty(TyVarRef(0, ())),), (),
+                                  ()),)))
+        src = Con("Wrap", 0, Sub((STy(A, 0),)), (nil(A),))
+        return cast(src, IndAd("Wrap", mu1(f_AB, B)))
+    out, _ = in_fresh_session(run)
+    assert out == Con("Wrap", 0, Sub((STy(B, 0),)), (nil(B),))
 
 
 def test_identity_cast_on_constructor():

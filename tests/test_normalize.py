@@ -6,7 +6,7 @@ import pytest
 from adaptt.syntax import (
     POS, NEG, TmEntry, TyEntry, Base, TyVarRef, Pi, Sig, Ind,
     Var, Lam, App, Pair, Fst, Snd, Cast, AdId, Chain, Post, PiAd, SigAd,
-    Sub, STm, STy, id_sub, shift,
+    IndAd, Sub, STm, STy, Trans, KAd, id_sub, shift,
 )
 from adaptt.normalize import (
     apply, compose_ad, cast, app, fst_, snd_,
@@ -249,6 +249,25 @@ def test_conv_rejects_different_postulate_casts():
     lhs = cast(Var(0), q_DC)
     rhs = cast(Var(0), Post("other", Base("D"), C))
     assert not conv_tm(ctx, C, lhs, rhs)
+
+
+def test_conv_distinguishes_two_type_variables():
+    ctx = (TyEntry(POS, POS, ()), TyEntry(POS, POS, ()))
+    assert not conv_ty(ctx, TyVarRef(0, ()), TyVarRef(1, ()))
+
+
+# Two constructors at different parameters, or two datatype adapters of
+# different datatypes, never share a type, so no well-typed equation
+# compares them: the kernel is called directly.
+
+
+def test_conv_distinguishes_constructors_at_other_parameters():
+    assert not conv_tm((), list_ty(A), nil(A), nil(B))
+
+
+def test_conv_distinguishes_adapters_of_two_datatypes():
+    two = IndAd("Sum", Trans((KAd(f_AB, B, 0), KAd(f_AB, B, 0))))
+    assert conv_ad((), list_ad(f_AB, B), two) is None
 
 
 def test_open_block_shifts_free_vars():
