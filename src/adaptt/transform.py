@@ -230,10 +230,10 @@ def cast_con(tm: Con, tr: Trans) -> Term:
     source spine, the parameter check, the argument adapters and the
     target parameters depend on those four values only, so a cell of the
     run reuses those of the cell above and reports their steps again.
-    Only a cell that another cell may follow records them, in two records
-    around the index check, so the steps come in the order of the
-    cell-by-cell reading.  Each cell's source indices and argument count
-    are checked on the cell itself."""
+    Each cell that reads them records their steps, in two records around
+    the index check, so the steps come in the order of the cell-by-cell
+    reading.  Each cell's source indices and argument count are checked
+    on the cell itself."""
     cells, tail, run = [], (), None
     while True:
         args = tm.args
@@ -246,12 +246,8 @@ def cast_con(tm: Con, tr: Trans) -> Term:
             npar = len(d.params_ctx)
             if len(tr.comps) != len(d.full_ctx):
                 raise KernelError("inductive adapter spine does not match the signature")
-            run = ((tm.desc, tm.tag, tm.params, tr)
-                   if args and type(args[-1]) is Con else None)
-            if run:
-                with recording() as found:
-                    src_spine = trans_source(d.full_ctx, tr)
-            else:
+            run = (tm.desc, tm.tag, tm.params, tr)
+            with recording() as found:
                 src_spine = trans_source(d.full_ctx, tr)
             if Sub(src_spine.comps[:npar]) != tm.params:
                 raise KernelError("inductive cast parameter mismatch")
@@ -260,11 +256,9 @@ def cast_con(tm: Con, tr: Trans) -> Term:
             raise KernelError("inductive cast index mismatch")
         if again:
             replay(adapted)
-        elif run:
+        else:
             with recording() as adapted:
                 alpha, params = _con_adapter(d, tm.tag, Trans(tr.comps[:npar]))
-        else:
-            alpha, params = _con_adapter(d, tm.tag, Trans(tr.comps[:npar]))
         if len(args) != len(alpha):
             raise KernelError("telescope adapter length mismatch")
         lead = [cast(t, open_tm_block(a, args[:k]))
