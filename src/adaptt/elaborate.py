@@ -209,8 +209,8 @@ def _elab_inductive(head: S.SName, args: list[S.SExpr], sc: Scope,
     applies a constructor is taken in this frame, so a spine costs no
     stack: the cells are elaborated top-down and built bottom-up.  A cell
     whose datatype and parameters (up to spans) are those of the cell
-    above reuses their elaboration and reports its steps again; only a
-    cell that another follows records them."""
+    above reuses their elaboration and reports its steps again; each
+    cell that reads its parameters records the steps."""
     cells, tail, seen = (), (), None
     while True:
         np = len(d.params_ctx)
@@ -230,12 +230,10 @@ def _elab_inductive(head: S.SName, args: list[S.SExpr], sc: Scope,
                    if type(nhead) is S.SName else (None, None))
         if d is seen and all(map(_same, args[:np], seen_args)):
             replay(record)
-        elif kind == "constructor":
+        else:
             seen, seen_args = d, args[:np]
             with recording() as record:
                 params = _elab_param_spine(d.params_ctx, seen_args, sc)
-        else:
-            params = _elab_param_spine(d.params_ctx, args[:np], sc)
         cells = (d.name, tag, params, [elab_tm(a, sc) for a in args[np:-1]],
                  cells)
         if kind != "constructor":

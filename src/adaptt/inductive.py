@@ -227,23 +227,27 @@ def generic_rows(d: IndDesc, setup):
 
 
 def run() -> list[tuple[str, bool]]:
-    """Judge every generic row of the stock datatypes and ``Tree`` (the
-    rows ``adaptt selftest`` prints), labelled ``<Datatype>.<constructor>``,
-    by the checker rather than by the engine that derives them: the raw
-    cast must be well-typed (its adapter, and its subject at the adapter's
-    source), and the derived constructor cast must be well-typed at a type
-    convertible with the cast's.  A ``CheckError`` or ``KernelError`` on
-    either side fails the row."""
+    """Judge every generic row of the stock datatypes and ``Tree``: the
+    rows ``adaptt selftest`` prints."""
     register(tree_desc())
+    return [row for d in (*STOCK.values(), tree_desc()) for row in judge(d)]
+
+
+def judge(d: IndDesc) -> list[tuple[str, bool]]:
+    """Judge every generic row of ``d``, labelled
+    ``<Datatype>.<constructor>``, by the checker rather than by the engine
+    that derives them: the raw cast must be well-typed (its adapter, and
+    its subject at the adapter's source), and the derived constructor cast
+    must be well-typed at a type convertible with the cast's.  A
+    ``CheckError`` or ``KernelError`` on either side fails the row."""
     results = []
-    for d in (*STOCK.values(), tree_desc()):
-        for c, ctx, _, tm, tr in generic_rows(d, generic_setup(d)):
-            try:
-                ok = conv_ty(ctx, infer_tm(ctx, Cast(tm, IndAd(d.name, tr))),
-                             infer_tm(ctx, cast_con(tm, tr)))
-            except (CheckError, KernelError):
-                ok = False
-            results.append((f"{d.name}.{c.name}", ok))
+    for c, ctx, _, tm, tr in generic_rows(d, generic_setup(d)):
+        try:
+            ok = conv_ty(ctx, infer_tm(ctx, Cast(tm, IndAd(d.name, tr))),
+                         infer_tm(ctx, cast_con(tm, tr)))
+        except (CheckError, KernelError):
+            ok = False
+        results.append((f"{d.name}.{c.name}", ok))
     return results
 
 

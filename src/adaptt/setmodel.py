@@ -325,6 +325,22 @@ def _once(code):
     return once
 
 
+def _table_map(back, new_dom: SemType, carry, msg: str):
+    """The map of function tables of a Pi type's functorial action: each
+    point ``u`` of the new domain is sent back by ``back`` to ``b``, the
+    table read at ``b``, and the value carried on by ``carry(b, u)``."""
+    def table_map(fv):
+        if not new_dom.enumerable:
+            raise NonEnumerable(msg)
+        rows = []
+        for u in new_dom.elements():
+            b = back(u)
+            v = fv.apply(b)
+            rows.append((u, carry(b, u)(v)))
+        return VFun(tuple(rows))
+    return table_map
+
+
 def _compiled(build):
     """Memoize a compile step per Evaluator, keyed by its one argument: a
     datatype name, or an interned syntax node.  No environment changes the
@@ -477,19 +493,11 @@ class Evaluator:
                 new_dom_c = self.compile_ty(tgt.dom)
 
                 def pi(env):
-                    dom_fn, new_dom = dom_c(env), new_dom_c(env)
                     tms, tys = env
-
-                    def pimap(fv):
-                        if not new_dom.enumerable:
-                            raise NonEnumerable("function cast over a "
-                                                "non-enumerable domain")
-                        rows = []
-                        for u in new_dom.elements():
-                            w = fv.apply(dom_fn(u))
-                            rows.append((u, cod_c((tms + (u,), tys))(w)))
-                        return VFun(tuple(rows))
-                    return pimap
+                    return _table_map(
+                        dom_c(env), new_dom_c(env),
+                        lambda _b, u: cod_c((tms + (u,), tys)),
+                        "function cast over a non-enumerable domain")
                 return pi
             case SigAd(fst_ad, snd_ad, _, _):
                 fst_c, snd_c = self.compile_ad(fst_ad), self.compile_ad(snd_ad)
@@ -645,19 +653,10 @@ class Evaluator:
 
                 def pi(tr):
                     dual = tr.dual()
-                    back, new_dom = back_c(dual), new_dom_c(dual.src)
-
-                    def pimap(fv):
-                        if not new_dom.enumerable:
-                            raise NonEnumerable("branching over a "
-                                                "non-enumerable domain")
-                        rows = []
-                        for u in new_dom.elements():
-                            b = back(u)
-                            v = fv.apply(b)
-                            rows.append((u, cod_c(tr.with_tm(b, u))(v)))
-                        return VFun(tuple(rows))
-                    return pimap
+                    return _table_map(
+                        back_c(dual), new_dom_c(dual.src),
+                        lambda b, u: cod_c(tr.with_tm(b, u)),
+                        "branching over a non-enumerable domain")
                 return pi
             case Sig(fst, snd):
                 fst_c, snd_c = self._push(fst), self._push(snd)
@@ -778,29 +777,30 @@ class _Unused:
 UNUSED = _Unused()
 
 
-def enumerate_envs(evalr: Evaluator, ctx: Context, used: set[int] | None = None):
-    """All environments for a context; entries outside ``used`` (term
-    indices, innermost = 0) are filled with an inert placeholder."""
-    if used is not None:
-        used = needed_entries(ctx, used)
-    n_tm = tm_count(ctx)
+def enumerate_envs(evalr: Evaluator, ctx: Context, used: set[int]):
+    """All environments for a context.  Entries outside ``used`` (term
+    indices, innermost = 0) that no used entry's type needs hold an inert
+    placeholder, laid down one run at a time."""
+    used = needed_entries(ctx, used)
     envs = [()]
-    seen_tm = 0
+    index, idle = tm_count(ctx), 0
     for entry in ctx:
         if isinstance(entry, TyEntry):
             raise NonEnumerable("cannot enumerate type-variable environments")
-        index = n_tm - 1 - seen_tm
-        seen_tm += 1
-        if used is not None and index not in used:
-            envs = [tms + (UNUSED,) for tms in envs]
+        index -= 1
+        if index not in used:
+            idle += 1
             continue
+        pad, idle = (UNUSED,) * idle, 0
         ty_c = evalr.compile_ty(entry.ty)
         new = []
         for tms in envs:
+            tms += pad
             st = ty_c((tms, ()))
             if not st.enumerable:
                 raise NonEnumerable("context entry is not enumerable")
             for v in st.elements():
                 new.append(tms + (v,))
         envs = new
-    return [(tms, ()) for tms in envs]
+    pad = (UNUSED,) * idle
+    return [(tms + pad, ()) for tms in envs]

@@ -126,10 +126,19 @@ def trans_target(tgt_ctx: Context, tr: Trans) -> Sub:
 
 @session_memo
 def _endpoint(tgt_ctx: Context, tr: Trans, want_src: bool) -> Sub:
-    if len(tr.comps) != len(tgt_ctx):
+    """``tr``'s endpoint on the source side (``want_src``) or the target
+    side.  Entry k is read under the first k components alone, so a kept
+    endpoint of the prefix one entry shorter is extended by the last
+    entry, its steps reported first, as reading it afresh would report
+    them; without one, every entry is read in this loop."""
+    n = len(tgt_ctx)
+    if len(tr.comps) != n:
         raise KernelError("transformation spine does not match its context")
-    comps = []
-    for k, (entry, c) in enumerate(zip(tgt_ctx, tr.comps)):
+    kept = (_endpoint_kept(tgt_ctx[:-1], Trans(tr.comps[:-1]), want_src)
+            if n else None)
+    comps = [] if kept is None else list(kept.comps)
+    for k in range(len(comps), n):
+        entry, c = tgt_ctx[k], tr.comps[k]
         if isinstance(entry, TmEntry):
             if not isinstance(c, KTm):
                 raise KernelError("transformation component sort mismatch")
@@ -148,6 +157,11 @@ def _endpoint(tgt_ctx: Context, tr: Trans, want_src: bool) -> Sub:
             else:
                 comps.append(STy(c.forced_ty, c.arity))
     return Sub(tuple(comps))
+
+
+# read through a module name bound here, so that a wrapper put in place of
+# ``_endpoint`` still reaches the memo
+_endpoint_kept = _endpoint.kept
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,10 @@ from adaptt.inductive import (
 from adaptt.normalize import KernelError, cast, conv_tm, nf
 from adaptt.pretty import Names, tm_string
 from adaptt.syntax import (
-    SESSION, Base, Cast, Con, Ind, IndAd, Sub, STy, Trans, KAd, TyVarRef, Var,
-    desc,
+    POS, SESSION, Base, Cast, Con, Ind, IndAd, Post, Sub, STm, STy, TmEntry,
+    Trans, KAd, KTm, TyEntry, TyVarRef, Var, desc,
 )
+from adaptt.transform import trans_source, trans_target
 from perfbench import gen
 from perfbench.gen import surface_file
 from test_session_memo import in_fresh_session, traced
@@ -149,6 +150,24 @@ def test_deep_lists_differing_in_the_innermost_tag_do_not_convert():
     lhs = gen.list_of(gen.A, [A_VAR] * DEEP)
     rhs = gen.list_of(gen.A, [A_VAR] * (DEEP + 1))
     assert conv_tm(gen.KERNEL_CTX, gen.list_ty(gen.A), lhs, rhs) is False
+
+
+def test_a_cold_endpoint_of_600_entries_is_read_in_one_frame():
+    # in a fresh session no prefix's endpoint is kept, so each endpoint is
+    # read entry by entry: type entries, and term entries typed by the
+    # type entry before them, whose target is their cast along its adapter
+    ctx, comps, src, tgt = [], [], [], []
+    for k in range(300):
+        a, b = Base(f"A{k}"), Base(f"B{k}")
+        f = Post(f"f{k}", a, b)
+        ctx += [TyEntry(POS, POS, ()), TmEntry(POS, TyVarRef(0, ()))]
+        comps += [KAd(f, b, 0), KTm(Var(0))]
+        src += [STy(a, 0), STm(Var(0))]
+        tgt += [STy(b, 0), STm(Cast(Var(0), f))]
+    ctx, tr = tuple(ctx), Trans(tuple(comps))
+    ends, _ = in_fresh_session(
+        lambda: (trans_source(ctx, tr), trans_target(ctx, tr)))
+    assert ends == (Sub(tuple(src)), Sub(tuple(tgt)))
 
 
 def test_the_parameter_check_fires_at_the_innermost_cell(deep):

@@ -14,19 +14,19 @@ from collections import Counter
 
 import pytest
 
-from adaptt import cli, elaborate, inductive, pretty, transform
+from adaptt import cli, elaborate, inductive, pretty, surface, transform
 from adaptt.check import infer_tm
 from adaptt.inductive import nat_zero
 from adaptt.normalize import cast, conv_ad, conv_tm, nf
 from adaptt.pretty import Names, ty_string
 from adaptt.syntax import (
-    INTERNED, POS, Cast, Pi, Session, Sig, TmEntry, Var, fv_bounds,
+    INTERNED, POS, Cast, Pi, Session, Sig, TmEntry, Var, desc, fv_bounds,
 )
 from helpers import A, id_of
 from perfbench import gen
 from perfbench.gen import surface_file
 from test_depth import vec_of
-from test_session_memo import in_fresh_session
+from test_session_memo import in_fresh_session, traced
 
 
 def calls(fn, *args) -> int:
@@ -134,23 +134,48 @@ def test_the_oracle_on_a_generated_file_grows_linearly(tmp_path):
         assert work[3][k] / work[2][k] <= 2.1, work
 
 
+def wide(k: int) -> str:
+    """``data Wide (X0 : Ty+) … (Xk-1 : Ty+) { mk : (x : Xk-1) -> Wide … }``"""
+    xs = [f"X{i}" for i in range(k)]
+    return (f"data Wide {' '.join(f'({x} : Ty+)' for x in xs)} "
+            f"{{ mk : (x : {xs[-1]}) -> Wide {' '.join(xs)} }}\n")
+
+
 def test_deriving_a_wide_datatype_grows_linearly(tmp_path):
-    # ``data Wide (X0 : Ty+) … (Xk-1 : Ty+) { mk : (x : Xk-1) -> Wide … }``:
     # each parameter is named once, not once per prefix of the parameters,
     # and a fresh name is found without trying every name taken before it
     work = []
     for k in (8, 16, 32, 64):
-        xs = [f"X{i}" for i in range(k)]
         path = tmp_path / f"wide{k}.adt"
-        path.write_text(
-            f"data Wide {' '.join(f'({x} : Ty+)' for x in xs)} "
-            f"{{ mk : (x : {xs[-1]}) -> Wide {' '.join(xs)} }}\n",
-            encoding="utf-8")
+        path.write_text(wide(k), encoding="utf-8")
         calls_rules = cli_work("derive", str(path), "Wide")
         work.append((*calls_rules, lines_in((inductive, pretty), command,
                                             "derive", str(path), "Wide")))
     for k in range(3):
         assert work[3][k] / work[2][k] <= 2.1, work
+
+
+def test_judging_a_wide_datatype_grows_linearly():
+    # ``selftest``'s judge on ``Wide``: the checker reads the endpoint of
+    # each prefix of the parameter transformation by extending that of the
+    # prefix one entry shorter, not afresh.  Calls are counted in a second
+    # session, after the first has filled the process-wide tables.
+    def judged(count, k):
+        elaborate.elab_file(surface.parse(wide(k)))
+        return count(inductive.judge, desc("Wide"))
+
+    def rules(fn, d):
+        rows, seen = traced(lambda: fn(d))
+        assert all(ok for _, ok in rows), rows
+        return len(seen)
+    work = []
+    for k in (8, 16, 32, 64):
+        seen, _ = in_fresh_session(lambda: judged(rules, k))
+        n, _ = in_fresh_session(lambda: judged(calls, k))
+        work.append((n, seen))
+    for k in range(2):
+        for m in range(3):
+            assert work[m + 1][k] / work[m][k] <= 2.1, work
 
 
 def lines_in(modules, fn, *args) -> int:

@@ -4,6 +4,7 @@ checking, non-enumerability reporting."""
 import ast
 import collections
 import contextvars
+import itertools
 import pathlib
 
 import pytest
@@ -173,6 +174,23 @@ def test_enumerate_envs_with_pruning():
     assert len(envs) == 6
     with pytest.raises(NonEnumerable):
         enumerate_envs(ev(), ctx, used={1})
+    # each placeholder sits at its own entry's position
+    lst = list_ty(A)
+    for types, used in [
+        # used and unused entries interleaved, and a run of unused ones at
+        # the end: term indices count from the inside, so x0 is index 7
+        ((A, lst, B, lst, lst, C, lst, lst), {7, 5, 2}),
+        # a run of unused entries at the start
+        ((lst, lst, A, lst), {1}),
+        # none used
+        ((lst, A), set()),
+    ]:
+        n = len(types)
+        ctx = tuple(TmEntry(POS, ty) for ty in types)
+        slots = [BINDING.base(ty.name).elements() if n - 1 - k in used
+                 else (setmodel.UNUSED,) for k, ty in enumerate(types)]
+        expected = [(tms, ()) for tms in itertools.product(*slots)]
+        assert enumerate_envs(ev(), ctx, used) == expected, types
 
 
 def test_an_entry_needs_the_variables_its_type_mentions():
@@ -261,6 +279,29 @@ def test_branching_tree_map():
     out = fn(tree)
     assert out.args[0] == VBase("B", "b0")
     assert out.args[1] == VFun(())
+
+
+def test_a_function_cast_over_a_non_enumerable_domain_is_reported():
+    # reached by evaluating a raw cast: the new domain of the function
+    # adapter is a datatype, so the table it maps cannot be rebuilt
+    lst = list_ty(A)
+    fun = Pi(lst, shift(B, 1, 0))
+    ad = PiAd(AdId(lst), AdId(shift(B, 1, 0)), fun, fun)
+    with pytest.raises(NonEnumerable, match="^function cast over a "
+                                            "non-enumerable domain$"):
+        ev().eval_tm(((VFun(()),), ()), Cast(Var(0), ad))
+
+
+def test_branching_over_a_non_enumerable_domain_is_reported():
+    # reached by mapping a tree: the branching family of the W
+    # transformation is a datatype, so a branch table cannot be rebuilt
+    from adaptt.inductive import ind_adapter
+    fam = shift(list_ty(A), 1, 0)
+    tr = Trans((KAd(f_AB, B, 0), KAd(AdId(fam), fam, 1)))
+    fn = ev().compile_ad(ind_adapter("W", tr, ()))(EMPTY)
+    with pytest.raises(NonEnumerable, match="^branching over a "
+                                            "non-enumerable domain$"):
+        fn(VCon("W", 0, (a0(), VFun(()))))
 
 
 def in_fresh_session(fn, sink=None):
