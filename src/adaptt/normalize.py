@@ -19,8 +19,8 @@ non-normal input to ``open_tm_block`` is outside its contract.  ``apply``
 walks every subterm, since it reports ``SUB_PUSH`` at each binder.
 
 Beside ``pi_tel`` sit the constructor argument telescopes a signature
-gives (``con_data_tied``, ``con_args_tel``), which conversion and the
-checker read once per list cell.
+gives (``con_data_tied``, ``con_args_tel``), which the checker reads once
+per list cell and conversion once per run of equal cells.
 
 Every rewrite step is an instance of exactly one oriented equation and
 reports its rule name to the trace sink; the registry of names, each with
@@ -462,7 +462,8 @@ def con_data_tied(d: IndDesc, ci: int) -> Telescope:
 def con_args_tel(d: IndDesc, ci: int, params: Sub) -> Telescope:
     """Argument telescope of constructor ``ci`` at the parameters
     ``params``.  Every cell of a list has the same parameters, so a check
-    or conversion of the list instantiates the telescope once."""
+    or conversion of the list instantiates the telescope once; the checker
+    looks it up at each cell, ``conv_tm`` once per run of equal cells."""
     return apply(con_data_tied(d, ci), params)
 
 
@@ -664,7 +665,18 @@ def entry_here(ctx: Context, cls: type, index: int):
 def conv_tm(ctx: Context, ty: Type, x: Term, y: Term) -> bool:
     """Type-directed term conversion with eta at Pi and Sigma.  A
     comparison in tail position (under eta, a second component, a
-    constructor's last argument) continues the loop: no stack per cell."""
+    constructor's last argument) continues the loop: no stack per cell.
+
+    A run of constructor cells whose two parameter spines and context are
+    the same nodes, and whose datatypes and tags are equal, is read once:
+    the parameter comparison and the argument telescope depend on those
+    values only, so a cell of the run reuses those of the cell above and
+    reports their steps again.  When no entry of the telescope mentions an
+    earlier argument, argument k's type is entry k itself, and a pair of
+    arguments that are the same node is passed over; otherwise each type
+    is opened at the cell's own arguments.  Each cell's datatypes, tags
+    and argument counts are checked on the cell itself."""
+    run = None
     while x is not y:
         if type(ty) is Pi:
             note("ETA_FUN")
@@ -679,19 +691,33 @@ def conv_tm(ctx: Context, ty: Type, x: Term, y: Term) -> bool:
         elif type(x) is Con and type(y) is Con:
             if x.desc != y.desc or x.tag != y.tag:
                 return False
-            dd = desc(x.desc)
-            if not conv_sub(ctx, dd.params_ctx, x.params, y.params):
-                return False
-            tel = con_args_tel(dd, x.tag, x.params)
+            if (run is not None and x.params is run[2] and y.params is run[3]
+                    and ctx is run[4] and x.tag == run[1] and x.desc == run[0]):
+                replay(read)
+            else:
+                with recording() as read:
+                    dd = desc(x.desc)
+                    if not conv_sub(ctx, dd.params_ctx, x.params, y.params):
+                        return False
+                    tel = con_args_tel(dd, x.tag, x.params)
+                closed = all(fv_bounds(t)[0] == 0 for t in tel)
+                run = (x.desc, x.tag, x.params, y.params, ctx)
             a1, a2 = x.args, y.args
             if len(a1) != len(tel) or len(a2) != len(tel):
                 raise KernelError("instantiation length mismatch")
             if not tel:
                 return True
-            for k in range(len(tel) - 1):
-                if not conv_tm(ctx, open_tm_block(tel[k], a1[:k]), a1[k], a2[k]):
-                    return False
-            ty, x, y = open_tm_block(tel[-1], a1[:-1]), a1[-1], a2[-1]
+            if closed:
+                for k in range(len(tel) - 1):
+                    if a1[k] is not a2[k] and not conv_tm(ctx, tel[k], a1[k], a2[k]):
+                        return False
+                ty = tel[-1]
+            else:
+                for k in range(len(tel) - 1):
+                    if not conv_tm(ctx, open_tm_block(tel[k], a1[:k]), a1[k], a2[k]):
+                        return False
+                ty = open_tm_block(tel[-1], a1[:-1])
+            x, y = a1[-1], a2[-1]
         else:
             return conv_neutral(ctx, x, y) is not None
     return True

@@ -272,6 +272,25 @@ def test_a_pair_or_an_adapter_differing_in_one_place_is_not_equal(
     assert out.startswith(f"ERROR ConversionFailed {p}:3:1 "), out
 
 
+@pytest.mark.parametrize("lhs, rhs", [
+    ("h zero", "h (succ zero)"),
+    ("fst p", "fst p2"),
+    ("snd p", "snd p2"),
+], ids=["argument", "first_projection", "second_projection"])
+def test_neutral_terms_with_one_head_and_different_arguments_are_not_equal(
+        lhs, rhs, tmp_path):
+    # each equation is rejected only where the comparison of two neutral
+    # terms finds different arguments, or different pairs under a
+    # projection
+    p = tmp_path / "neutral.adt"
+    p.write_text("base A ; var h : Nat -> A ; var p : A ** A ; "
+                 f"var p2 : A ** A ;\nasserteq {lhs} = {rhs} : A ;\n")
+    code, out = run(["check", str(p)])
+    assert code == 1
+    assert out.startswith(
+        f"ERROR ConversionFailed {p}:2:1 expected {rhs} got {lhs}\n"), out
+
+
 #: an equation whose sides are argument-less constructors at distinct but
 #: convertible parameters (eta at a function type), a check whose types
 #: differ only in a Pi codomain, and a family printed with its binder

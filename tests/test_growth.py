@@ -14,7 +14,9 @@ from collections import Counter
 
 import pytest
 
-from adaptt import cli, elaborate, inductive, pretty, surface, transform
+from adaptt import (
+    cli, elaborate, inductive, normalize, pretty, surface, transform,
+)
 from adaptt.check import infer_tm
 from adaptt.inductive import nat_zero
 from adaptt.normalize import cast, conv_ad, conv_tm, nf
@@ -275,6 +277,27 @@ def test_a_list_cast_reads_its_parameters_once(monkeypatch):
         assert out == kc.cast_expected
         counts.append(dict(looked_up))
     assert counts[0] == counts[1], counts
+
+
+def test_a_list_conversion_reads_its_parameters_once(monkeypatch):
+    # both sides of each generated pair have the same parameters in every
+    # cell: the parameter spines are compared, and the argument telescope
+    # looked up, once for the run of cons cells, whatever the length
+    looked_up = Counter()
+    for name in ("conv_sub", "con_args_tel"):
+        def counted(*args, fn=getattr(normalize, name), name=name):
+            looked_up[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(normalize, name, counted)
+    for op in ("conv_tm_eta", "conv_tm_near"):
+        counts = []
+        for n in (24, 192):
+            kc = gen.kernel_case(random.Random(1), n)
+            looked_up.clear()
+            out, _ = in_fresh_session(lambda: KERNEL_OPS[op](kc))
+            assert out is (op == "conv_tm_eta")
+            counts.append(dict(looked_up))
+        assert counts[0] == counts[1], (op, counts)
 
 
 def test_normalizing_a_cast_list_expression_grows_linearly():

@@ -1,19 +1,24 @@
 """Rewrite engine: substitution pushing, composition laws, cast
 computation, beta, conversion with eta."""
 
+from collections import Counter
+
 import pytest
 
+from adaptt.inductive import nat_succ, nat_zero, register
 from adaptt.syntax import (
     POS, NEG, TmEntry, TyEntry, Base, TyVarRef, Pi, Sig, Ind,
-    Var, Lam, App, Pair, Fst, Snd, Cast, AdId, Chain, Post, PiAd, SigAd,
-    IndAd, Sub, STm, STy, Trans, KAd, id_sub, shift,
+    Var, Lam, App, Pair, Fst, Snd, Cast, Con, AdId, Chain, Post, PiAd, SigAd,
+    IndAd, Sub, STm, STy, Trans, KAd, ConDesc, IndDesc, RecDesc, id_sub, shift,
 )
 from adaptt.normalize import (
     apply, compose_ad, cast, app, fst_, snd_,
-    pi_tel, nf, conv_ty, conv_tm, conv_ad, assert_normal,
+    pi_tel, nf, conv_ty, conv_tm, conv_ad, conv_inst, assert_normal,
     NormalForm, KernelError, open_tm_block, note, replayed_cache, set_trace,
 )
 from helpers import A, B, C, f_AB, g_BC, h_CD, list_ty, nil, cons, list_ad, q_DC
+from perfbench.gen import FUN_A, KERNEL_CTX, NAT
+from test_session_memo import in_fresh_session, traced
 
 
 def ctx_ab():
@@ -268,6 +273,136 @@ def test_conv_distinguishes_constructors_at_other_parameters():
 def test_conv_distinguishes_adapters_of_two_datatypes():
     two = IndAd("Sum", Trans((KAd(f_AB, B, 0), KAd(f_AB, B, 0))))
     assert conv_ad((), list_ad(f_AB, B), two) is None
+
+
+# Malformed spines: a constructor or an instantiation of the wrong length
+# is a kernel error, not an answer (``tests/test_spine_reader.py`` has
+# the substitution's).
+
+
+def test_conv_rejects_a_constructor_of_the_wrong_arity():
+    ctx = (TmEntry(POS, A), TmEntry(POS, list_ty(A)))
+    short = Con("List", 1, Sub((STy(A, 0),)), (Var(1),))
+    with pytest.raises(KernelError, match="instantiation length mismatch"):
+        conv_tm(ctx, list_ty(A), short, cons(A, Var(1), Var(0)))
+
+
+def test_conv_rejects_an_instantiation_of_the_wrong_length():
+    with pytest.raises(KernelError, match="instantiation length mismatch"):
+        conv_inst((TmEntry(POS, A),), (A,), (Var(0),), ())
+
+
+# -- runs of equal cells --------------------------------------------------------
+#
+# ``conv_tm`` reads what a cell's datatype, tag, two parameter spines and
+# context determine once per run of cells on which all five agree.  In
+# each case below a cell differs from the one above it in one of them,
+# and must be read afresh.  A cell at other parameters than its type's
+# never occurs in a well-typed pair, so the kernel is called directly.
+
+
+@pytest.mark.parametrize("left, right", [(B, A), (A, B)],
+                         ids=["left", "right"])
+def test_a_cell_at_other_parameters_than_the_one_above_is_compared(left, right):
+    # cons A a (cons left a l) against cons A a (cons right a l)
+    ctx = (TmEntry(POS, A), TmEntry(POS, list_ty(A)))
+    lhs, rhs = (cons(A, Var(1), cons(p, Var(1), Var(0))) for p in (left, right))
+    assert not conv_tm(ctx, list_ty(A), lhs, rhs)
+
+
+#: ``data Q (X : Ty+) { q0 : (x : X) (r : Q X) -> Q X ;
+#: q1 : (x : X) (y : X) (l : List X) -> Q X }``: a second constructor of
+#: another arity, and a cell of another datatype below at the same
+#: parameters
+Q = IndDesc("Q", (TyEntry(POS, POS, ()),), (), (
+    ConDesc("q0", (TyVarRef(0, ()),), (RecDesc((), ()),), ()),
+    ConDesc("q1", (TyVarRef(0, ()), TyVarRef(0, ()),
+                   list_ty(TyVarRef(0, ()))), (), ())))
+
+
+def q(tag, *args):
+    return Con("Q", tag, Sub((STy(FUN_A, 0),)), args)
+
+
+def eta(h):
+    """``fun (n : Nat) => h n``"""
+    return Lam(NAT, App(shift(h, 1, 0), Var(0)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda h, r: q(0, h, q(1, h, h, r)),
+    lambda h, r: q(1, h, h, cons(FUN_A, h, r)),
+], ids=["tag", "datatype"])
+def test_a_cell_of_another_constructor_below_is_read_as_its_own(build):
+    # over h : Nat -> A and l : List (Nat -> A); the two sides differ in
+    # the cell below only, where one head is eta-expanded
+    ctx = (TmEntry(POS, Pi(NAT, A)), TmEntry(POS, list_ty(FUN_A)))
+
+    def run():
+        register(Q)
+        below = cons(FUN_A, Var(1), Var(0))
+        lhs = build(Var(1), below)
+        rhs = build(Var(1), cons(FUN_A, eta(Var(1)), Var(0)))
+        return conv_tm(ctx, Ind("Q", lhs.params, ()), lhs, rhs)
+    out, _ = in_fresh_session(run)
+    assert out is True
+
+
+def test_a_cell_under_a_binder_is_compared_in_its_own_context():
+    # data R (X : Ty+) (x : X) { r : (k : Nat -> R X x) -> R X x }, over
+    # h : Nat -> A and F : (Nat -> A) -> A.  The cell below sits under the
+    # branch binder n, where the parameter nodes of the cell above read
+    # n h and n (fun m => h m), which do not convert: its parameters are
+    # compared in the extended context, not taken over from the cell
+    # above.  (In a well-typed pair the parameters below a binder are the
+    # shift of those above, the same nodes only when they mention no term
+    # variable.)  The cells below share their one argument, so they
+    # differ in parameters only
+    r_desc = IndDesc("R", (TyEntry(POS, POS, ()), TmEntry(POS, TyVarRef(0, ()))),
+                     (), (ConDesc("r", (), (RecDesc((NAT,), ()),), ()),))
+    ctx = (TmEntry(POS, Pi(NAT, A)), TmEntry(POS, Pi(Pi(NAT, A), A)))
+
+    def cell(arg):
+        params = Sub((STy(A, 0), STm(App(Var(0), arg))))
+        below = Con("R", 0, params, (Var(2),))
+        return params, Con("R", 0, params, (Lam(NAT, below),))
+
+    def run():
+        register(r_desc)
+        (params, lhs), (_, rhs) = cell(Var(1)), cell(eta(Var(1)))
+        return conv_tm(ctx, Ind("R", params, ()), lhs, rhs)
+    out, _ = in_fresh_session(run)
+    assert out is False
+
+
+def test_a_vector_conversion_reports_the_steps_of_each_cell():
+    # a Vec telescope opens each cell's tail type at the cell's length, so
+    # every cell reports its SUB_VAR: 64-cell pairs that differ in the
+    # innermost head, which is eta-expanded (converts) or another variable
+    def vec(elem, heads):
+        params, length = Sub((STy(elem, 0),)), nat_zero()
+        out = Con("Vec", 0, params, ())
+        for hd in reversed(heads):
+            out = Con("Vec", 1, params, (hd, length, out))
+            length = nat_succ(length)
+        return out, Ind("Vec", params, (length,))
+
+    hs = [Var(k % 2) for k in range(64)]
+    xs = [Var(2 + k % 4) for k in range(64)]
+    pairs = {
+        "eta": (vec(FUN_A, hs), vec(FUN_A, hs[:-1] + [eta(hs[-1])])),
+        "near": (vec(A, xs), vec(A, xs[:-1] + [Var(2)])),
+    }
+    want = {
+        "eta": (True, {"BETA": 1, "ETA_FUN": 1, "PI_TEL_EMPTY": 64,
+                       "SUB_TYVAR": 128, "SUB_VAR": 65}),
+        "near": (False, {"PI_TEL_EMPTY": 64, "SUB_TYVAR": 128,
+                         "SUB_VAR": 63}),
+    }
+    for name, ((lhs, ty), (rhs, _)) in pairs.items():
+        (out, rules), _ = in_fresh_session(
+            lambda: traced(lambda: conv_tm(KERNEL_CTX, ty, lhs, rhs)))
+        assert (out, Counter(rules)) == want[name], name
 
 
 def test_open_block_shifts_free_vars():
