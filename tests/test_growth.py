@@ -256,18 +256,25 @@ def test_a_kernel_op_on_a_list_grows_linearly(op):
     assert counts[3] / counts[2] <= 2.1, counts
 
 
+def counting(monkeypatch, module, *names) -> Counter:
+    """A counter of the calls of ``module``'s functions ``names``, made
+    through the module's globals from now on."""
+    looked_up = Counter()
+    for name in names:
+        def counted(*args, fn=getattr(module, name), name=name):
+            looked_up[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    return looked_up
+
+
 def test_a_list_cast_reads_its_parameters_once(monkeypatch):
     # every cell of a generated list has the same parameters and
     # transformation: the source spine and the argument adapters are
     # looked up once for the run of cons cells and once for the nil,
     # whatever the length (counted after a first cast has filled the
     # process-wide tables)
-    looked_up = Counter()
-    for name in ("_endpoint", "_con_adapter"):
-        def counted(*args, fn=getattr(transform, name), name=name):
-            looked_up[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(transform, name, counted)
+    looked_up = counting(monkeypatch, transform, "_endpoint", "_con_adapter")
     counts = []
     for n in (24, 192):
         kc = gen.kernel_case(random.Random(1), n)
@@ -283,12 +290,7 @@ def test_a_list_conversion_reads_its_parameters_once(monkeypatch):
     # both sides of each generated pair have the same parameters in every
     # cell: the parameter spines are compared, and the argument telescope
     # looked up, once for the run of cons cells, whatever the length
-    looked_up = Counter()
-    for name in ("conv_sub", "con_args_tel"):
-        def counted(*args, fn=getattr(normalize, name), name=name):
-            looked_up[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(normalize, name, counted)
+    looked_up = counting(monkeypatch, normalize, "conv_sub", "con_args_tel")
     for op in ("conv_tm_eta", "conv_tm_near"):
         counts = []
         for n in (24, 192):
