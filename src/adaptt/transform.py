@@ -47,7 +47,8 @@ from .syntax import (
     Type, Base, TyVarRef, Pi, Sig, Ind, Term, Var, Con,
     Adapter, AdId, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd, IndDesc,
-    dual_ctx, extend_tm, extend_tel, map_scoped, shift, desc, entry_position,
+    dual_ctx, extend_tm, extend_tel, fv_bounds, map_scoped, shift, desc,
+    entry_position,
 )
 from .normalize import (
     KernelError, SMART, apply, lift_block,
@@ -244,17 +245,27 @@ def cast_con(tm: Con, tr: Trans) -> Term:
     source spine, the parameter check, the argument adapters and the
     target parameters depend on those four values only, so a cell of the
     run reuses those of the cell above and reports their steps again.
-    Each cell that reads them records their steps, in two records around
-    the index check, so the steps come in the order of the cell-by-cell
-    reading.  Each cell's source indices and argument count are checked
-    on the cell itself."""
+    The cell that reads them records their steps in two records, one on
+    each side of the index check, so the steps come in the order of the
+    cell-by-cell reading.  A cell of a run of an indexed datatype replays
+    the two around its own index check; for a datatype without indices
+    both sides of the check are empty, so such a cell skips it and
+    replays the two as one.  When no adapter mentions an earlier
+    argument, argument k is cast along adapter k itself; otherwise each
+    adapter is opened at the cell's own arguments.  Each cell's argument
+    count is checked on the cell itself."""
     cells, tail, run = [], (), None
     while True:
         args = tm.args
-        again = (run is not None and tm.params is run[2] and tr is run[3]
-                 and tm.tag == run[1] and tm.desc == run[0])
-        if again:
-            replay(found)
+        if (run is not None and tm.params is run[2] and tr is run[3]
+                and tm.tag == run[1] and tm.desc == run[0]):
+            if src_idx:
+                replay(found)
+                if src_idx != result_indices(tm):
+                    raise KernelError("inductive cast index mismatch")
+                replay(adapted)
+            else:
+                replay(read)
         else:
             d = desc(tm.desc)
             npar = len(d.params_ctx)
@@ -266,20 +277,23 @@ def cast_con(tm: Con, tr: Trans) -> Term:
             if Sub(src_spine.comps[:npar]) != tm.params:
                 raise KernelError("inductive cast parameter mismatch")
             src_idx = tuple(c.tm for c in src_spine.comps[npar:])
-        if src_idx != result_indices(tm):
-            raise KernelError("inductive cast index mismatch")
-        if again:
-            replay(adapted)
-        else:
+            if src_idx != result_indices(tm):
+                raise KernelError("inductive cast index mismatch")
             with recording() as adapted:
                 alpha, params = _con_adapter(d, tm.tag, Trans(tr.comps[:npar]))
+            read = [found, adapted]
+            closed = all(fv_bounds(a)[0] == 0 for a in alpha)
         if len(args) != len(alpha):
             raise KernelError("telescope adapter length mismatch")
-        lead = [cast(t, open_tm_block(a, args[:k]))
-                for k, (t, a) in enumerate(zip(args[:-1], alpha))]
+        if closed:
+            lead = [cast(t, a) for t, a in zip(args[:-1], alpha)]
+        else:
+            lead = [cast(t, open_tm_block(a, args[:k]))
+                    for k, (t, a) in enumerate(zip(args[:-1], alpha))]
         cells.append((tm, params, lead))
         if args:
-            last, ad = args[-1], open_tm_block(alpha[-1], args[:-1])
+            last = args[-1]
+            ad = alpha[-1] if closed else open_tm_block(alpha[-1], args[:-1])
             if type(ad) is IndAd and type(last) is Con and last.desc == ad.desc:
                 note("CAST_CONSTR")
                 tm, tr = last, ad.trans

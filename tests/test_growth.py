@@ -268,13 +268,11 @@ def counting(monkeypatch, module, *names) -> Counter:
     return looked_up
 
 
-def test_a_list_cast_reads_its_parameters_once(monkeypatch):
-    # every cell of a generated list has the same parameters and
-    # transformation: the source spine and the argument adapters are
-    # looked up once for the run of cons cells and once for the nil,
-    # whatever the length (counted after a first cast has filled the
-    # process-wide tables)
-    looked_up = counting(monkeypatch, transform, "_endpoint", "_con_adapter")
+def warm_list_cast_calls(monkeypatch, *names) -> list[dict]:
+    """The calls of ``transform``'s functions ``names`` in a cast of the
+    generated 24-cell and 192-cell lists, each counted in a fresh session
+    after a first cast has filled the process-wide tables."""
+    looked_up = counting(monkeypatch, transform, *names)
     counts = []
     for n in (24, 192):
         kc = gen.kernel_case(random.Random(1), n)
@@ -283,7 +281,26 @@ def test_a_list_cast_reads_its_parameters_once(monkeypatch):
         out, _ = in_fresh_session(lambda: cast(kc.src, kc.ad))
         assert out == kc.cast_expected
         counts.append(dict(looked_up))
+    return counts
+
+
+def test_a_list_cast_reads_its_parameters_once(monkeypatch):
+    # every cell of a generated list has the same parameters and
+    # transformation: the source spine and the argument adapters are
+    # looked up once for the run of cons cells and once for the nil,
+    # whatever the length
+    counts = warm_list_cast_calls(monkeypatch, "_endpoint", "_con_adapter")
     assert counts[0] == counts[1], counts
+
+
+def test_a_list_cast_opens_no_argument_adapter(monkeypatch):
+    # no argument adapter of a List cell mentions an earlier argument, so
+    # each cell casts along the adapters themselves, and a cell of the run
+    # below the first has no indices to check
+    counts = warm_list_cast_calls(monkeypatch, "open_tm_block",
+                                  "result_indices")
+    assert counts[0] == counts[1], counts
+    assert "open_tm_block" not in counts[0], counts
 
 
 def test_a_list_conversion_reads_its_parameters_once(monkeypatch):

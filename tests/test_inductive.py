@@ -7,8 +7,8 @@ import pytest
 
 from adaptt.syntax import (
     POS, NEG, TmEntry, TyEntry, Base, TyVarRef, Pi, Ind, Var, Cast, Con,
-    Post, PiAd, IndAd, IndDesc, ConDesc, Sub, STm, STy, Trans, KTm, KAd,
-    desc, shift,
+    Post, PiAd, IndAd, IndDesc, ConDesc, RecDesc, Sub, STm, STy, Trans, KTm,
+    KAd, desc, shift,
 )
 from adaptt.normalize import cast, conv_tm, KernelError
 from adaptt.inductive import (
@@ -19,7 +19,7 @@ from helpers import (
     A, B, C, D, f_AB, g_BC, q_DC, list_ty, vec_of, sum_of, w_of, id_of,
     nil, cons, mu1, list_ad, register_tree,
 )
-from test_session_memo import in_fresh_session
+from test_session_memo import in_fresh_session, traced
 
 
 # -- elaboration shapes ------------------------------------------------------
@@ -230,6 +230,52 @@ def test_a_cell_of_another_datatype_below_is_cast_as_its_own():
         return cast(src, IndAd("Wrap", mu1(f_AB, B)))
     out, _ = in_fresh_session(run)
     assert out == Con("Wrap", 0, Sub((STy(B, 0),)), (nil(B),))
+
+
+# An indexed datatype whose recursive argument sits at a constant index,
+#   data T (X : Ty+) [Nat] { cnil : T X zero ;
+#                            ccons : (x : X) (n : Nat) (xs : T X zero) -> T X n }
+# so every ccons cell below the first is cast along the same
+# transformation and a run of them repeats: each cell of the run still
+# checks its own index, between the two halves of the run's steps.
+
+def zero_tailed_cast(indices):
+    """``ccons A a_k n_k (...(cnil A))`` for the ``n_k`` of ``indices``
+    (top cell first) cast along ``T [[ f > n_0 ]]`` in a fresh session
+    with ``T`` registered; returns the result and the rules reported,
+    in order."""
+    def run():
+        register(IndDesc("T", (TyEntry(POS, POS, ()),), (nat(),),
+                         (ConDesc("cnil", (), (), (nat_zero(),)),
+                          ConDesc("ccons", (TyVarRef(0, ()), nat()),
+                                  (RecDesc((), (nat_zero(),)),),
+                                  (Var(0),)))))
+        src = Con("T", 0, Sub((STy(A, 0),)), ())
+        for k, n in enumerate(reversed(indices)):
+            src = Con("T", 1, src.params, (Var(k), n, src))
+        ad = ind_adapter("T", mu1(f_AB, B), (indices[0],))
+        return traced(lambda: cast(src, ad))
+    return in_fresh_session(run)[0]
+
+
+def test_a_cell_of_an_indexed_run_with_a_wrong_index_is_rejected():
+    # the third cell sits where T X zero is expected, at index succ zero
+    zero = nat_zero()
+    with pytest.raises(KernelError, match="inductive cast index mismatch"):
+        zero_tailed_cast((zero, zero, nat_succ(zero), zero))
+
+
+def test_an_indexed_run_reports_each_cells_index_check_in_order():
+    # pinned at the cell-by-cell reading: each ccons cell reports its
+    # index instantiation (SUB_VAR) before its argument adapters
+    zero = nat_zero()
+    out, seen = zero_tailed_cast((nat_succ(zero), zero, zero, zero))
+    assert out.params == Sub((STy(B, 0),))
+    adapters = ["PI_TEL_EMPTY", "TRANS_TYVAR", "TRANS_TYVAR", "TRANS_ID",
+                "TRANS_TYVAR", "TRANS_TYVAR", "TRANS_ID", "CAST_ID",
+                "TRANS_TYVAR", "SUB_TYVAR", "TRANS_IND", "CAST_ID"]
+    assert seen == (["CAST_CONSTR", "SUB_VAR", *adapters] * 4
+                    + ["CAST_CONSTR"])
 
 
 def test_identity_cast_on_constructor():

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from adaptt import transform
 from adaptt.syntax import (
     POS, TmEntry, TyVarRef, Var, Sub, STm, STy, Trans, KTm, KAd, desc,
 )
@@ -108,6 +109,15 @@ def test_conv_trans_rejects_a_spine_of_the_wrong_length():
 def test_conv_trans_compares_term_components_at_their_type():
     # the spines share their adapter component and differ at x
     assert not conv_trans(AB_CTX, ID_CTX, ID_AD.trans, ID_AD_A.trans)
+
+
+def test_conv_trans_equates_one_spine_without_reading_it(monkeypatch):
+    # a spine is equal to itself: no component is compared
+    read = []
+    monkeypatch.setattr(transform, "spine_slots",
+                        lambda *args: read.append(args))
+    assert conv_trans(AB_CTX, ID_CTX, ID_AD.trans, ID_AD.trans)
+    assert read == []
 
 
 # -- an inductive adapter with term entries ----------------------------------
