@@ -246,26 +246,22 @@ def cast_con(tm: Con, tr: Trans) -> Term:
     target parameters depend on those four values only, so a cell of the
     run reuses those of the cell above and reports their steps again.
     The cell that reads them records their steps in two records, one on
-    each side of the index check, so the steps come in the order of the
-    cell-by-cell reading.  A cell of a run of an indexed datatype replays
-    the two around its own index check; for a datatype without indices
-    both sides of the check are empty, so such a cell skips it and
-    replays the two as one.  When no adapter mentions an earlier
-    argument, argument k is cast along adapter k itself; otherwise each
-    adapter is opened at the cell's own arguments.  Each cell's argument
-    count is checked on the cell itself."""
+    each side of the index check, and each cell of the run replays the
+    two around its own index check, so the steps come in the order of the
+    cell-by-cell reading.  A datatype without indices has no indices on
+    either side of the check, so its cells skip it.  When no adapter
+    mentions an earlier argument, argument k is cast along adapter k
+    itself; otherwise each adapter is opened at the cell's own arguments.
+    Each cell's argument count is checked on the cell itself."""
     cells, tail, run = [], (), None
     while True:
         args = tm.args
         if (run is not None and tm.params is run[2] and tr is run[3]
                 and tm.tag == run[1] and tm.desc == run[0]):
-            if src_idx:
-                replay(found)
-                if src_idx != result_indices(tm):
-                    raise KernelError("inductive cast index mismatch")
-                replay(adapted)
-            else:
-                replay(read)
+            replay(found)
+            if src_idx and src_idx != result_indices(tm):
+                raise KernelError("inductive cast index mismatch")
+            replay(adapted)
         else:
             d = desc(tm.desc)
             npar = len(d.params_ctx)
@@ -281,7 +277,6 @@ def cast_con(tm: Con, tr: Trans) -> Term:
                 raise KernelError("inductive cast index mismatch")
             with recording() as adapted:
                 alpha, params = _con_adapter(d, tm.tag, Trans(tr.comps[:npar]))
-            read = [found, adapted]
             closed = all(fv_bounds(a)[0] == 0 for a in alpha)
         if len(args) != len(alpha):
             raise KernelError("telescope adapter length mismatch")
