@@ -22,7 +22,7 @@ from dataclasses import replace
 
 from . import pretty
 from .syntax import (
-    POS, NEG, Context, TmEntry, TyEntry, Telescope, Inst,
+    POS, NEG, BINDER_DIR, Context, TmEntry, TyEntry, Telescope, Inst,
     Type, Base, TyVarRef, Pi, Sig, Ind,
     Term, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     Adapter, AdId, Chain, Post, PiAd, SigAd, IndAd,
@@ -150,12 +150,10 @@ def check_ty(ctx: Context, ty: Type) -> None:
                 _fail("VarianceViolation",
                       f"type variable {j} is contravariant here")
             check_inst(dual_ctx(ctx, entry.tel_dir), inst, tel)
-        case Pi(dom, cod):
-            check_ty(dual_ctx(ctx), dom)
-            check_ty(extend_tm(ctx, NEG, dom), cod)
-        case Sig(fst, snd):
-            check_ty(ctx, fst)
-            check_ty(extend_tm(ctx, POS, fst), snd)
+        case Pi(first, second) | Sig(first, second):
+            d = BINDER_DIR[type(ty)]
+            check_ty(dual_ctx(ctx, d), first)
+            check_ty(extend_tm(ctx, d, first), second)
         case Ind(name, params, indices):
             d = desc(name)
             check_sub(ctx, params, d.params_ctx)

@@ -25,7 +25,7 @@ from .pretty import LOCAL, Names
 from .inductive import register
 from .transform import comp_ctx, free_is_ad_source, spine_prefix
 from .syntax import (
-    POS, NEG, Dir, Context, TmEntry, TyEntry, Telescope,
+    POS, NEG, BINDER_DIR, Dir, Context, TmEntry, TyEntry, Telescope,
     Base, TyVarRef, Pi, Sig, Ind, Var, Lam, Pair, Con,
     AdId, Post, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd,
@@ -115,14 +115,13 @@ def elab_ty(e: S.SExpr, sc: Scope):
                            f"base type {head.name} takes no arguments",
                            head.span)
             return m
-        case S.SArrow(binder, dom, cod, _):
-            dom_t = elab_ty(dom, sc.dual())
-            sc2 = sc.push(binder or "_", TmEntry(NEG, dom_t))
-            return Pi(dom_t, elab_ty(cod, sc2))
-        case S.SStar(binder, fst, snd, _):
-            fst_t = elab_ty(fst, sc)
-            sc2 = sc.push(binder or "_", TmEntry(POS, fst_t))
-            return Sig(fst_t, elab_ty(snd, sc2))
+        case (S.SArrow(binder, first, second, _)
+              | S.SStar(binder, first, second, _)):
+            former = Pi if type(e) is S.SArrow else Sig
+            d = BINDER_DIR[former]
+            first_t = elab_ty(first, sc.dual(d))
+            sc2 = sc.push(binder or "_", TmEntry(d, first_t))
+            return former(first_t, elab_ty(second, sc2))
         case _:
             raise _err("Syntax", "expected a type", e.span)
 

@@ -16,7 +16,8 @@ cached free-variable bounds (``syntax.fv_bounds``) lie below the range
 they act on.  That is exact because kernel values are normal: rebuilding
 a closed normal subterm fires no rule and yields the same node.  Raw
 non-normal input to ``open_tm_block`` is outside its contract.  ``apply``
-walks every subterm, since it reports ``SUB_PUSH`` at each binder.
+walks every subterm, since it reports ``SUB_PUSH`` at each node of
+``syntax.BINDER_DIR``.
 
 Beside ``pi_tel`` sit the constructor argument telescopes a signature
 gives (``con_data_tied``, ``con_args_tel``), which the checker reads once
@@ -33,7 +34,7 @@ from functools import wraps
 from operator import attrgetter
 
 from .syntax import (
-    POS, NEG, Context, TmEntry, TyEntry, Telescope, Inst,
+    NEG, BINDER_DIR, Context, TmEntry, TyEntry, Telescope, Inst,
     Type, Base, TyVarRef, Pi, Sig, Ind,
     Term, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     Adapter, AdId, Chain, Post, PiAd, SigAd, IndAd,
@@ -70,7 +71,7 @@ RULES = frozenset({
     "AD_FLATTEN",      # h . (g . f) -> (h . g) . f (flat chain)
     "SUB_VAR",         # 0tm[s > t] -> t (variable lookup in a spine)
     "SUB_TYVAR",       # 0ty[s > A > i] -> A[id > i]
-    "SUB_PUSH",        # structural substitution push at any other node
+    "SUB_PUSH",        # substitution push at a node of syntax.BINDER_DIR
     "TRANS_ID",        # A{{id}} -> id
     "TRANS_TYVAR",     # 0ty{{m > f > i}} -> f[id > i]
     "TRANS_PI",        # (Pi A.B){{m}} -> Pi[A{{m-}} > B{{m+0tm}}]
@@ -318,7 +319,7 @@ def _ap(x, tms, tys, d):
             raise KernelError("instantiation length does not match telescope")
         note("SUB_TYVAR")
         return open_tm_block(shift(body, d, 0, c_tm=arity), inst)
-    if cls is Pi or cls is Sig or cls is Lam:
+    if cls in BINDER_DIR:
         note("SUB_PUSH")
     return map_scoped(x, _ap, (tms, tys), d, SMART)
 
@@ -628,14 +629,11 @@ def conv_ty(ctx: Context, a: Type, b: Type) -> bool:
             entry, tel = entry_here(ctx, TyEntry, i)
             inst_ctx = dual_ctx(ctx, entry.tel_dir)
             return conv_inst(inst_ctx, tel, ii, jj)
-        case (Pi(d1, c1), Pi(d2, c2)):
-            if not conv_ty(dual_ctx(ctx), d1, d2):
+        case (Pi(f1, s1), Pi(f2, s2)) | (Sig(f1, s1), Sig(f2, s2)):
+            d = BINDER_DIR[type(a)]
+            if not conv_ty(dual_ctx(ctx, d), f1, f2):
                 return False
-            return conv_ty(extend_tm(ctx, NEG, d1), c1, c2)
-        case (Sig(f1, s1), Sig(f2, s2)):
-            if not conv_ty(ctx, f1, f2):
-                return False
-            return conv_ty(extend_tm(ctx, POS, f1), s1, s2)
+            return conv_ty(extend_tm(ctx, d, f1), s1, s2)
         case (Ind(d1, p1, i1), Ind(d2, p2, i2)):
             if d1 != d2:
                 return False
@@ -804,8 +802,8 @@ def conv_ad(ctx: Context, f: Adapter, g: Adapter):
     if f is g:
         return True
     from . import transform
-    pf = transform.fuse_chain(ctx, parts_of(f))
-    pg = transform.fuse_chain(ctx, parts_of(g))
+    pf = transform.fuse_chain(parts_of(f))
+    pg = transform.fuse_chain(parts_of(g))
     if len(pf) != len(pg):
         return None
     if not pf:
@@ -819,18 +817,16 @@ def _conv_atomic(ctx: Context, a: Adapter, b: Adapter) -> bool:
     match (a, b):
         case (Post(n1, _, _), Post(n2, _, _)):
             return n1 == n2
-        case (PiAd(d1, c1, s1, _), PiAd(d2, c2, s2, _)):
-            if conv_ad(dual_ctx(ctx), d1, d2) is None:
+        case ((PiAd(f1, s1, a1, _), PiAd(f2, s2, a2, _))
+              | (SigAd(f1, s1, a1, _), SigAd(f2, s2, a2, _))):
+            d = BINDER_DIR[type(a1)]
+            if conv_ad(dual_ctx(ctx, d), f1, f2) is None:
                 return False
-            ext = extend_tm(ctx, NEG, ad_src(d1))
-            if conv_ad(ext, c1, c2) is None:
-                return False
-            return conv_ty(ctx, s1, s2)
-        case (SigAd(f1, s1, a1, _), SigAd(f2, s2, a2, _)):
-            if conv_ad(ctx, f1, f2) is None:
-                return False
-            ext = extend_tm(ctx, POS, a1.fst)
-            if conv_ad(ext, s1, s2) is None:
+            # a Pi binds its target domain, the source of ``f1``; a Sig its
+            # stored first component, read without the steps ``ad_src``
+            # replays for an inductive adapter
+            bound = ad_src(f1) if type(a) is PiAd else a1.fst
+            if conv_ad(extend_tm(ctx, d, bound), s1, s2) is None:
                 return False
             return conv_ty(ctx, a1, a2)
         case (IndAd(n1, t1), IndAd(n2, t2)):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .syntax import (
     Base, TyVarRef, Pi, Sig, Ind, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     AdId, Chain, Post, PiAd, SigAd, IndAd, STm, KTm,
-    TmEntry, TyEntry, desc, least_free_tm, shift,
+    TmEntry, TyEntry, desc, least_free_tm,
 )
 
 LOW, STAR, COMP, APP, ATOM = 0, 1, 2, 3, 4
@@ -110,27 +110,18 @@ def render(x, names: Names, level: int = LOW) -> str:
                 return head
             args = " ".join(render(t, names, ATOM) for t in inst)
             return _wrap(f"{head} {args}", APP, level)
-        case Pi(dom, cod):
-            if least_free_tm(cod) == 0:
+        case Pi(first, second) | Sig(first, second):
+            # the right operand of a plain ``**`` is read at star level: a
+            # function type there needs parentheses
+            op, right = ("->", LOW) if type(x) is Pi else ("**", STAR)
+            if least_free_tm(second) == 0:
                 n = names.fresh(TmEntry)
-                s = (f"({n} : {render(dom, names, LOW)}) -> "
-                     f"{render(cod, names.push(TmEntry, n), LOW)}")
-            else:
-                s = (f"{render(dom, names, APP)} -> "
-                     f"{render(cod, names.push(TmEntry, '_'), LOW)}")
-            return _wrap(s, LOW, level)
-        case Sig(fst, snd):
-            if least_free_tm(snd) == 0:
-                n = names.fresh(TmEntry)
-                s = (f"({n} : {render(fst, names, LOW)}) ** "
-                     f"{render(snd, names.push(TmEntry, n), LOW)}")
-            else:
-                # the right operand of a plain ``**`` is read at star
-                # level: a function type there needs parentheses
-                s = (f"{render(fst, names, APP)} ** "
-                     f"{render(snd, names.push(TmEntry, '_'), STAR)}")
-                return _wrap(s, STAR, level)
-            return _wrap(s, LOW, level)
+                s = (f"({n} : {render(first, names, LOW)}) {op} "
+                     f"{render(second, names.push(TmEntry, n), LOW)}")
+                return _wrap(s, LOW, level)
+            s = (f"{render(first, names, APP)} {op} "
+                 f"{render(second, names.push(TmEntry, '_'), right)}")
+            return _wrap(s, right, level)
         case Ind(name, params, indices):
             args = [_spine_str(c, names) for c in params.comps]
             args += [render(t, names, ATOM) for t in indices]
@@ -187,10 +178,10 @@ def render(x, names: Names, level: int = LOW) -> str:
         case Chain(parts):
             s = " . ".join(render(p, names, APP) for p in reversed(parts))
             return _wrap(s, COMP, level)
-        case PiAd(da, ca, _, _):
-            return f"Pi [[ {render(da, names, LOW)} > {_binder_comp(ca, 1, names)} ]]"
-        case SigAd(fa, sa, _, _):
-            return f"Sig [[ {render(fa, names, LOW)} > {_binder_comp(sa, 1, names)} ]]"
+        case PiAd(first, second, _, _) | SigAd(first, second, _, _):
+            former = "Pi" if type(x) is PiAd else "Sig"
+            return (f"{former} [[ {render(first, names, LOW)} > "
+                    f"{_binder_comp(second, 1, names)} ]]")
         case IndAd(name, trans):
             comps = []
             for c in trans.comps:
@@ -204,11 +195,13 @@ def render(x, names: Names, level: int = LOW) -> str:
             return repr(x)
 
 
-def _binder_comp(ad, arity: int, names: Names) -> str:
-    if least_free_tm(ad) >= arity:
-        return render(ad, names.push(TmEntry, *["_"] * arity), LOW)
+def _binder_comp(x, arity: int, names: Names, level: int = LOW) -> str:
+    """``x`` under ``arity`` term binders, at ``level``: bare if it
+    mentions none of them, else after fresh names for them."""
+    if least_free_tm(x) >= arity:
+        return render(x, names.push(TmEntry, *["_"] * arity), level)
     inner, bound = names.invent([TmEntry] * arity)
-    return f"{' '.join(bound)} => {render(ad, inner, LOW)}"
+    return _wrap(f"{' '.join(bound)} => {render(x, inner, LOW)}", LOW, level)
 
 
 def _spine_str(c, names: Names) -> str:
@@ -223,10 +216,7 @@ def _spine_str(c, names: Names) -> str:
     if (isinstance(ty, TyVarRef)
             and ty.inst == tuple(Var(c.arity - 1 - m) for m in range(c.arity))):
         return names.name(TyEntry, ty.index)
-    if least_free_tm(ty) >= c.arity:
-        return render(shift(ty, -c.arity, 0, c_tm=c.arity), names, ATOM)
-    inner, bound = names.invent([TmEntry] * c.arity)
-    return f"({' '.join(bound)} => {render(ty, inner, LOW)})"
+    return _binder_comp(ty, c.arity, names, ATOM)
 
 
 def ty_string(names: Names, ty) -> str:

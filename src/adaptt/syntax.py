@@ -27,6 +27,8 @@ Representation choices that the rest of the kernel relies on:
   traversal is a few leaf cases over ``scoped`` or ``map_scoped``, the
   set-model oracle's ``free_tm_vars`` included; only the oracle's
   evaluator, which must stay independent, walks the syntax on its own.
+  Beside it, ``BINDER_DIR`` gives each binder former its bound variable's
+  direction, which every traversal that reads Pi and Sig alike reads.
 """
 
 from __future__ import annotations
@@ -574,6 +576,12 @@ SHAPE: dict[type, tuple[tuple[str, object], ...]] = {
     KAd: (("ad", ARITY), ("forced_ty", ARITY), ("arity", None)),
     Trans: (("comps", SEQ),),
 }
+
+#: The binder formers of types and terms, each with its bound variable's
+#: direction ``d``: the first child is read at ``dual_ctx(ctx, d)`` and
+#: the second under a ``d`` entry.  Pi and Lam bind contravariantly, Sig
+#: covariantly.
+BINDER_DIR: dict[type, Dir] = {Pi: NEG, Lam: NEG, Sig: POS}
 
 
 def _row(x):

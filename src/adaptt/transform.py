@@ -43,7 +43,7 @@ calls ``cast`` on each argument.
 from __future__ import annotations
 
 from .syntax import (
-    POS, NEG, Context, TmEntry, TyEntry, Telescope, TelAd,
+    POS, BINDER_DIR, Context, TmEntry, TyEntry, Telescope, TelAd,
     Type, Base, TyVarRef, Pi, Sig, Ind, Term, Var, Con,
     Adapter, AdId, PiAd, SigAd, IndAd,
     Sub, STm, STy, Trans, KTm, KAd, IndDesc,
@@ -192,22 +192,16 @@ def push_ty(a: Type, tr: Trans, tgt_ctx: Context) -> Adapter:
             inst2 = tuple(apply(t, side(tgt_ctx, tr)) for t in inst)
             note("TRANS_TYVAR")
             return open_tm_block(comp.ad, inst2)
-        case Pi(dom, cod):
-            dom_ad = push_ty(dom, tr, dual_ctx(tgt_ctx))
-            cod_ad = push_ty(cod, lift_block(tr, 1),
-                             extend_tm(tgt_ctx, NEG, dom))
+        case Pi(first, second) | Sig(first, second):
+            d = BINDER_DIR[type(a)]
+            first_ad = push_ty(first, tr, dual_ctx(tgt_ctx, d))
+            second_ad = push_ty(second, lift_block(tr, 1),
+                                extend_tm(tgt_ctx, d, first))
             src = apply(a, trans_source(tgt_ctx, tr))
             tgt = apply(a, trans_target(tgt_ctx, tr))
-            note("TRANS_PI")
-            return PiAd(dom_ad, cod_ad, src, tgt)
-        case Sig(fst, snd):
-            fst_ad = push_ty(fst, tr, tgt_ctx)
-            snd_ad = push_ty(snd, lift_block(tr, 1),
-                             extend_tm(tgt_ctx, POS, fst))
-            src = apply(a, trans_source(tgt_ctx, tr))
-            tgt = apply(a, trans_target(tgt_ctx, tr))
-            note("TRANS_SIGMA")
-            return SigAd(fst_ad, snd_ad, src, tgt)
+            pi = type(a) is Pi
+            note("TRANS_PI" if pi else "TRANS_SIGMA")
+            return (PiAd if pi else SigAd)(first_ad, second_ad, src, tgt)
         case Ind(dn, params, indices):
             d = desc(dn)
             spine = Sub(params.comps + tuple(STm(t) for t in indices))
@@ -417,7 +411,7 @@ def id_trans(ctx: Context, sub: Sub) -> Trans:
 # ---------------------------------------------------------------------------
 
 
-def fuse_pair(ctx: Context, f: Adapter, g: Adapter) -> Adapter | None:
+def fuse_pair(f: Adapter, g: Adapter) -> Adapter | None:
     """Fuse adjacent structural adapters g o f of the same former, per the
     componentwise composition equations.  Returns None when not fusable."""
     match (f, g):
@@ -438,14 +432,14 @@ def fuse_pair(ctx: Context, f: Adapter, g: Adapter) -> Adapter | None:
             return None
 
 
-def fuse_chain(ctx: Context, parts: tuple[Adapter, ...]) -> tuple[Adapter, ...]:
+def fuse_chain(parts: tuple[Adapter, ...]) -> tuple[Adapter, ...]:
     """Normalize a chain for comparison: drop identities, fuse adjacent
     same-former structural adapters.  Postulates are never fused."""
     work: list[Adapter] = []
     for p in parts:
         if is_id_ad(p):
             continue
-        fused = fuse_pair(ctx, work[-1], p) if work else None
+        fused = fuse_pair(work[-1], p) if work else None
         if fused is None:
             work.append(p)
         else:

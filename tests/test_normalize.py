@@ -49,6 +49,19 @@ def test_pi_substitution_lifts():
     assert out == Pi(A, Sig(B, A))
 
 
+@pytest.mark.parametrize("x, pushes", [
+    (Lam(A, App(Var(0), Var(1))), 1),
+    (Pi(A, Sig(B, A)), 2),
+    (App(Var(0), Var(0)), 0),
+    # only the stored Pi endpoints: the adapter itself binds nothing
+    (PiAd(f_AB, g_BC, Pi(B, B), Pi(A, C)), 2),
+])
+def test_apply_reports_a_push_at_each_binder_former_only(x, pushes):
+    # SUB_PUSH marks each node of syntax.BINDER_DIR the substitution walks
+    _, seen = traced(lambda: apply(x, Sub((STm(Var(3)),))))
+    assert Counter(seen)["SUB_PUSH"] == pushes
+
+
 def test_family_instantiation_uses_argument():
     # dependent family: body mentions its own binder (Var 0 inside Sig snd)
     fam = STy(Sig(B, TyVarRef(0, (Var(1),))), 1)

@@ -98,6 +98,12 @@ PRINTED = {
         "fun (x : (x : Nat) -> Vec A x -> B) => a",
     "(zero , vnil A : (n : Nat) ** Vec A n)":
         "(zero , vnil A : (x : Nat) ** Vec A x)",
+    # a family argument that ignores its binder prints as its bare body,
+    # parenthesized as an argument
+    "fun (r : W A (x => List B)) => a": "fun (x : W A (List B)) => a",
+    "fun (r : W A (x => B)) => a": "fun (x : W A B) => a",
+    "fun (r : W A (x => Id A x x -> B)) => a":
+        "fun (x : W A (x => Id A x x -> B)) => a",
 }
 
 

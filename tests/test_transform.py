@@ -200,13 +200,13 @@ def test_naturality_ad_structural():
 def test_fuse_list_adapters():
     one = IndAd("List", MU_F)
     two = IndAd("List", Trans((KAd(g_BC, C, 0),)))
-    fused = fuse_chain((), (one, two))
+    fused = fuse_chain((one, two))
     assert len(fused) == 1
     assert fused[0] == IndAd("List", Trans((KAd(Chain((f_AB, g_BC)), C, 0),)))
 
 
 def test_fuse_keeps_postulates_free():
-    assert fuse_chain((), (f_AB, g_BC)) == (f_AB, g_BC)
+    assert fuse_chain((f_AB, g_BC)) == (f_AB, g_BC)
 
 
 def test_fusion_of_a_mixed_chain_reports_its_rules_in_order():
@@ -225,7 +225,7 @@ def test_fusion_of_a_mixed_chain_reports_its_rules_in_order():
         lambda: traced(lambda: conv_ad((), chain, by_hand)))
     assert same is True
     assert seen == ["FUSE_IND", "FUSE_PI", "FUSE_PI", "FUSE_PI", "FUSE_PI"]
-    assert len(fuse_chain((), chain.parts)) == 3
+    assert len(fuse_chain(chain.parts)) == 3
 
 
 def test_functor_law_for_actions():
