@@ -26,7 +26,7 @@ from .syntax import (
     Type, Base, TyVarRef, Pi, Sig, Ind,
     Term, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     Adapter, AdId, Chain, Post, PiAd, SigAd, IndAd,
-    Sub, STm, STy, Trans, KTm, KAd, IndDesc,
+    Sub, STy, Trans, KAd, IndDesc, TY_COMPS,
     SESSION, dual_ctx, extend_tm, extend_tel, shift, desc, record,
 )
 from .normalize import (
@@ -349,9 +349,9 @@ def check_sub(ctx: Context, sub: Sub, tgt: Context) -> None:
               f"substitution has {len(sub.comps)} components for a context of {len(tgt)}")
     for entry, c, here, want in spine_slots(ctx, tgt, sub):
         if isinstance(entry, TmEntry):
-            if not isinstance(c, STm):
+            if isinstance(c, TY_COMPS):
                 _fail("ArityMismatch", "term entry needs a term component")
-            _demand_conv_ty(here, infer_tm(here, c.tm), want,
+            _demand_conv_ty(here, infer_tm(here, c), want,
                             "substitution component")
         else:
             if not isinstance(c, STy):
@@ -371,9 +371,9 @@ def check_trans(ctx: Context, tr: Trans, tgt: Context) -> None:
               f"transformation has {len(tr.comps)} components for a context of {len(tgt)}")
     for k, (entry, c, here, want) in enumerate(spine_slots(ctx, tgt, tr)):
         if isinstance(entry, TmEntry):
-            if not isinstance(c, KTm):
+            if isinstance(c, TY_COMPS):
                 _fail("ArityMismatch", "term entry needs a term component")
-            _demand_conv_ty(here, infer_tm(here, c.tm), want,
+            _demand_conv_ty(here, infer_tm(here, c), want,
                             "transformation component")
             continue
         if not isinstance(c, KAd):

@@ -28,7 +28,7 @@ from .syntax import (
     POS, NEG, BINDER_DIR, Dir, Context, TmEntry, TyEntry, Telescope,
     Base, TyVarRef, Pi, Sig, Ind, Var, Lam, Pair, Con,
     AdId, Post, PiAd, SigAd, IndAd,
-    Sub, STm, STy, Trans, KTm, KAd,
+    Sub, STy, Trans, KAd,
     RecDesc, ConDesc, IndDesc, SESSION,
     dual_ctx, entry_position, least_free_tm, record, shift, vinst,
 )
@@ -130,7 +130,7 @@ def _elab_param_spine(params_ctx: Context, args: list[S.SExpr], sc: Scope) -> Su
     comps = []
     for entry, a in zip(params_ctx, args):
         if isinstance(entry, TmEntry):
-            comps.append(STm(elab_tm(a, sc.dual(entry.dir))))
+            comps.append(elab_tm(a, sc.dual(entry.dir)))
         else:
             comps.append(_elab_family(a, params_ctx, Sub(tuple(comps)), sc))
     return Sub(tuple(comps))
@@ -288,7 +288,7 @@ def _elab_push(head: S.SExpr, comps, span, sc: Scope, want_src):
             if c.binders:
                 raise _err("Syntax", "term component cannot bind variables",
                            c.span)
-            out.append(KTm(elab_tm(c.body, sc.dual(entry.dir))))
+            out.append(elab_tm(c.body, sc.dual(entry.dir)))
         else:
             ar = len(entry.tel)
             if c.binders and len(c.binders) != ar:

@@ -21,7 +21,7 @@ from .check import CheckError, check_desc, infer_tm
 from .syntax import (
     POS, NEG, Context, TmEntry, TyEntry, Inst,
     Type, Base, TyVarRef, Ind, Term, Var, Con, Cast, Adapter, Post, IndAd,
-    Sub, STm, STy, Trans, KTm, KAd,
+    Sub, STy, Trans, KAd,
     RecDesc, ConDesc, IndDesc, SESSION, desc,
     extend_tel, shift, id_sub, vinst,
 )
@@ -58,8 +58,7 @@ def ind_adapter(name: str, mu: Trans, src_indices: Inst) -> Adapter:
         raise KernelError("parameter transformation arity mismatch")
     if len(src_indices) != len(d.index_tel):
         raise KernelError("index arity mismatch")
-    comps = mu.comps + tuple(KTm(t) for t in src_indices)
-    return IndAd(name, Trans(comps))
+    return IndAd(name, Trans(mu.comps + src_indices))
 
 
 def register(d: IndDesc) -> None:
@@ -201,8 +200,8 @@ def generic_setup(d: IndDesc):
             # every later component sees one more ambient variable
             p_comps = [shift(c, 1, 0) for c in p_comps]
             mu_comps = [shift(c, 1, 0) for c in mu_comps]
-            p_comps.append(STm(Var(0)))
-            mu_comps.append(KTm(Var(0)))
+            p_comps.append(Var(0))
+            mu_comps.append(Var(0))
     return tuple(ctx), names, Sub(tuple(p_comps)), Trans(tuple(mu_comps))
 
 
@@ -220,8 +219,7 @@ def generic_rows(d: IndDesc, setup):
         args_tel = con_args_tel(d, ci, p_src)
         n = len(args_tel)
         tm = Con(d.name, ci, shift(p_src, n, 0), vinst(args_tel))
-        tr = Trans(shift(mu, n, 0).comps
-                   + tuple(KTm(t) for t in result_indices(tm)))
+        tr = Trans(shift(mu, n, 0).comps + result_indices(tm))
         yield (c, extend_tel(ctx, POS, args_tel),
                names.push(TmEntry, *[f"x{k}" for k in range(n)]), tm, tr)
 

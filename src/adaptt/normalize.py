@@ -38,7 +38,7 @@ from .syntax import (
     Type, Base, TyVarRef, Pi, Sig, Ind,
     Term, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
     Adapter, AdId, Chain, Post, PiAd, SigAd, IndAd,
-    Sub, STm, STy, Trans, KTm, KAd, IndDesc,
+    Sub, STy, Trans, KAd, IndDesc, TY_COMPS,
     dual_ctx, extend_tm, fv_bounds, id_sub, map_scoped, scoped, shift,
     entry_position, tm_count, ty_count, desc, record, SESSION,
 )
@@ -258,7 +258,7 @@ def replayed_cache(fn):
 
 
 def _split_spine(sub: Sub):
-    tms = [c.tm for c in sub.comps if isinstance(c, STm)]
+    tms = [c for c in sub.comps if not isinstance(c, STy)]
     tms.reverse()
     tys = [(c.arity, c.ty) for c in sub.comps if isinstance(c, STy)]
     tys.reverse()
@@ -329,9 +329,8 @@ def lift_block(spine, k: int):
     (s o ^) > vinst, each new variable its own component."""
     if k == 0:
         return spine
-    comp = STm if type(spine) is Sub else KTm
     return type(spine)(shift(spine, k, 0).comps
-                       + tuple(comp(Var(k - 1 - m)) for m in range(k)))
+                       + tuple(Var(k - 1 - m) for m in range(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +476,7 @@ def result_indices(tm: Con) -> Inst:
     if not c.ind:
         return ()
     argn = tm.args[:len(c.nrec)]
-    spine = Sub(tm.params.comps + tuple(STm(t) for t in argn))
+    spine = Sub(tm.params.comps + argn)
     return tuple(apply(t, spine) for t in c.ind)
 
 
@@ -506,8 +505,7 @@ def ad_end(ad: Adapter, want_src: bool) -> Type:
             spine = transform._endpoint(d.full_ctx, trans, want_src)
             n = len(d.params_ctx)
             params = Sub(spine.comps[:n])
-            indices = tuple(c.tm for c in spine.comps[n:])
-            return Ind(dn, params, indices)
+            return Ind(dn, params, spine.comps[n:])
         case _:
             raise KernelError(f"not an adapter: {ad!r}")
 
@@ -533,7 +531,7 @@ def is_id_ad(ad: Adapter) -> bool:
 
 
 def trans_is_identity(tr: Trans) -> bool:
-    return all(isinstance(c, KTm) or is_id_ad(c.ad) for c in tr.comps)
+    return all(not isinstance(c, KAd) or is_id_ad(c.ad) for c in tr.comps)
 
 
 # ---------------------------------------------------------------------------
@@ -767,6 +765,14 @@ def _tower(t: Term) -> tuple[Term, tuple[Adapter, ...]]:
     return t, links
 
 
+def _sort_fits(c, ty, ty_comp: type) -> bool:
+    # a term entry (``ty`` its type) takes a term, anything but a type
+    # component; a type entry takes a ``ty_comp``
+    if ty is None:
+        return isinstance(c, ty_comp)
+    return not isinstance(c, TY_COMPS)
+
+
 def conv_sub(ctx: Context, tgt: Context, s1: Sub, s2: Sub) -> bool:
     if len(s1.comps) != len(tgt) or len(s2.comps) != len(tgt):
         raise KernelError("substitution spine length mismatch")
@@ -774,10 +780,9 @@ def conv_sub(ctx: Context, tgt: Context, s1: Sub, s2: Sub) -> bool:
         return True
     from .transform import spine_slots
     for (_, c1, here, ty), c2 in zip(spine_slots(ctx, tgt, s1), s2.comps):
-        sort = STm if ty is not None else STy
-        if not (isinstance(c1, sort) and isinstance(c2, sort)):
+        if not (_sort_fits(c1, ty, STy) and _sort_fits(c2, ty, STy)):
             raise KernelError("spine component sort mismatch")
-        if not (conv_tm(here, ty, c1.tm, c2.tm) if ty is not None
+        if not (conv_tm(here, ty, c1, c2) if ty is not None
                 else conv_ty(here, c1.ty, c2.ty)):
             return False
     return True
@@ -844,10 +849,9 @@ def conv_trans(ctx: Context, tgt: Context, t1: Trans, t2: Trans) -> bool:
         return True
     from .transform import spine_slots
     for (_, c1, here, ty), c2 in zip(spine_slots(ctx, tgt, t1), t2.comps):
-        sort = KTm if ty is not None else KAd
-        if not (isinstance(c1, sort) and isinstance(c2, sort)):
+        if not (_sort_fits(c1, ty, KAd) and _sort_fits(c2, ty, KAd)):
             raise KernelError("transformation component sort mismatch")
-        if not (conv_tm(here, ty, c1.tm, c2.tm) if ty is not None
+        if not (conv_tm(here, ty, c1, c2) if ty is not None
                 else conv_ad(here, c1.ad, c2.ad) is not None):
             return False
     return True

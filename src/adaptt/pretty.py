@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .syntax import (
     Base, TyVarRef, Pi, Sig, Ind, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
-    AdId, Chain, Post, PiAd, SigAd, IndAd, STm, KTm,
+    AdId, Chain, Post, PiAd, SigAd, IndAd, STy, KAd,
     TmEntry, TyEntry, desc, least_free_tm,
 )
 
@@ -185,10 +185,10 @@ def render(x, names: Names, level: int = LOW) -> str:
         case IndAd(name, trans):
             comps = []
             for c in trans.comps:
-                if isinstance(c, KTm):
-                    comps.append(render(c.tm, names, LOW))
-                else:
+                if isinstance(c, KAd):
                     comps.append(_binder_comp(c.ad, c.arity, names))
+                else:
+                    comps.append(render(c, names, LOW))
             inner = " > ".join(comps)
             return f"{name} [[ {inner} ]]"
         case _:
@@ -208,8 +208,8 @@ def _spine_str(c, names: Names) -> str:
     """One argument of an applied datatype or constructor.  Families that
     are an eta-expanded variable print as the bare variable; other
     families use an explicit binder."""
-    if isinstance(c, STm):
-        return render(c.tm, names, ATOM)
+    if not isinstance(c, STy):
+        return render(c, names, ATOM)
     if c.arity == 0:
         return render(c.ty, names, ATOM)
     ty = c.ty

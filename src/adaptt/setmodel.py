@@ -32,8 +32,8 @@ from dataclasses import field
 
 from .syntax import (
     POS, Dir, Context, TmEntry, TyEntry,
-    Base, TyVarRef, Pi, Sig, Ind, Var, Lam, App, Pair, Fst, Snd, Cast, Con,
-    AdId, Chain, Post, PiAd, SigAd, IndAd, Sub, STm, STy, Trans, KTm, KAd,
+    Base, TyVarRef, Pi, Sig, Ind, Term, Var, Lam, App, Pair, Fst, Snd, Cast,
+    Con, AdId, Chain, Post, PiAd, SigAd, IndAd, Sub, STy, Trans, KAd,
     desc, free_tm_vars, fv_bounds, record, tm_count, ty_count,
 )
 
@@ -553,8 +553,8 @@ class Evaluator:
             return tr
         return sem_trans
 
-    def _tm_step(self, entry: TmEntry, c: KTm):
-        tm_c, push_c = self.compile_tm(c.tm), self._push(entry.ty)
+    def _tm_step(self, entry: TmEntry, c: Term):
+        tm_c, push_c = self.compile_tm(c), self._push(entry.ty)
         if entry.dir is POS:
             def step(env, tr):
                 v = tm_c(env)
@@ -598,8 +598,8 @@ class Evaluator:
             return out
         return whisker
 
-    def _whisker_tm(self, c: STm):
-        tm_c = self.compile_tm(c.tm)
+    def _whisker_tm(self, c: Term):
+        tm_c = self.compile_tm(c)
 
         def step(tr, out):
             v, w = tm_c(tr.src), tm_c(tr.tgt)

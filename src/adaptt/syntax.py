@@ -17,7 +17,10 @@ Representation choices that the rest of the kernel relies on:
   spines: one component per target-context entry, no contexts stored on
   the spine itself.  Operations that need the target context take it as
   an argument (it is always known: either the ambient context or the
-  parameter context of a registered datatype).
+  parameter context of a registered datatype).  A term entry's component
+  is the term itself, in either spine; only a type-variable entry's is
+  wrapped, as a family (``STy``) or an adapter with its forced end
+  (``KAd``), the two classes of ``TY_COMPS``.
 * Nodes are hash-consed.  Constructing a node returns the one live node
   with the same class and fields, however it was built, so ``==`` and
   ``hash`` are identity: O(1) and free of recursion.
@@ -394,39 +397,22 @@ Adapter = Union[AdId, Chain, Post, PiAd, SigAd, IndAd]
 
 
 @interned
-class STm:
-    """Substitution component for a term entry."""
-
-    tm: Term
-
-
-@interned
 class STy:
     """Substitution component for a type-variable entry: a type over the
     source context extended by the entry's (substituted) telescope.
-    ``arity`` caches that telescope's length."""
+    ``arity`` caches that telescope's length.  A term entry's component is
+    the term itself."""
 
     ty: Type
     arity: int
 
 
-SubComp = Union[STm, STy]
-
-
 @interned
 class Sub:
-    """Substitution: one component per entry of its target context."""
+    """Substitution: one component per entry of its target context, a
+    term for a term entry and an ``STy`` for a type-variable entry."""
 
-    comps: tuple[SubComp, ...]
-
-
-@interned
-class KTm:
-    """Transformation component for a term entry: the free-side term
-    (source side for positive entries, target side for negative ones);
-    the other endpoint is forced and recomputed on demand."""
-
-    tm: Term
+    comps: tuple[Term | STy, ...]
 
 
 @interned
@@ -435,7 +421,10 @@ class KAd:
 
     ``ad`` is the free component (its source type is the free-side spine
     component); ``forced_ty`` is the other endpoint's spine component,
-    which is not recoverable from ``ad`` alone.
+    which is not recoverable from ``ad`` alone.  A term entry's component
+    is the free-side term itself (source side for positive entries, target
+    side for negative ones); its other endpoint is forced and recomputed
+    on demand.
     """
 
     ad: Adapter
@@ -443,14 +432,13 @@ class KAd:
     arity: int
 
 
-TransComp = Union[KTm, KAd]
-
-
 @interned
 class Trans:
-    """Transformation: one component per entry of its target context."""
+    """Transformation: one component per entry of its target context, the
+    free-side term for a term entry and a ``KAd`` for a type-variable
+    entry."""
 
-    comps: tuple[TransComp, ...]
+    comps: tuple[Term | KAd, ...]
 
 
 Telescope = tuple[Type, ...]
@@ -569,13 +557,15 @@ SHAPE: dict[type, tuple[tuple[str, object], ...]] = {
     PiAd: (("dom_ad", 0), ("cod_ad", 1), ("src_ty", 0), ("tgt_ty", 0)),
     SigAd: (("fst_ad", 0), ("snd_ad", 1), ("src_ty", 0), ("tgt_ty", 0)),
     IndAd: (("desc", None), ("trans", 0)),
-    STm: (("tm", 0),),
     STy: (("ty", ARITY), ("arity", None)),
     Sub: (("comps", SEQ),),
-    KTm: (("tm", 0),),
     KAd: (("ad", ARITY), ("forced_ty", ARITY), ("arity", None)),
     Trans: (("comps", SEQ),),
 }
+
+#: The classes of a spine's type components.  A component at a term entry
+#: is the term itself, so it is told apart as an instance of neither.
+TY_COMPS = (STy, KAd)
 
 #: The binder formers of types and terms, each with its bound variable's
 #: direction ``d``: the first child is read at ``dual_ctx(ctx, d)`` and
@@ -713,31 +703,31 @@ def least_free_tm(x) -> int | float:
 # ---------------------------------------------------------------------------
 
 
-def shift(x, d_tm: int, d_ty: int, c_tm: int = 0, c_ty: int = 0):
+def shift(x, d_tm: int, d_ty: int, c_tm: int = 0):
     """Shift free indices of any syntax value: term indices at or above
-    ``c_tm`` move by ``d_tm``, type-variable indices at or above ``c_ty``
-    by ``d_ty``.  Total on every sort that can occur inside another; a
-    bare tuple is shifted as a telescope."""
+    ``c_tm`` move by ``d_tm``, every type-variable index by ``d_ty``.
+    Type variables are bound only by context entries, never inside
+    syntax, so no cutoff applies to them.  Total on every sort that can
+    occur inside another; a bare tuple is shifted as a telescope."""
     if d_tm == 0 and d_ty == 0:
         return x
-    return _shift(x, d_tm, d_ty, c_ty, c_tm)
+    return _shift(x, d_tm, d_ty, c_tm)
 
 
-def _shift(x, d_tm, d_ty, c_ty, c_tm):
+def _shift(x, d_tm, d_ty, c_tm):
     cls = type(x)
     if cls is not tuple:    # a telescope has no cached bounds to test
         b_tm, b_ty = fv_bounds(x)
-        if b_tm <= c_tm and b_ty <= c_ty:
-            # nothing free at or above the cutoffs: the shift is the identity
+        if b_tm <= c_tm and b_ty == 0:
+            # nothing free that the shift moves: it is the identity
             return x
         if cls is Var:
             return Var(x.index + d_tm)
         if cls is TyVarRef:
-            j = x.index
-            return TyVarRef(j + d_ty if j >= c_ty else j,
-                            tuple([_shift(t, d_tm, d_ty, c_ty, c_tm)
+            return TyVarRef(x.index + d_ty,
+                            tuple([_shift(t, d_tm, d_ty, c_tm)
                                    for t in x.inst]))
-    return map_scoped(x, _shift, (d_tm, d_ty, c_ty), c_tm, {})
+    return map_scoped(x, _shift, (d_tm, d_ty), c_tm, {})
 
 
 # ---------------------------------------------------------------------------
@@ -747,13 +737,13 @@ def _shift(x, d_tm, d_ty, c_ty, c_tm):
 
 def id_sub(ctx: Context) -> Sub:
     """The identity substitution on ``ctx`` as an eta-expanded spine."""
-    comps: list[SubComp] = []
+    comps: list[Term | STy] = []
     tm_left = tm_count(ctx)
     ty_left = ty_count(ctx)
     for e in ctx:
         if isinstance(e, TmEntry):
             tm_left -= 1
-            comps.append(STm(Var(tm_left)))
+            comps.append(Var(tm_left))
         else:
             ty_left -= 1
             comps.append(STy(TyVarRef(ty_left, vinst(e.tel)), len(e.tel)))

@@ -2,8 +2,11 @@
 operations on transformations themselves.
 
 A transformation is an eta-expanded spine with one component per entry of
-its target context.  Components are self-dual data; which endpoint a
-component belongs to is a function of the entry's direction flags:
+its target context: at a term entry the stored term itself, at a type
+entry a ``KAd`` (an adapter and its stored other).  On the free side an
+endpoint's term component is that very term.  Components are self-dual
+data; which endpoint a component belongs to is a function of the entry's
+direction flags:
 
 ====================  ==================  ===========  ===========
 entry (dir, tel_dir)  component context   source comp  target comp
@@ -46,7 +49,7 @@ from .syntax import (
     POS, BINDER_DIR, Context, TmEntry, TyEntry, Telescope, TelAd,
     Type, Base, TyVarRef, Pi, Sig, Ind, Term, Var, Con,
     Adapter, AdId, PiAd, SigAd, IndAd,
-    Sub, STm, STy, Trans, KTm, KAd, IndDesc,
+    Sub, STy, Trans, KAd, IndDesc, TY_COMPS,
     dual_ctx, extend_tm, extend_tel, fv_bounds, map_scoped, shift, desc,
     entry_position,
 )
@@ -141,14 +144,14 @@ def _endpoint(tgt_ctx: Context, tr: Trans, want_src: bool) -> Sub:
     for k in range(len(comps), n):
         entry, c = tgt_ctx[k], tr.comps[k]
         if isinstance(entry, TmEntry):
-            if not isinstance(c, KTm):
+            if isinstance(c, TY_COMPS):
                 raise KernelError("transformation component sort mismatch")
             if want_src == free_is_source(entry):
-                comps.append(STm(c.tm))
+                comps.append(c)
             else:
                 ad = push_ty(entry.ty, Trans(tr.comps[:k]),
                              dual_ctx(tgt_ctx[:k], entry.dir))
-                comps.append(STm(cast(c.tm, ad)))
+                comps.append(cast(c, ad))
         else:
             if not isinstance(c, KAd):
                 raise KernelError("transformation component sort mismatch")
@@ -204,7 +207,7 @@ def push_ty(a: Type, tr: Trans, tgt_ctx: Context) -> Adapter:
             return (PiAd if pi else SigAd)(first_ad, second_ad, src, tgt)
         case Ind(dn, params, indices):
             d = desc(dn)
-            spine = Sub(params.comps + tuple(STm(t) for t in indices))
+            spine = Sub(params.comps + indices)
             whiskered = whisker_left(spine, d.full_ctx, tr, tgt_ctx)
             if trans_is_identity(whiskered):
                 note("TRANS_ID")
@@ -266,7 +269,7 @@ def cast_con(tm: Con, tr: Trans) -> Term:
                 src_spine = trans_source(d.full_ctx, tr)
             if Sub(src_spine.comps[:npar]) != tm.params:
                 raise KernelError("inductive cast parameter mismatch")
-            src_idx = tuple(c.tm for c in src_spine.comps[npar:])
+            src_idx = src_spine.comps[npar:]
             if src_idx != result_indices(tm):
                 raise KernelError("inductive cast index mismatch")
             with recording() as adapted:
@@ -327,7 +330,7 @@ def whisker_left(rho: Sub, rho_tgt: Context, tr: Trans, mid_ctx: Context) -> Tra
     for k, (entry, c) in enumerate(zip(rho_tgt, rho.comps)):
         free, forced = (src, tgt) if free_is_source(entry) else (tgt, src)
         if isinstance(entry, TmEntry):
-            comps.append(KTm(apply(c.tm, free)))
+            comps.append(apply(c, free))
         else:
             ar = c.arity
             tel_here = apply(entry.tel, Sub(rho.comps[:k]))
@@ -400,7 +403,7 @@ def id_trans(ctx: Context, sub: Sub) -> Trans:
     comps = []
     for entry, c in zip(ctx, sub.comps):
         if isinstance(entry, TmEntry):
-            comps.append(KTm(c.tm))
+            comps.append(c)
         else:
             comps.append(KAd(AdId(c.ty), c.ty, c.arity))
     return Trans(tuple(comps))

@@ -6,7 +6,7 @@ are the benchmark generators' own."""
 from __future__ import annotations
 
 import adaptt  # noqa: F401  (registers the stock datatypes)
-from adaptt.syntax import Base, Ind, Post, Sub, STm, STy, Trans, KAd
+from adaptt.syntax import Base, Ind, Post, Sub, STy, Trans, KAd
 from perfbench.gen import (  # noqa: F401  (re-exported to the tests)
     A, B, C, STEP, cons, list_ad, list_ty, nil,
 )
@@ -33,7 +33,7 @@ def w_of(x, fam, arity=1):
 
 
 def id_of(x, a, b):
-    return Ind("Id", Sub((STy(x, 0), STm(a))), (b,))
+    return Ind("Id", Sub((STy(x, 0), a)), (b,))
 
 
 def mu1(ad, forced):

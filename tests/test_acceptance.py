@@ -22,7 +22,7 @@ import adaptt  # noqa: F401  (registers the stock datatypes)
 from adaptt.syntax import (
     POS, NEG, TmEntry, TyEntry, Base, TyVarRef, Pi, Sig, Ind,
     Var, Lam, App, Pair, Cast, Con, AdId, Chain, Post, PiAd, SigAd, IndAd,
-    Sub, STm, STy, Trans, KTm, KAd, dual_ctx, id_sub, shift, vinst, desc,
+    Sub, STy, Trans, KAd, dual_ctx, id_sub, shift, vinst, desc,
 )
 from adaptt import normalize as N
 from adaptt import transform as T
@@ -117,8 +117,8 @@ def _tm_over_x_ctx(g: Gen, depth: int = 1):
         for _ in range(g.rng.randrange(0, 3)):
             t = Con("List", 1, Sub((STy(x_ty, 0),)), (Var(0), t))
         return t, lst
-    idt = Ind("Id", Sub((STy(x_ty, 0), STm(Var(0)))), (Var(0),))
-    return Con("Id", 0, Sub((STy(x_ty, 0), STm(Var(0)))), ()), idt
+    idt = Ind("Id", Sub((STy(x_ty, 0), Var(0))), (Var(0),))
+    return Con("Id", 0, Sub((STy(x_ty, 0), Var(0))), ()), idt
 
 
 def test_criterion_naturality():
@@ -130,7 +130,7 @@ def test_criterion_naturality():
         t_ = g.base_name()
         tgt_ctx = X_CTX + (TmEntry(POS, TyVarRef(0, ())),)
         tr = Trans((KAd(path_adapter(s, t_), Base(t_), 0),
-                    KTm(pos_var(s))))
+                    pos_var(s)))
         tm, ty = _tm_over_x_ctx(g)
         assert check_naturality_tm(AMBIENT, tgt_ctx, tm, ty, tr)
         n += 1

@@ -6,7 +6,7 @@ import pytest
 from adaptt.syntax import (
     POS, NEG, TmEntry, TyEntry, Base, TyVarRef, Pi, Sig, Ind,
     Var, Lam, App, Pair, Fst, Cast, Con, AdId, Post, PiAd,
-    Sub, STm, STy, Trans, KTm, KAd, desc, dual_ctx, shift,
+    Sub, STy, Trans, KAd, desc, dual_ctx, shift,
 )
 from adaptt.check import (
     check_ctx, check_ty, check_ad, check_sub, check_trans, check_desc,

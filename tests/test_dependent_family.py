@@ -10,7 +10,7 @@ instantiated at the actual node label when the cast computes.
 
 from adaptt.syntax import (
     POS, NEG, TmEntry, Base, TyVarRef, Pi, Ind, Var, Con,
-    AdId, PiAd, Sub, STm, STy, Trans, KTm, KAd, shift, desc,
+    AdId, PiAd, Sub, STy, Trans, KAd, shift, desc,
 )
 from adaptt.normalize import cast, open_tm_block
 from adaptt.inductive import ind_adapter
@@ -19,7 +19,7 @@ from helpers import A, C, D, q_DC
 
 
 def id_ty(x):
-    return Ind("Id", Sub((STy(A, 0), STm(x))), (x,))
+    return Ind("Id", Sub((STy(A, 0), x)), (x,))
 
 
 # families over one binder of type A (the binder used only in a domain)

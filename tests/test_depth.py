@@ -40,8 +40,8 @@ from adaptt.inductive import (
 from adaptt.normalize import KernelError, cast, conv_tm, nf
 from adaptt.pretty import Names, tm_string
 from adaptt.syntax import (
-    POS, SESSION, Base, Cast, Con, Ind, IndAd, Post, Sub, STm, STy, TmEntry,
-    Trans, KAd, KTm, TyEntry, TyVarRef, Var, desc,
+    POS, SESSION, Base, Cast, Con, Ind, IndAd, Post, Sub, STy, TmEntry,
+    Trans, KAd, TyEntry, TyVarRef, Var, desc,
 )
 from adaptt.transform import trans_source, trans_target
 from perfbench import gen
@@ -161,9 +161,9 @@ def test_a_cold_endpoint_of_600_entries_is_read_in_one_frame():
         a, b = Base(f"A{k}"), Base(f"B{k}")
         f = Post(f"f{k}", a, b)
         ctx += [TyEntry(POS, POS, ()), TmEntry(POS, TyVarRef(0, ()))]
-        comps += [KAd(f, b, 0), KTm(Var(0))]
-        src += [STy(a, 0), STm(Var(0))]
-        tgt += [STy(b, 0), STm(Cast(Var(0), f))]
+        comps += [KAd(f, b, 0), Var(0)]
+        src += [STy(a, 0), Var(0)]
+        tgt += [STy(b, 0), Cast(Var(0), f)]
     ctx, tr = tuple(ctx), Trans(tuple(comps))
     ends, _ = in_fresh_session(
         lambda: (trans_source(ctx, tr), trans_target(ctx, tr)))

@@ -3,7 +3,7 @@ the model, stuck casts at function types."""
 
 from adaptt.syntax import (
     POS, NEG, TmEntry, Base, TyVarRef, Pi, Ind, Var, Cast, Con, App,
-    Post, Sub, STm, STy, Trans, KTm, KAd, shift,
+    Post, Sub, STy, Trans, KAd, shift,
 )
 from adaptt.normalize import cast, conv_tm, nf
 from adaptt.inductive import (

@@ -10,7 +10,7 @@ entry, and a covariant entry with a contravariant telescope) end to end.
 
 from adaptt.syntax import (
     POS, NEG, TmEntry, TyEntry, Base, TyVarRef, Pi, Ind, Var, Post,
-    Sub, STm, STy, Trans, KTm, KAd, shift, dual_ctx, id_sub,
+    Sub, STy, Trans, KAd, shift, dual_ctx, id_sub,
 )
 from adaptt.normalize import apply, conv_ad, ad_src, ad_tgt
 from adaptt.transform import push_ty, trans_source, trans_target

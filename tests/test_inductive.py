@@ -7,8 +7,8 @@ import pytest
 
 from adaptt.syntax import (
     POS, NEG, TmEntry, TyEntry, Base, TyVarRef, Pi, Ind, Var, Cast, Con,
-    Post, PiAd, IndAd, IndDesc, ConDesc, RecDesc, Sub, STm, STy, Trans, KTm,
-    KAd, desc, shift,
+    Post, PiAd, IndAd, IndDesc, ConDesc, RecDesc, Sub, STy, Trans, KAd,
+    desc, shift,
 )
 from adaptt.normalize import cast, conv_tm, KernelError
 from adaptt.inductive import (
@@ -145,11 +145,11 @@ def test_row_w_sup():
 
 
 def test_row_id_refl():
-    mu = Trans((KAd(f_AB, B, 0), KTm(Var(0))))
+    mu = Trans((KAd(f_AB, B, 0), Var(0)))
     ad = ind_adapter("Id", mu, (Var(0),))
-    t = Con("Id", 0, Sub((STy(A, 0), STm(Var(0)))), ())
+    t = Con("Id", 0, Sub((STy(A, 0), Var(0))), ())
     out = cast(t, ad)
-    assert out == Con("Id", 0, Sub((STy(B, 0), STm(Cast(Var(0), f_AB)))), ())
+    assert out == Con("Id", 0, Sub((STy(B, 0), Cast(Var(0), f_AB))), ())
 
 
 def test_row_tree_not_in_stock_table():

@@ -7,7 +7,7 @@ import weakref
 
 from adaptt.normalize import apply, cast, nf
 from adaptt.syntax import (
-    INTERNED, Base, Cast, Pi, STm, Sub, Var, shift,
+    INTERNED, Base, Cast, Pi, Sub, Var, shift,
 )
 from helpers import A, B, cons, f_AB, list_ad, list_ty, nil
 
@@ -29,7 +29,7 @@ def test_direct_construction_is_shared():
 def test_shift_and_apply_return_the_canonical_node():
     assert shift(Var(0), 1, 0) is Var(1)
     assert shift(cell_list(3), 1, 0) is cell_list(3, Var(1), Var(1))
-    assert apply(cell_list(3), Sub((STm(Var(2)),))) is \
+    assert apply(cell_list(3), Sub((Var(2),))) is \
         cell_list(3, Var(2), Var(2))
 
 

@@ -9,7 +9,7 @@ from adaptt.inductive import nat_succ, nat_zero, register
 from adaptt.syntax import (
     POS, NEG, TmEntry, TyEntry, Base, TyVarRef, Pi, Sig, Ind,
     Var, Lam, App, Pair, Fst, Snd, Cast, Con, AdId, Chain, Post, PiAd, SigAd,
-    IndAd, Sub, STm, STy, Trans, KAd, ConDesc, IndDesc, RecDesc, id_sub, shift,
+    IndAd, Sub, STy, Trans, KAd, ConDesc, IndDesc, RecDesc, id_sub, shift,
 )
 from adaptt.normalize import (
     apply, compose_ad, cast, app, fst_, snd_,
@@ -58,7 +58,7 @@ def test_pi_substitution_lifts():
 ])
 def test_apply_reports_a_push_at_each_binder_former_only(x, pushes):
     # SUB_PUSH marks each node of syntax.BINDER_DIR the substitution walks
-    _, seen = traced(lambda: apply(x, Sub((STm(Var(3)),))))
+    _, seen = traced(lambda: apply(x, Sub((Var(3),))))
     assert Counter(seen)["SUB_PUSH"] == pushes
 
 
@@ -66,22 +66,22 @@ def test_family_instantiation_uses_argument():
     # dependent family: body mentions its own binder (Var 0 inside Sig snd)
     fam = STy(Sig(B, TyVarRef(0, (Var(1),))), 1)
     use = TyVarRef(0, (Var(0),))
-    out = apply(use, Sub((fam, STm(Var(5)))))
+    out = apply(use, Sub((fam, Var(5))))
     # the use's argument Var(0) maps to Var(5), then fills the binder
     assert out == Sig(B, TyVarRef(0, (Var(6),)))
 
 
 def test_compose_sub_identity_law():
     ctx = ctx_ab()
-    sigma = Sub((STm(Var(1)), STm(Var(0))))
+    sigma = Sub((Var(1), Var(0)))
     assert apply(id_sub(ctx), sigma) == sigma
     assert apply(sigma, id_sub(ctx)) == sigma
 
 
 def test_compose_sub_associativity():
-    s1 = Sub((STm(Var(0)),))
-    s2 = Sub((STm(Var(1)),))
-    s3 = Sub((STm(Var(0)), STm(Var(1))))
+    s1 = Sub((Var(0),))
+    s2 = Sub((Var(1),))
+    s3 = Sub((Var(0), Var(1)))
     lhs = apply(apply(s1, s2), s3)
     rhs = apply(s1, apply(s2, s3))
     assert lhs == rhs
@@ -89,7 +89,7 @@ def test_compose_sub_associativity():
 
 def test_sub_error_on_missing_component():
     with pytest.raises(KernelError):
-        apply(Var(2), Sub((STm(Var(0)),)))
+        apply(Var(2), Sub((Var(0),)))
 
 
 # -- adapter composition ----------------------------------------------------
@@ -376,7 +376,7 @@ def test_a_cell_under_a_binder_is_compared_in_its_own_context():
     ctx = (TmEntry(POS, Pi(NAT, A)), TmEntry(POS, Pi(Pi(NAT, A), A)))
 
     def cell(arg):
-        params = Sub((STy(A, 0), STm(App(Var(0), arg))))
+        params = Sub((STy(A, 0), App(Var(0), arg)))
         below = Con("R", 0, params, (Var(2),))
         return params, Con("R", 0, params, (Lam(NAT, below),))
 

@@ -68,7 +68,8 @@ def terms(draw):
     return nf(tm).value
 
 
-@settings(max_examples=150, deadline=None)
+# at least 150 examples, and the whole budget of a larger profile
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(terms())
 # a function type to the right of a plain ``**`` must be parenthesized
 @example(Pair(Sig(nat(), Pi(Base("A"), nat())), nat_zero(),

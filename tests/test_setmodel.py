@@ -13,7 +13,7 @@ from adaptt import elaborate, setmodel, surface, syntax
 from adaptt.syntax import (
     POS, NEG, TmEntry, Base, TyVarRef, Pi, Sig, Ind,
     Var, Lam, App, Pair, Fst, Snd, Cast, Con, AdId, Post, PiAd, SigAd,
-    Sub, STm, STy, Trans, KTm, KAd, SESSION, Session, shift,
+    Sub, STy, Trans, KAd, SESSION, Session, shift,
 )
 from adaptt.normalize import cast as kcast
 from adaptt.inductive import (

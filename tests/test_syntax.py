@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from adaptt.syntax import (
     POS, NEG, Dir, TmEntry, TyEntry, Base, TyVarRef, Pi, Var,
     dual_ctx, extend_tel, vinst, id_sub, shift,
-    tm_count, ty_count, Sub, STm, STy,
+    tm_count, ty_count, Sub, STy,
 )
 from helpers import A, B
 
@@ -91,8 +91,8 @@ def test_id_sub_spine_shape():
     s = id_sub(ctx)
     assert len(s.comps) == len(ctx)
     assert s.comps[0] == STy(TyVarRef(0, ()), 0)
-    assert s.comps[1] == STm(Var(1))
-    assert s.comps[2] == STm(Var(0))
+    assert s.comps[1] == Var(1)
+    assert s.comps[2] == Var(0)
 
 
 def test_shift_namespaces_are_independent():

@@ -4,7 +4,7 @@ vertical composition, naturality."""
 from adaptt.syntax import (
     POS, NEG, TmEntry, TyEntry, Base, TyVarRef, Pi, Sig, Ind,
     Var, Cast, AdId, Chain, Post, PiAd, SigAd, IndAd,
-    Sub, STm, STy, Trans, KTm, KAd, id_sub, shift,
+    Sub, STy, Trans, KAd, id_sub, shift,
 )
 from adaptt.normalize import (
     apply, cast, compose_ad, conv_ad, conv_tm, ad_src, ad_tgt,
@@ -82,17 +82,17 @@ def test_push_telescope_componentwise():
 def test_endpoints_of_forced_term_component():
     # target of (mu |> t) at a dependent entry is t cast by the prefix
     ctx = X_CTX + (TmEntry(POS, TyVarRef(0, ())),)
-    tr = Trans((KAd(f_AB, B, 0), KTm(Var(0))))
+    tr = Trans((KAd(f_AB, B, 0), Var(0)))
     src = trans_source(ctx, tr)
     tgt = trans_target(ctx, tr)
-    assert src == Sub((STy(A, 0), STm(Var(0))))
-    assert tgt == Sub((STy(B, 0), STm(Cast(Var(0), f_AB))))
+    assert src == Sub((STy(A, 0), Var(0)))
+    assert tgt == Sub((STy(B, 0), Cast(Var(0), f_AB)))
 
 
 def test_dual_reading_swaps_endpoints():
     from adaptt.syntax import dual_ctx
     ctx = X_CTX + (TmEntry(POS, TyVarRef(0, ())),)
-    tr = Trans((KAd(f_AB, B, 0), KTm(Var(0))))
+    tr = Trans((KAd(f_AB, B, 0), Var(0)))
     assert trans_source(dual_ctx(ctx), tr) == trans_target(ctx, tr)
     assert trans_target(dual_ctx(ctx), tr) == trans_source(ctx, tr)
 
@@ -102,7 +102,7 @@ def test_dual_reading_swaps_endpoints():
 
 def test_whisker_right_by_identity():
     ctx = (TmEntry(POS, A),)
-    tr = Trans((KAd(f_AB, B, 0), KTm(Var(0))))
+    tr = Trans((KAd(f_AB, B, 0), Var(0)))
     assert whisker_right(tr, id_sub(ctx)) == tr
 
 
@@ -170,7 +170,7 @@ def test_naturality_tm_variable():
     # t = 0tm over (X:Ty+) |> (x:X): both sides are the forced component
     tgt = X_CTX + (TmEntry(POS, TyVarRef(0, ())),)
     ctx = (TmEntry(POS, A),)
-    tr = Trans((KAd(f_AB, B, 0), KTm(Var(0))))
+    tr = Trans((KAd(f_AB, B, 0), Var(0)))
     assert check_naturality_tm(ctx, tgt, Var(0), TyVarRef(0, ()), tr)
 
 
@@ -242,10 +242,10 @@ def test_exchange_with_substitution():
     from adaptt.normalize import apply, conv_ad
     ctx = (TmEntry(POS, A),)
     tgt = X_CTX + (TmEntry(POS, TyVarRef(0, ())),)
-    tr = Trans((KAd(f_AB, B, 0), KTm(Var(0))))
+    tr = Trans((KAd(f_AB, B, 0), Var(0)))
     ty = Ind("List", Sub((STy(TyVarRef(0, ()), 0),)), ())
     pushed = push_ty(ty, tr, tgt)
-    delta = Sub((STm(Var(1)),))  # reindex the ambient variable
+    delta = Sub((Var(1),))  # reindex the ambient variable
     lhs = apply(pushed, delta)
     whiskered = whisker_right(tr, delta)
     rhs = push_ty(ty, whiskered, tgt)
