@@ -199,17 +199,13 @@ def infer_tm(ctx: Context, t: Term) -> Type:
             want = open_tm_block(ty.snd, (a,))
             _demand_conv_ty(ctx, infer_tm(ctx, b), want, "second component")
             return ty
-        case Fst(p):
+        case Fst(p) | Snd(p):
             pty = infer_tm(ctx, p)
             if not isinstance(pty, Sig):
                 _fail("ClassifierMismatch", "projection of a non-pair",
                       ctx, expected="a pair type", actual=pty)
-            return pty.fst
-        case Snd(p):
-            pty = infer_tm(ctx, p)
-            if not isinstance(pty, Sig):
-                _fail("ClassifierMismatch", "projection of a non-pair",
-                      ctx, expected="a pair type", actual=pty)
+            if type(t) is Fst:
+                return pty.fst
             return open_tm_block(pty.snd, (fst_(p),))
         case Cast(tm, ad):
             tty = infer_tm(ctx, tm)

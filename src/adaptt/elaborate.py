@@ -188,10 +188,8 @@ def elab_tm(e: S.SExpr, sc: Scope):
                 raise _err("ClassifierMismatch",
                            "pair annotation must be a pair type", span)
             return Pair(ty_t, elab_tm(fst, sc), elab_tm(snd, sc))
-        case S.SFst(arg, _):
-            return mk_fst(elab_tm(arg, sc))
-        case S.SSnd(arg, _):
-            return mk_snd(elab_tm(arg, sc))
+        case S.SFst(arg, _) | S.SSnd(arg, _):
+            return (mk_fst if type(e) is S.SFst else mk_snd)(elab_tm(arg, sc))
         case S.SCast(tm, ad, _):
             t = elab_tm(tm, sc)
             a = elab_ad(ad, sc, want_src=infer_tm(sc.ctx, t))
@@ -309,15 +307,17 @@ def _elab_pi_sig_ad(kind: str, comps, span, sc: Scope, want_src):
     c0, c1 = comps
     if c0.binders:
         raise _err("Syntax", "first component cannot bind variables", c0.span)
-    first = elab_ad(c0.body, sc.dual() if kind == "Pi" else sc)
+    former = Pi if kind == "Pi" else Sig
+    d = BINDER_DIR[former]
+    first = elab_ad(c0.body, sc.dual(d))
     if len(c1.binders) > 1:
         raise _err("ArityMismatch", "second component binds one variable",
                    c1.span)
     binder = c1.binders[0] if c1.binders else "_"
-    if kind == "Pi":
-        new_dom = ad_src(first)
-        second = elab_ad(c1.body, sc.push(binder, TmEntry(NEG, new_dom)))
-        tgt = Pi(new_dom, ad_tgt(second))
+    src_fst = ad_src(first)
+    second = elab_ad(c1.body, sc.push(binder, TmEntry(d, src_fst)))
+    if former is Pi:
+        tgt = Pi(src_fst, ad_tgt(second))
         src = want_src
         if not isinstance(src, Pi):
             src = Pi(ad_tgt(first), ad_src(second))
@@ -326,8 +326,6 @@ def _elab_pi_sig_ad(kind: str, comps, span, sc: Scope, want_src):
                            "cannot infer the source of this function adapter; "
                            "cast position provides it", span)
         return PiAd(first, second, src, tgt)
-    src_fst = ad_src(first)
-    second = elab_ad(c1.body, sc.push(binder, TmEntry(POS, src_fst)))
     src = Sig(src_fst, ad_src(second))
     if want_src is not None and not conv_ty(sc.ctx, src, want_src):
         raise _err("ClassifierMismatch", "pair adapter source mismatch", span)

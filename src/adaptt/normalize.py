@@ -709,9 +709,8 @@ def conv_tm(ctx: Context, ty: Type, x: Term, y: Term) -> bool:
                         return False
                 ty = tel[-1]
             else:
-                for k in range(len(tel) - 1):
-                    if not conv_tm(ctx, open_tm_block(tel[k], a1[:k]), a1[k], a2[k]):
-                        return False
+                if not conv_inst(ctx, tel[:-1], a1[:-1], a2[:-1]):
+                    return False
                 ty = open_tm_block(tel[-1], a1[:-1])
             x, y = a1[-1], a2[-1]
         else:
@@ -734,15 +733,12 @@ def conv_neutral(ctx: Context, x: Term, y: Term):
             if not conv_tm(dual_ctx(ctx), fty.dom, u1, u2):
                 return None
             return open_tm_block(fty.cod, (u1,))
-        case (Fst(p1), Fst(p2)):
+        case (Fst(p1), Fst(p2)) | (Snd(p1), Snd(p2)):
             pty = conv_neutral(ctx, p1, p2)
             if not isinstance(pty, Sig):
                 return None
-            return pty.fst
-        case (Snd(p1), Snd(p2)):
-            pty = conv_neutral(ctx, p1, p2)
-            if not isinstance(pty, Sig):
-                return None
+            if type(x) is Fst:
+                return pty.fst
             return open_tm_block(pty.snd, (fst_(p1),))
         case (Cast(), _) | (_, Cast()):
             # a cast tower is compared as the composite of its links, so

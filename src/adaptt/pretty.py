@@ -100,7 +100,7 @@ def _wrap(s: str, have: int, want: int) -> str:
 
 def render(x, names: Names, level: int = LOW) -> str:
     match x:
-        case Base(name):
+        case Base(name) | Post(name, _, _):
             return name
         case Var(i):
             return names.name(TmEntry, i)
@@ -137,10 +137,9 @@ def render(x, names: Names, level: int = LOW) -> str:
             return _wrap(s, APP, level)
         case Pair(ty, a, b):
             return f"({render(a, names, LOW)} , {render(b, names, LOW)} : {render(ty, names, LOW)})"
-        case Fst(p):
-            return _wrap(f"fst {render(p, names, ATOM)}", APP, level)
-        case Snd(p):
-            return _wrap(f"snd {render(p, names, ATOM)}", APP, level)
+        case Fst(p) | Snd(p):
+            proj = "fst" if type(x) is Fst else "snd"
+            return _wrap(f"{proj} {render(p, names, ATOM)}", APP, level)
         case Cast(tm, ad):
             s = f"{render(tm, names, LOW if isinstance(tm, Cast) else APP)} <| {render(ad, names, COMP)}"
             return _wrap(s, LOW, level)
@@ -173,8 +172,6 @@ def render(x, names: Names, level: int = LOW) -> str:
             return "".join(out) + ")" * opened
         case AdId(ty):
             return _wrap(f"id {render(ty, names, ATOM)}", APP, level)
-        case Post(name, _, _):
-            return name
         case Chain(parts):
             s = " . ".join(render(p, names, APP) for p in reversed(parts))
             return _wrap(s, COMP, level)

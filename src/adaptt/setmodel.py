@@ -394,10 +394,9 @@ class Evaluator:
                 k = -1 - j
                 inst_c = tuple(self.compile_tm(t) for t in inst)
                 return lambda env: env[1][k](tuple(c(env) for c in inst_c))
-            case Pi(dom, cod):
-                return self._binder_ty(SPi, dom, cod)
-            case Sig(fst, snd):
-                return self._binder_ty(SSig, fst, snd)
+            case Pi(first, second) | Sig(first, second):
+                former = SPi if type(ty) is Pi else SSig
+                return self._binder_ty(former, first, second)
             case Ind(name, _, _):
                 s = SInd(name)
                 return lambda env: s
@@ -438,11 +437,10 @@ class Evaluator:
             case Pair(_, a, b):
                 a_c, b_c = self.compile_tm(a), self.compile_tm(b)
                 return lambda env: VPair(a_c(env), b_c(env))
-            case Fst(p):
+            case Fst(p) | Snd(p):
                 p_c = self.compile_tm(p)
-                return lambda env: p_c(env).fst
-            case Snd(p):
-                p_c = self.compile_tm(p)
+                if type(tm) is Fst:
+                    return lambda env: p_c(env).fst
                 return lambda env: p_c(env).snd
             case Cast(t, ad):
                 t_c, ad_c = self.compile_tm(t), self.compile_ad(ad)

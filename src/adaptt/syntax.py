@@ -31,7 +31,9 @@ Representation choices that the rest of the kernel relies on:
   set-model oracle's ``free_tm_vars`` included; only the oracle's
   evaluator, which must stay independent, walks the syntax on its own.
   Beside it, ``BINDER_DIR`` gives each binder former its bound variable's
-  direction, which every traversal that reads Pi and Sig alike reads.
+  direction, read by every traversal that needs it: ``check_ty``,
+  substitution, conversion, ``transform.push_ty`` and the elaborator.
+  The printer and the oracle read Pi and Sig alike but need no direction.
 """
 
 from __future__ import annotations

@@ -139,6 +139,10 @@ def test_norm_kernel_error_in_the_expression_is_a_diagnostic():
              "(function argument has the wrong type)\n"),
     ("fst a", "ERROR ClassifierMismatch -e:1:1 expected a pair type got A "
               "(projection of a non-pair)\n"),
+    ("snd a", "ERROR ClassifierMismatch -e:1:1 expected a pair type got A "
+              "(projection of a non-pair)\n"),
+    ("a a", "ERROR ClassifierMismatch -e:1:1 expected a function type got A "
+            "(application head is not a function)\n"),
 ])
 def test_norm_places_an_error_in_the_expression_text(expr, out):
     code, got = run(["norm", "corpus/casts.adt", "-e", expr])

@@ -99,6 +99,31 @@ def test_applications_and_projections_compare_argument_by_argument(tmp_path):
     assert code == 0
 
 
+def test_the_two_projections_of_a_neutral_pair_differ(tmp_path):
+    # fst p and snd p share their type and subject, not their projection
+    for lhs, rhs in (("fst p", "snd p"), ("snd p", "fst p")):
+        text = f"base A ; var p : A ** A ;\nasserteq {lhs} = {rhs} : A ;\n"
+        code, out = check(tmp_path, text)
+        assert out == [f"ERROR ConversionFailed t.adt:2:1 expected {rhs} "
+                       f"got {lhs}",
+                       "checked t.adt: 0 datatypes, 0 checks, 1 equations"]
+        assert code == 1
+
+
+def test_each_projection_of_a_neutral_pair_has_its_own_type(tmp_path):
+    # the function type is q's second component and r's first: each
+    # projection must read its own component's type for the two arguments,
+    # which differ only by eta, to be compared at A -> A
+    text = ("base A ; base B ; covar f : A -> A ;"
+            " var q : A ** ((A -> A) -> B) ; var r : ((A -> A) -> B) ** A ;\n"
+            "asserteq snd q f = snd q (fun (x : A) => f x) : B ;\n"
+            "asserteq fst r f = fst r (fun (x : A) => f x) : B ;\n")
+    code, out = check(tmp_path, text)
+    assert out == ["OK asserteq t.adt:2:1", "OK asserteq t.adt:3:1",
+                   "checked t.adt: 0 datatypes, 0 checks, 2 equations"]
+    assert code == 0
+
+
 def test_pair_types_compare_componentwise(tmp_path):
     # the declared and inferred types differ by an eta step inside the
     # second component

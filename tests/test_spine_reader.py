@@ -4,9 +4,11 @@ entry k of its target context under the first k components, and reject
 a spine of the wrong length or with a component of the wrong sort.  A
 term entry's component is the term itself, so at a term entry the wrong
 sort is a type component (``STy`` or ``KAd``), and at a type entry it is
-anything but the spine's own type component.  A transformation's
-endpoints (``trans_source``, ``trans_target``) reject the same spines,
-and on an entry's free side hand back the transformation's own term."""
+anything but the spine's own type component.  The checkers also reject
+a type component whose arity is not the length of its entry's
+telescope.  A transformation's endpoints (``trans_source``,
+``trans_target``) reject the same spines, and on an entry's free side
+hand back the transformation's own term."""
 
 from collections import Counter
 
@@ -14,7 +16,7 @@ import pytest
 
 from adaptt import transform
 from adaptt.syntax import (
-    POS, NEG, TmEntry, TyVarRef, Var, Sub, STy, Trans, KAd, desc,
+    POS, NEG, TmEntry, TyVarRef, Var, AdId, Sub, STy, Trans, KAd, desc,
 )
 from adaptt.check import CheckError, check_ad, check_sub, check_trans
 from adaptt.normalize import (
@@ -71,6 +73,12 @@ def test_check_sub_rejects_a_component_of_the_wrong_sort(tgt, sub, message):
         check_sub(AB_CTX, sub, tgt)
 
 
+def test_check_sub_rejects_a_family_of_the_wrong_arity():
+    # W's second parameter is a family over one term; this one has arity 0
+    with pytest.raises(CheckError, match="type component arity mismatch"):
+        check_sub((), Sub((STy(A, 0), STy(B, 0))), desc("W").params_ctx)
+
+
 def test_check_sub_rejects_a_spine_of_the_wrong_length():
     with pytest.raises(CheckError, match="0 components for a context of 1"):
         check_sub(AB_CTX, Sub(()), LIST_CTX)
@@ -89,6 +97,13 @@ def test_check_sub_rejects_a_spine_of_the_wrong_length():
 def test_check_trans_rejects_a_component_of_the_wrong_sort(tr, message):
     with pytest.raises(CheckError, match=message):
         check_trans(AB_CTX, tr, ID_CTX)
+
+
+def test_check_trans_rejects_an_adapter_of_the_wrong_arity():
+    # W's second parameter is a family over one term; this one has arity 0
+    with pytest.raises(CheckError, match="adapter component arity mismatch"):
+        check_trans((), Trans((KAd(AdId(A), A, 0), KAd(AdId(B), B, 0))),
+                    desc("W").full_ctx)
 
 
 def test_check_trans_rejects_a_spine_of_the_wrong_length():
