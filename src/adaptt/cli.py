@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import argparse
 import contextvars
+import gc
 import json
 import os
 import sys
 
-from . import surface, elaborate, inductive, pretty, normalize, setmodel
+from . import surface, elaborate, inductive, pretty, normalize
 from .check import CheckError
 from .surface import ParseError
 from .syntax import SESSION, Session
@@ -113,6 +114,7 @@ def cmd_derive(args, src: surface.Source) -> int:
 
 
 def cmd_model(args, src: surface.Source) -> int:
+    from . import setmodel      # the oracle: no other command loads it
     try:
         out = elaborate.elab_file(surface.parse(src.text))
         binding = setmodel.ModelBinding.from_json(_read(args.bindings))
@@ -255,5 +257,15 @@ def _run(handler, args) -> int:
         return USAGE
 
 
+def entry() -> int:
+    """The ``adaptt`` script and ``python -m adaptt.cli``: ``main`` on
+    the process's arguments, then ``gc.freeze()``, so that the collections
+    at interpreter exit do not walk the heap the command built.  Atexit
+    handlers and the flushing of the streams still run."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

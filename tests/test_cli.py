@@ -1,9 +1,13 @@
 """Command-line front end: exit statuses, output stability, tracing."""
 
+import ast
+import gc
 import io
 import json
 import os
 import contextlib
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -581,7 +585,80 @@ def test_normalizing_in_a_file_does_not_depend_on_earlier_files(tmp_path):
         assert in_fresh_interpreter(order * 2) == want * 2
 
 
-# -- names: one table, the innermost binder of a sort wins --------------------
+# -- a cold process: what a command loads, and the script's entry -------------
+
+#: ``[code, last line, oracle loaded]`` after each ``cli.main(argv)``, run
+#: in order in one new interpreter
+_ORACLE_LOADED = """
+import contextlib, io, json, sys
+from adaptt import cli
+outs = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    outs.append([code, buf.getvalue().splitlines()[-1],
+                 "adaptt.setmodel" in sys.modules])
+print(json.dumps(outs))
+"""
+
+
+def test_only_model_loads_the_oracle():
+    argvs = [["check", "corpus/casts.adt"],
+             ["norm", "corpus/casts.adt", "-e",
+              "cons A a (nil A) <| List [[ g . f ]]"],
+             ["derive", "corpus/prelude.adt", "List"],
+             ["selftest"],
+             ["model", "corpus/casts.adt", "--bindings",
+              "corpus/bindings_small.json"]]
+    src = os.path.dirname(os.path.dirname(adaptt.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _ORACLE_LOADED, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, check=True)
+    outs = json.loads(proc.stdout)
+    assert [code for code, _, _ in outs] == [0] * 5
+    assert [loaded for _, _, loaded in outs] == [False] * 4 + [True]
+    assert outs[-1][1] == "model: 11 evaluated, 2 skipped, 0 disagreements"
+
+
+def test_main_in_process_leaves_the_heap_unfrozen():
+    before = gc.get_freeze_count()
+    assert run(["check", "corpus/casts.adt"])[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_the_script_and_the_main_block_call_one_entry():
+    # read as text: ``tomllib`` is not in Python 3.10
+    root = pathlib.Path(adaptt.__file__).resolve().parents[2]
+    [entry] = re.findall(r'^adaptt = "adaptt\.cli:(\w+)"$',
+                         (root / "pyproject.toml").read_text(), re.M)
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(s) for s in block.body] == [f"sys.exit({entry}())"]
+    assert entry not in ("main", "_run") and callable(getattr(cli, entry))
+
+
+def test_the_entry_prints_what_main_prints_and_freezes_the_heap():
+    argv = ["check", "corpus/casts.adt"]
+    src = os.path.dirname(os.path.dirname(adaptt.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "adaptt.cli", *argv],
+                          capture_output=True, env=env)
+    code, out = run(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, out.encode(), b"")
+    probe = ("import gc, sys\nfrom adaptt import cli\ncode = cli.entry()\n"
+             "print(gc.get_freeze_count() > 0, file=sys.stderr)\n"
+             "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", probe, *argv],
+                          capture_output=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, out.encode(), b"True\n")
+
+
+# -- names:one table, the innermost binder of a sort wins --------------------
 
 
 def _check_file(tmp_path, text, command="check", *rest):

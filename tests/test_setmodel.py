@@ -445,6 +445,7 @@ def test_the_package_has_one_import_cycle_and_no_other_local_import():
               for m in mods if m in reach(m)}
     assert cycles == {frozenset({"normalize", "transform"})}
     assert sorted((mod, t, fn) for mod, t, fn in imports if fn) == [
+        ("cli", "setmodel", "cmd_model")] + [
         ("normalize", "transform", fn)
         for fn in sorted(["cast", "ad_end", "conv_sub", "conv_trans",
                           "conv_ad"])]

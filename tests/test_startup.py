@@ -57,11 +57,12 @@ def dataclass_repr(x) -> str:
     return f"{type(x).__qualname__}({shown})"
 
 
-#: a fresh interpreter that imports the CLI and prints the names of the
-#: functions defined by the generated source (named ``<string>``) it
-#: compiles meanwhile.  Functions are counted, not compilations: from
-#: Python 3.13, ``dataclasses`` compiles one wrapper per class however
-#: many functions it holds, none included.
+#: a fresh interpreter that imports the CLI, then the oracle that only
+#: ``model`` loads, and prints the names of the functions defined by the
+#: generated source (named ``<string>``) it compiles meanwhile.  Functions
+#: are counted, not compilations: from Python 3.13, ``dataclasses``
+#: compiles one wrapper per class however many functions it holds, none
+#: included.
 GENERATED_FUNCTIONS = r"""
 import re, sys
 names = []
@@ -72,6 +73,7 @@ def hook(event, args):
                      if n != "__create_fn__")
 sys.addaudithook(hook)
 import adaptt.cli
+import adaptt.setmodel
 print(*names)
 """
 
